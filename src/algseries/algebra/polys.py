@@ -9,6 +9,7 @@ only by their common monomial content (full bivariate gcd is out of scope).
 """
 
 from ..errors import AlgSeriesError, ZeroDenominator
+from .conv import conv
 
 
 def _term_text(field, coeff, mono):
@@ -112,15 +113,7 @@ class UniPoly:
         other = self._same(other)
         f = self.field
         a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return UniPoly.zero(f, self.var)
-        out = [f.zero] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] = f.add(out[i + j], f.mul(x, y))
-        return UniPoly(f, out, self.var)
+        return UniPoly(f, conv(f, a, b, len(a) + len(b) - 2), self.var)
 
     def scale(self, c):
         f = self.field

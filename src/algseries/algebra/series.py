@@ -2,12 +2,16 @@
 
 TruncSeries1 holds c_0..c_N for a fixed truncation order N; TruncSeries2
 holds a sparse total-degree-T truncation.  Arithmetic results carry the
-minimum of the operand orders.  series_expand_ratio expands num/den by the
+minimum of the operand orders.  TruncSeries1 products go through the dense
+kernel conv (Kronecker substitution over finite fields), and the inverse is
+a Newton iteration on top of it, so both cost O(M(N)) for the cost M(N) of
+one product at order N.  series_expand_ratio expands num/den by the
 linear recurrence S[i,j] = (num[i,j] - sum den[a,b]*S[i-a,j-b]) / den[0,0],
 and diagonal_series reads the diagonal off such an expansion.
 """
 
 from ..errors import AlgSeriesError, InsufficientPrecision, ZeroConstantTerm
+from .conv import conv
 
 
 class TruncSeries1:
@@ -69,16 +73,9 @@ class TruncSeries1:
 
     def __mul__(self, other):
         other = self._same(other)
-        f = self.field
         n = min(self.order, other.order)
-        add, mul = f.add, f.mul
-        out = [f.zero] * (n + 1)
-        for i, a in enumerate(self.coeffs[:n + 1]):
-            if a:
-                for j, b in enumerate(other.coeffs[:n + 1 - i]):
-                    if b:
-                        out[i + j] = add(out[i + j], mul(a, b))
-        return TruncSeries1(f, out, n)
+        return TruncSeries1(self.field,
+                            conv(self.field, self.coeffs, other.coeffs, n), n)
 
     def scale(self, c):
         f = self.field
@@ -93,19 +90,24 @@ class TruncSeries1:
                             self.order)
 
     def inverse(self):
-        """Multiplicative inverse; needs an invertible constant term."""
+        """Multiplicative inverse; needs an invertible constant term.
+
+        Newton iteration g <- g - g*(a*g - 1), doubling the number of correct
+        coefficients per step, so the cost is a constant times one product
+        at the full order.
+        """
         f = self.field
-        if not self.coeffs[0]:
+        a = self.coeffs
+        if not a[0]:
             raise ZeroConstantTerm("series has no invertible constant term")
-        inv0 = f.inv(self.coeffs[0])
-        out = [inv0] + [f.zero] * self.order
-        for n in range(1, self.order + 1):
-            acc = f.zero
-            for k in range(1, n + 1):
-                if self.coeffs[k] and out[n - k]:
-                    acc = f.add(acc, f.mul(self.coeffs[k], out[n - k]))
-            out[n] = f.neg(f.mul(inv0, acc))
-        return TruncSeries1(f, out, self.order)
+        g = [f.inv(a[0])]
+        while len(g) <= self.order:
+            m = len(g)
+            prec = min(2 * m, self.order + 1)
+            # a*g = 1 + X^m * r mod X^prec, so g*(a*g - 1) = X^m * g*r
+            r = conv(f, a, g, prec - 1)[m:]
+            g += [f.neg(c) for c in conv(f, g, r, prec - 1 - m)]
+        return TruncSeries1(f, g, self.order)
 
     def spread(self, e):
         """Substitute X -> X^e, truncated to the same order."""
@@ -119,14 +121,9 @@ class TruncSeries1:
 
     def mul_poly(self, poly):
         """Multiply by a UniPoly, truncating to this order."""
-        f = self.field
-        out = [f.zero] * (self.order + 1)
-        for k, c in enumerate(poly.coeffs):
-            if c:
-                for i, a in enumerate(self.coeffs[:self.order + 1 - k]):
-                    if a:
-                        out[i + k] = f.add(out[i + k], f.mul(c, a))
-        return TruncSeries1(f, out, self.order)
+        return TruncSeries1(self.field,
+                            conv(self.field, self.coeffs, poly.coeffs, self.order),
+                            self.order)
 
     def __eq__(self, other):
         return (isinstance(other, TruncSeries1) and other.field == self.field

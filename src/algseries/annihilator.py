@@ -194,10 +194,12 @@ def null_left_vector(rows):
 def frobenius_relation(automaton, size_cap=KERNEL_SIZE_CAP, check_order=256):
     """Annihilating relation for the series generated by the automaton.
 
-    Builds the stacked row matrix B and returns the shortest prefix
-    dependency that verifies against the automaton's series truncation;
-    always succeeds for kernel cap d <= size_cap.
+    Minimizes the automaton, builds the stacked row matrix B of the
+    minimized one and returns the shortest prefix dependency that verifies
+    against the automaton's series truncation; always succeeds when the
+    minimized automaton has d <= size_cap states.
     """
+    automaton = automaton.minimize()
     matrix = kernel_matrix(automaton)
     d = matrix.size
     if d > size_cap:

@@ -8,7 +8,8 @@ Grammar (whitespace ignored, offsets refer to the input string):
     base   := uint | VAR | '(' expr ')'
 
 Integer literals reduce into the field (mod p in characteristic p, exact
-rationals over Q).  parse_ratfun additionally splits on a single top-level
+rationals over Q); over F_{p^k} the symbol t is the field generator, as in
+ExtensionField.fmt.  parse_ratfun additionally splits on a single top-level
 '/'.  Printing a parsed polynomial with BiPoly.to_text()/UniPoly.to_text()
 and reparsing yields the identical canonical object.
 """
@@ -154,8 +155,7 @@ def _eval_ast(node, field, varmap):
     if kind == "int":
         return BiPoly.constant(field, field.from_int(node.args[0]))
     if kind == "var":
-        i, j = varmap[node.args[0]]
-        return BiPoly(field, {(i, j): field.one})
+        return varmap[node.args[0]]
     if kind == "neg":
         return -_eval_ast(node.args[0], field, varmap)
     if kind == "add":
@@ -173,11 +173,15 @@ def parse_poly(text, field, variables=("X", "Y")):
     """Parse a polynomial in the given variables into a BiPoly.
 
     The first variable maps to the X axis and the second (if any) to Y.
+    Over an extension field F_p[t]/(m(t)) the symbol t denotes the field
+    generator, so coefficients print and parse as in "(1+t)*X".
     """
-    node = parse_expr_ast(text, variables)
     varmap = {}
     for axis, name in enumerate(variables[:2]):
-        varmap[name] = (1, 0) if axis == 0 else (0, 1)
+        varmap[name] = BiPoly(field, {(1, 0) if axis == 0 else (0, 1): field.one})
+    if field.kind == "extension" and "t" not in varmap:
+        varmap["t"] = BiPoly.constant(field, field.from_literal([0, 1]))
+    node = parse_expr_ast(text, tuple(varmap))
     return _eval_ast(node, field, varmap)
 
 

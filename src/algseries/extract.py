@@ -13,6 +13,7 @@ fixed_point_coefficients is the independent oracle (plain substitution
 iteration), and fs_partial_sum exposes the per-m partial sums.
 """
 
+from .algebra.conv import conv
 from .algebra.fields import FieldElement
 from .algebra.polys import BiPoly, derivative_y
 from .algebra.series import TruncSeries1
@@ -118,7 +119,7 @@ def fixed_point_coefficients(problem, order):
     """
     field = problem.field
     N = order
-    add, mul = field.add, field.mul
+    add = field.add
     slices = {}
     for (a, b), c in problem.poly.terms.items():
         if a <= N:
@@ -129,15 +130,7 @@ def fixed_point_coefficients(problem, order):
         # P(X, f) by Horner in Y on dense lists
         acc = [field.zero] * (N + 1)
         for j in range(degy, -1, -1):
-            if any(acc):
-                out = [field.zero] * (N + 1)
-                for i, a in enumerate(acc):
-                    if a:
-                        for k in range(N + 1 - i):
-                            b = f[k]
-                            if b:
-                                out[i + k] = add(out[i + k], mul(a, b))
-                acc = out
+            acc = conv(field, acc, f, N)
             row = slices.get(j)
             if row:
                 for i, c in row.items():

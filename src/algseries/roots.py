@@ -53,7 +53,10 @@ def hensel_root(P, a0, order):
     """The unique series f with f(0) = a0 and P(X, f) = 0 mod X^(order+1).
 
     Newton update f <- f - P(X,f)/P_Y(X,f) with X-adic precision doubling;
-    needs the residue root to be simple.
+    needs the residue root to be simple.  Each step evaluates P and P_Y by
+    Horner's rule and divides with the Newton series inverse, all through
+    the conv product kernel, so the lift costs a constant times one series
+    product at the final order.
     """
     field = P.field
     raw = a0.raw if isinstance(a0, FieldElement) else a0

@@ -8,8 +8,14 @@ they check (direct recurrences, digit counting, brute-force convolution).
 import random
 
 import pytest
+from hypothesis import settings
 
 from algseries import GF, QQ, BiPoly, FixedPointProblem
+
+# Property tests replay the same examples on every run and have no time
+# limit per example, so a slow or loaded machine cannot make them flake.
+settings.register_profile("algseries", deadline=None, derandomize=True)
+settings.load_profile("algseries")
 
 F2 = GF(2)
 F3 = GF(3)

@@ -158,6 +158,17 @@ class TestAnnihilate:
         assert "X*f + (1 + X)*f^2 + (1 + X^4)*f^4 = 0" in out
         assert "verified at order 256" in out
 
+    def test_unminimized_kernel_automaton(self, capsys, tmp_path):
+        # kernel --diagonal writes 9 states, over the cap of 8; they
+        # minimize to 5, so annihilate must succeed
+        path = str(tmp_path / "k.json")
+        code, out, _ = run(capsys, "kernel", "--field", "F2", "--num", "X^2+Y^2",
+                           "--den", "1+X+X^2+Y^2", "--diagonal", "--json", path)
+        assert code == 0 and "states: 9" in out
+        code, out, _ = run(capsys, "annihilate", "--automaton", path)
+        assert code == 0
+        assert "verified at order 256" in out
+
     def test_malformed_json_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"q": 2}')

@@ -1,10 +1,12 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from algseries import GF, QQ, BiPoly, parse_poly, parse_ratfun, parse_unipoly
 from algseries.errors import (NegativeExponent, ParseError, UnknownSymbol,
                               ZeroDenominator)
 
-from conftest import F2, F5, random_bipoly
+from conftest import F2, F4, F5, F8, F9, random_bipoly
 
 
 def test_example1_polynomial():
@@ -99,3 +101,25 @@ def test_univariate_roundtrip(rng):
         poly = random_bipoly(QQ, rng, max_deg=4, max_terms=4)
         text = poly.to_text()
         assert parse_poly(text, QQ) == poly
+
+
+def test_extension_generator_symbol():
+    P = parse_poly("t*X + Y + (1+t)*Y^2", F4)
+    t = F4.from_literal([0, 1])
+    assert P.terms == {(1, 0): t, (0, 1): 1, (0, 2): F4.add(1, t)}
+    with pytest.raises(UnknownSymbol):
+        parse_poly("t*X", F5)  # t is a field constant only over F_{p^k}
+
+
+@st.composite
+def extension_polys(draw):
+    field = draw(st.sampled_from([F4, F8, F9]))
+    terms = draw(st.dictionaries(
+        st.tuples(st.integers(0, 4), st.integers(0, 4)),
+        st.integers(0, field.order - 1), max_size=6))
+    return BiPoly(field, terms)
+
+
+@given(extension_polys())
+def test_extension_print_parse_roundtrip(poly):
+    assert parse_poly(poly.to_text(), poly.field) == poly
