@@ -6,10 +6,10 @@ automata with output, Frobenius annihilating relations, and series roots of
 polynomials over finite fields — all in exact arithmetic.
 """
 
-from .algebra import (GF, QQ, BiPoly, Field, FieldDescriptor, FieldElement,
-                      RationalFn, TruncSeries1, TruncSeries2, UniPoly,
-                      derivative_y, diagonal_series, eval_bipoly_at_series,
-                      ratfun_normalize, series_expand_ratio, substitute_xy)
+from .algebra import (GF, QQ, BiPoly, Field, FieldElement, RationalFn,
+                      TruncSeries1, TruncSeries2, UniPoly, derivative_y,
+                      diagonal_series, eval_bipoly_at_series,
+                      series_expand_ratio, substitute_xy)
 from .annihilator import (FrobeniusRelation, KernelMatrix, frobenius_relation,
                           kernel_matrix, null_left_vector, verify_relation)
 from .automaton import DFAO, export_dot, from_json, to_json
@@ -28,8 +28,8 @@ __version__ = "0.1.0"
 __all__ = [
     "GF", "QQ", "BiPoly", "FieldElement", "RationalFn", "TruncSeries1",
     "TruncSeries2", "UniPoly", "derivative_y", "diagonal_series",
-    "eval_bipoly_at_series", "ratfun_normalize", "series_expand_ratio",
-    "substitute_xy", "Field", "FieldDescriptor", "ExprAst",
+    "eval_bipoly_at_series", "series_expand_ratio", "substitute_xy", "Field",
+    "ExprAst",
     "FrobeniusRelation", "KernelMatrix",
     "frobenius_relation", "kernel_matrix", "null_left_vector",
     "verify_relation", "DFAO", "export_dot", "from_json", "to_json",

@@ -1,15 +1,15 @@
 """Exact arithmetic kernel: fields, polynomials, rational functions, series."""
 
-from .fields import (GF, QQ, ExtensionField, Field, FieldDescriptor,
-                     FieldElement, PrimeField, RationalField)
-from .polys import BiPoly, RationalFn, UniPoly, derivative_y, ratfun_normalize, substitute_xy
+from .fields import (GF, QQ, ExtensionField, Field, FieldElement, PrimeField,
+                     RationalField)
+from .polys import BiPoly, RationalFn, UniPoly, derivative_y, substitute_xy
 from .series import (TruncSeries1, TruncSeries2, diagonal_series,
                      eval_bipoly_at_series, poly_to_series, series_expand_ratio)
 
 __all__ = [
-    "GF", "QQ", "Field", "FieldDescriptor", "FieldElement", "PrimeField", "ExtensionField",
+    "GF", "QQ", "Field", "FieldElement", "PrimeField", "ExtensionField",
     "RationalField", "BiPoly", "RationalFn", "UniPoly", "derivative_y",
-    "ratfun_normalize", "substitute_xy", "TruncSeries1", "TruncSeries2",
+    "substitute_xy", "TruncSeries1", "TruncSeries2",
     "diagonal_series", "eval_bipoly_at_series", "poly_to_series",
     "series_expand_ratio",
 ]

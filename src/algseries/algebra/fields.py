@@ -18,7 +18,6 @@ No floating point is used anywhere.
 """
 
 import functools
-import math
 from fractions import Fraction
 
 from ..errors import AlgSeriesError
@@ -37,13 +36,26 @@ _BUILTIN_MODULI = {
 _TABLE_CAP = 1024  # largest extension cardinality backed by lookup tables
 
 
+# The least strong pseudoprime to the bases 2..37 (1287836182261 *
+# 2575672364521): Miller-Rabin on those bases is exact below it.
+_PRIME_TEST_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n):
-    """Deterministic Miller-Rabin, exact for all n below 3.3e24."""
+    """Deterministic Miller-Rabin on the prime bases 2..37.
+
+    Exact below _PRIME_TEST_BOUND; a larger n with no factor among those
+    bases raises AlgSeriesError rather than return an uncertified answer.
+    """
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % p == 0:
             return n == p
+    if n >= _PRIME_TEST_BOUND:
+        raise AlgSeriesError(
+            f"cannot certify that {n} is prime: the primality test is exact "
+            f"only below {_PRIME_TEST_BOUND}")
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -427,10 +439,6 @@ class RationalField(Field):
 
 QQ = RationalField()
 
-# Alias used at API boundaries: a Field object *is* the descriptor.
-FieldDescriptor = Field
-
-
 @functools.lru_cache(maxsize=None)
 def _cached_field(p, k, modulus):
     if k == 1:
@@ -438,17 +446,29 @@ def _cached_field(p, k, modulus):
     return ExtensionField(p, k, modulus)
 
 
+def _iroot(n, k):
+    """Largest r with r^k <= n, by integer Newton iteration from above."""
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
 def _prime_power(q):
-    for cand in range(2, math.isqrt(q) + 1):
-        if q % cand == 0:
-            n, k = q, 0
-            while n % cand == 0:
-                n //= cand
-                k += 1
-            if n != 1:
-                raise AlgSeriesError(f"{q} is not a prime power")
-            return cand, k
-    return q, 1  # q itself is prime
+    """(p, k) with q = p^k and p prime; AlgSeriesError otherwise.
+
+    The largest k with an exact k-th root gives the least base p, and q is
+    a prime power exactly when that base is prime.
+    """
+    for k in range(q.bit_length() - 1, 0, -1):
+        p = _iroot(q, k)
+        if p ** k == q:
+            break
+    if not _is_prime(p):
+        raise AlgSeriesError(f"{q} is not a prime power")
+    return p, k
 
 
 def GF(q, modulus=None):
@@ -462,8 +482,6 @@ def GF(q, modulus=None):
     if q < 2:
         raise AlgSeriesError("field cardinality must be >= 2")
     p, k = _prime_power(q)
-    if k == 1 and not _is_prime(p):
-        raise AlgSeriesError(f"{q} is not a prime power")
     if k == 1:
         if modulus is not None:
             raise AlgSeriesError("prime fields take no modulus")

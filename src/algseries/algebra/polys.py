@@ -613,8 +613,3 @@ class RationalFn:
 
     def __repr__(self):
         return self.to_text()
-
-
-def ratfun_normalize(num, den):
-    """Canonical rational function num/den (see RationalFn for the form)."""
-    return RationalFn(num, den)

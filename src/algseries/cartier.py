@@ -111,6 +111,30 @@ class KernelAutomaton2D:
         return self.to_dfao().run((m, n))
 
 
+def close(start, images, budget, what):
+    """Keyed breadth-first closure of ``start``: (states, transitions).
+
+    ``images(state)`` lists a state's images by ascending digit; states are
+    equal when their ``key()`` values are.  States are numbered in discovery
+    order, and more than ``budget`` of them raise StateBudgetExceeded.
+    """
+    states = [start]
+    index = {start.key(): 0}
+    transitions = []
+    for state in states:  # the list grows while it is walked
+        row = []
+        for image in images(state):
+            target = index.setdefault(image.key(), len(states))
+            if target == len(states):
+                if target >= budget:
+                    raise StateBudgetExceeded(
+                        f"{what} exceeded {budget} states")
+                states.append(image)
+            row.append(target)
+        transitions.append(row)
+    return states, transitions
+
+
 def rational_kernel(P, Q, state_budget=STATE_BUDGET):
     """Kernel closure of P/Q over F_q; requires Q(0,0) != 0."""
     q = _digit_base(Q.field)
@@ -118,29 +142,13 @@ def rational_kernel(P, Q, state_budget=STATE_BUDGET):
         raise ZeroConstantTerm("Q(0,0) must be nonzero")
     bound = max(P.total_degree, 0) + Q.total_degree
     Qq1 = Q ** (q - 1)
-    states = [KernelState(P)]
-    index = {P.key(): 0}
-    transitions = []
-    head = 0
-    while head < len(states):
-        R = states[head].numerator
-        head += 1
+
+    def images(R):
         RQ = R * Qq1
-        row = []
-        for symbol in range(q * q):
-            r, s = symbol % q, symbol // q
-            image = cartier_bi(RQ, r, s)
-            key = image.key()
-            target = index.get(key)
-            if target is None:
-                target = len(states)
-                if target >= state_budget:
-                    raise StateBudgetExceeded(
-                        f"kernel closure exceeded {state_budget} states")
-                index[key] = target
-                states.append(KernelState(image))
-            row.append(target)
-        transitions.append(row)
+        return [cartier_bi(RQ, sym % q, sym // q) for sym in range(q * q)]
+
+    numerators, transitions = close(P, images, state_budget, "kernel closure")
+    states = [KernelState(R) for R in numerators]
     return KernelAutomaton2D(q=q, den=Q, states=states, transitions=transitions,
                              degree_bound=bound)
 

@@ -10,7 +10,6 @@ atomically (temp file + rename).
 import argparse
 import json
 import os
-import random
 import sys
 import tempfile
 from dataclasses import dataclass
@@ -39,7 +38,6 @@ class CliConfig:
     fmt: str = "text"
     dot_path: str = None
     json_path: str = None
-    seed: int = 0
 
     @classmethod
     def from_args(cls, args, with_field=True):
@@ -52,7 +50,6 @@ class CliConfig:
             fmt=getattr(args, "format", "text"),
             dot_path=getattr(args, "dot", None),
             json_path=getattr(args, "json", None),
-            seed=getattr(args, "seed", 0),
         )
 
 
@@ -165,7 +162,7 @@ def cmd_roots(args):
     cfg = CliConfig.from_args(args)
     field = cfg.field
     poly = parse_poly(args.poly, field)
-    outcome = roots_automata(poly, cfg.order, rng=random.Random(cfg.seed))
+    outcome = roots_automata(poly, cfg.order)
     print(f"relation: {outcome.relation.to_text()}")
     for a0 in outcome.skipped:
         print(f"warning: residue root {a0!r} is not simple; skipped")
@@ -250,7 +247,7 @@ def build_parser():
     p.add_argument("--dot", help="directory for per-branch DOT files")
     p.add_argument("--json", help="directory for per-branch JSON files")
     p.add_argument("--seed", type=int, default=0,
-                   help="seed for the randomized closure spot checks")
+                   help="accepted for compatibility; has no effect")
     p.set_defaults(func=cmd_roots)
 
     p = sub.add_parser("gen", help="run an automaton on 0..N")

@@ -14,7 +14,7 @@ ExtensionField.fmt.  parse_ratfun additionally splits on a single top-level
 and reparsing yields the identical canonical object.
 """
 
-from .algebra.polys import BiPoly, UniPoly, ratfun_normalize
+from .algebra.polys import BiPoly, RationalFn, UniPoly
 from .errors import NegativeExponent, ParseError, UnknownSymbol
 
 _INT = "int"
@@ -214,5 +214,5 @@ def parse_ratfun(text, field, variables=("X", "Y")):
             exc.offset += split + 1  # point into the original string
             raise
     if num.deg_y <= 0 and den.deg_y <= 0:
-        return ratfun_normalize(num.as_unipoly_x(), den.as_unipoly_x())
-    return ratfun_normalize(num, den)
+        return RationalFn(num.as_unipoly_x(), den.as_unipoly_x())
+    return RationalFn(num, den)

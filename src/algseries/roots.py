@@ -6,16 +6,16 @@ sum A_k(X) f^(q^k) = 0 by finding the first linear dependency among
 Y^(q^k) mod P over F_q(X); close the formal element f under the Cartier
 operators using Lambda_r(g^q h) = g Lambda_r(h), substituting
 f = sum_k (-A_k/A_0) f^(q^k) for the j = 0 coordinate first; attach per
-branch outputs by evaluating each closure state on the lifted series
+branch outputs by evaluating each closure state once on the lifted series
 (coefficients may have X-power poles, so evaluation runs with Laurent
-headroom and asserts that no negative exponent survives).
+headroom and asserts that no negative exponent survives) and check every
+transition against those values.
 
 Minimality of the relation makes the coordinate vectors of closure states a
 sound equality key: were two distinct coordinate vectors to evaluate to the
 same series, their difference would be a shorter dependency.
 """
 
-import random
 from dataclasses import dataclass, field as dc_field
 
 from .algebra.fields import FieldElement
@@ -24,10 +24,10 @@ from .algebra.series import TruncSeries1, eval_bipoly_at_series, poly_to_series
 from .annihilator import (FrobeniusRelation, null_left_vector,
                           relation_from_rationals, verify_relation)
 from .automaton import DFAO
-from .cartier import cartier_uni
+from .cartier import cartier_uni, close
 from .errors import (AlgSeriesError, DegenerateReduction, HypothesisViolated,
                      InfiniteField, InsufficientPrecision, NegativeValuation,
-                     NonSimpleRoot, NotSquarefree, StateBudgetExceeded, ZeroA0)
+                     NonSimpleRoot, NotSquarefree, ZeroA0)
 
 CLOSURE_BUDGET = 4096
 _OUTPUT_GUARD = 8  # extra X-adic digits when evaluating states on a branch
@@ -236,45 +236,22 @@ def cartier_closure(relation, state_budget=CLOSURE_BUDGET):
     if relation.coeffs[0].is_zero():
         raise ZeroA0("closure needs a relation with A_0 != 0")
     n = relation.length
-    if n < 1:
-        # relation "A_0 f = 0" pins f = 0: one absorbing state
-        zero_elem = ModuleElement(RationalFn.zero(field),
-                                  (RationalFn.zero(field),))
-        return ClosureSkeleton(field, q, relation, [zero_elem],
-                               [[0] * q])
     A0 = relation.coeffs[0]
-    B = [None] + [RationalFn(-relation.coeffs[k], A0) for k in range(1, n + 1)]
+    B = [RationalFn(-relation.coeffs[k], A0) for k in range(1, n + 1)]
     zero_rf = RationalFn.zero(field)
-    start = ModuleElement(zero_rf,
-                          (RationalFn.one(field),) + (zero_rf,) * (n - 1))
-    states = [start]
-    index = {start.key(): 0}
-    transitions = []
-    head = 0
-    while head < len(states):
-        elem = states[head]
-        head += 1
-        row = []
-        for r in range(q):
-            const = cartier_uni(elem.const, r)
-            coords = []
-            for j in range(n):
-                term = elem.coords[j + 1] if j + 1 < n else zero_rf
-                if not elem.coords[0].is_zero():
-                    term = term + elem.coords[0] * B[j + 1]
-                coords.append(cartier_uni(term, r))
-            image = ModuleElement(const, tuple(coords))
-            key = image.key()
-            target = index.get(key)
-            if target is None:
-                target = len(states)
-                if target >= state_budget:
-                    raise StateBudgetExceeded(
-                        f"Cartier closure exceeded {state_budget} states")
-                index[key] = target
-                states.append(image)
-            row.append(target)
-        transitions.append(row)
+
+    def images(elem):
+        terms = list(elem.coords[1:]) + [zero_rf]
+        if not elem.coords[0].is_zero():
+            terms = [t + elem.coords[0] * b for t, b in zip(terms, B)]
+        return [ModuleElement(cartier_uni(elem.const, r),
+                              tuple(cartier_uni(t, r) for t in terms))
+                for r in range(q)]
+
+    # a relation "A_0 f = 0" (n = 0) pins f = 0: one absorbing state
+    start = ModuleElement(zero_rf, (RationalFn.one(field) if n else zero_rf,)
+                          + (zero_rf,) * (n - 1))
+    states, transitions = close(start, images, state_budget, "Cartier closure")
     return ClosureSkeleton(field, q, relation, states, transitions)
 
 
@@ -341,7 +318,12 @@ def _evaluate_element(elem, powers, const_one, order):
 
 
 def attach_outputs(skeleton, branch):
-    """Fill the branch's output map and return the complete DFAO."""
+    """Fill the branch's output map and return the complete DFAO.
+
+    Every closure state is evaluated once on the branch series, at its full
+    order; spot_check_closure then checks every transition against those
+    values, and the output of a state is the constant term of its value.
+    """
     field = skeleton.field
     need = closure_output_order(skeleton)
     if branch.series.order < need:
@@ -351,43 +333,32 @@ def attach_outputs(skeleton, branch):
     n = len(skeleton.states[0].coords)
     powers = [branch.series.spread(skeleton.q ** j) for j in range(n)]
     const_one = TruncSeries1(field, [field.one], order)
-    outputs = []
-    for idx, elem in enumerate(skeleton.states):
-        value = _evaluate_element(elem, powers, const_one, order)
-        outputs.append(value.coeffs[0])
-        branch.outputs[idx] = FieldElement(field, value.coeffs[0])
+    values = [_evaluate_element(elem, powers, const_one, order)
+              for elem in skeleton.states]
+    spot_check_closure(skeleton, values)
+    outputs = [value.coeffs[0] for value in values]
+    for idx, out in enumerate(outputs):
+        branch.outputs[idx] = FieldElement(field, out)
     labels = [elem.to_text() for elem in skeleton.states]
     return DFAO(skeleton.q, skeleton.field, 0, skeleton.transitions, outputs,
                 labels)
 
 
-def _series_digit_section(series, r, q):
-    order = (series.order - r) // q
-    return TruncSeries1(series.field, series.coeffs[r::q], order)
+def spot_check_closure(skeleton, values):
+    """Check every transition: Lambda_r(values[s]) == values[delta(s, r)].
 
-
-def spot_check_closure(skeleton, branch, rng, samples=20, order=128):
-    """Random consistency check: Lambda_r(value(state)) == value(target).
-
-    Verifies the formal transitions against truncated series arithmetic on
-    ``samples`` random (state, digit) pairs.
+    ``values[s]`` is closure state s evaluated on one branch.  Each (state,
+    digit) pair is compared on every coefficient both truncations determine,
+    so the formal closure is checked against truncated series arithmetic;
+    a mismatch raises AlgSeriesError naming the state and the digit.
     """
-    field = skeleton.field
-    M = branch.series.order
-    n = len(skeleton.states[0].coords)
-    powers = [branch.series.spread(skeleton.q ** j) for j in range(n)]
-    const_one = TruncSeries1(field, [field.one], M)
-    values = [_evaluate_element(e, powers, const_one, M)
-              for e in skeleton.states]
-    for _ in range(samples):
-        s = rng.randrange(skeleton.n_states)
-        r = rng.randrange(skeleton.q)
-        lhs = _series_digit_section(values[s], r, skeleton.q)
-        rhs = values[skeleton.transitions[s][r]]
-        check = min(order, lhs.order, rhs.order)
-        if lhs.coeffs[:check + 1] != rhs.coeffs[:check + 1]:
-            raise AlgSeriesError(
-                f"closure spot check failed at state {s}, digit {r}")
+    q = skeleton.q
+    for s, row in enumerate(skeleton.transitions):
+        coeffs = values[s].coeffs
+        for r, t in enumerate(row):
+            if any(x != y for x, y in zip(coeffs[r::q], values[t].coeffs)):
+                raise AlgSeriesError(
+                    f"closure check failed at state {s}, digit {r}")
 
 
 @dataclass
@@ -400,7 +371,7 @@ class RootsOutcome:
     failures: list  # a0 values whose verification failed (expected empty)
 
 
-def roots_automata(P, order, rng=None, state_budget=CLOSURE_BUDGET):
+def roots_automata(P, order, state_budget=CLOSURE_BUDGET):
     """One minimized DFAO per simple residue root of P.
 
     Each branch satisfies generate(DFAO, order) == hensel series and
@@ -410,8 +381,6 @@ def roots_automata(P, order, rng=None, state_budget=CLOSURE_BUDGET):
     field = P.field
     if not field.is_finite:
         raise InfiniteField("roots_automata requires a finite field")
-    if rng is None:
-        rng = random.Random(0)
     roots = residue_roots(P)
     simple = [a for a, ok in roots if ok]
     skipped = [a for a, ok in roots if not ok]
@@ -419,9 +388,9 @@ def roots_automata(P, order, rng=None, state_budget=CLOSURE_BUDGET):
         raise HypothesisViolated("P has no simple residue root")
     relation = frobenius_from_poly(P)
     skeleton = cartier_closure(relation, state_budget)
-    spot_order = 128
+    check_order = 128  # lift far enough for digit sections of order 128
     need = max(order, closure_output_order(skeleton),
-               skeleton.q * spot_order + skeleton.q - 1)
+               skeleton.q * check_order + skeleton.q - 1)
     branches = []
     failures = []
     for a0 in simple:
@@ -430,7 +399,6 @@ def roots_automata(P, order, rng=None, state_budget=CLOSURE_BUDGET):
             raise AlgSeriesError("Hensel lift failed to annihilate P; internal error")
         branch = BranchRoot(a0=a0, series=series)
         dfao = attach_outputs(skeleton, branch)
-        spot_check_closure(skeleton, branch, rng, order=spot_order)
         minimized = dfao.minimize()
         generated = minimized.generate(order)
         ok = (generated.coeffs == series.coeffs[:order + 1]

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import pytest
 
@@ -47,6 +48,19 @@ class TestFieldSpec:
         for spec in ("F6", "G2", "F", "F4:t^2"):
             with pytest.raises(AlgSeriesError):
                 parse_field_spec(spec)
+
+    def test_large_prime_field(self, capsys):
+        # 2^61 - 1 is prime: trial division up to its square root never ended
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "extract", "--field", "F2305843009213693951",
+                           "--poly", "X+Y^2", "-n", "4")
+        assert code == 0 and out.splitlines()[-1] == "4\t5"
+        assert time.perf_counter() - start < 1.0
+
+    def test_pseudoprime_characteristic_exit_2(self, capsys):
+        code, _, err = run(capsys, "extract", "--field",
+                           "F3317044064679887385961981", "--poly", "X+Y^2")
+        assert code == 2 and "cannot certify" in err
 
 
 class TestExtract:
@@ -194,6 +208,10 @@ class TestRoots:
                            "--poly", "Y-X", "-n", "16")
         assert code == 0
         assert "branch 0" in out
+
+    def test_seed_has_no_effect(self, capsys):
+        argv = ("roots", "--field", "F2", "--poly", TM_POLY, "-n", "32")
+        assert run(capsys, *argv) == run(capsys, *argv, "--seed", "7")
 
     def test_not_squarefree_exit_2(self, capsys):
         code, _, err = run(capsys, "roots", "--field", "F2",

@@ -2,6 +2,7 @@ import pytest
 from fractions import Fraction
 
 from algseries import GF, QQ
+from algseries.algebra.fields import _prime_power
 from algseries.errors import AlgSeriesError
 
 from conftest import ALL_FIELDS, FINITE_FIELDS, F2, F4, F9, random_raw
@@ -24,6 +25,36 @@ def test_gf_rejects_non_prime_powers():
         GF(12)
     with pytest.raises(AlgSeriesError):
         GF(1)
+
+
+def test_prime_power_against_trial_division():
+    def reference(q):
+        p = next(d for d in range(2, q + 1) if q % d == 0)
+        k = 0
+        while q % p == 0:
+            q //= p
+            k += 1
+        return (p, k) if q == 1 else None
+
+    for q in range(2, 3000):
+        expected = reference(q)
+        if expected is None:
+            with pytest.raises(AlgSeriesError, match="not a prime power"):
+                _prime_power(q)
+        else:
+            assert _prime_power(q) == expected
+    assert _prime_power(243) == (3, 5)
+    assert _prime_power(2 ** 61 - 1) == (2 ** 61 - 1, 1)
+    assert _prime_power((2 ** 31 - 1) ** 2) == (2 ** 31 - 1, 2)
+    assert _prime_power(5 ** 30) == (5, 30)
+
+
+def test_pseudoprime_characteristic_rejected():
+    # 1287836182261 * 2575672364521 passes Miller-Rabin to every base 2..37
+    with pytest.raises(AlgSeriesError, match="cannot certify"):
+        GF(3317044064679887385961981)
+    with pytest.raises(AlgSeriesError, match="cannot certify"):
+        GF(3317044064679887385961981 ** 2)
 
 
 def test_extension_f4_structure():

@@ -1,6 +1,5 @@
-import random
-
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from algseries import (GF, QQ, BiPoly, TruncSeries1, UniPoly, attach_outputs,
                        cartier_closure, eval_bipoly_at_series,
@@ -8,11 +7,12 @@ from algseries import (GF, QQ, BiPoly, TruncSeries1, UniPoly, attach_outputs,
                        residue_roots, roots_automata, verify_relation)
 from algseries.annihilator import FrobeniusRelation
 from algseries.roots import BranchRoot, closure_output_order, spot_check_closure
-from algseries.errors import (DegenerateReduction, HypothesisViolated,
-                              InfiniteField, InsufficientPrecision,
-                              NonSimpleRoot, NotSquarefree)
+from algseries.errors import (AlgSeriesError, DegenerateReduction,
+                              HypothesisViolated, InfiniteField,
+                              InsufficientPrecision, NonSimpleRoot,
+                              NotSquarefree, StateBudgetExceeded, ZeroA0)
 
-from conftest import F2, F4, thue_morse
+from conftest import F2, F3, F4, thue_morse
 
 
 def uni(field, text):
@@ -21,6 +21,9 @@ def uni(field, text):
 
 TM_POLY = "(1+X)^3*Y^2+(1+X)^2*Y+X"      # roots: Thue-Morse and complement
 FIVE_STATE_POLY = "Y^2+(1+X)*Y+X^2"     # roots need a five-state automaton
+# 262-state closure of BFS depth 19: no number below 3^18 has the 19 digits
+# that reach its deepest states, far beyond the order outputs are evaluated at
+DEEP_F3_POLY = "2*X^3+2*X^3*Y^3+Y+X^3*Y+2*X*Y+Y^3+X"
 
 
 class TestResidueRoots:
@@ -185,11 +188,22 @@ class TestAttachOutputs:
             attach_outputs(skel, short)
 
     def test_spot_check_passes(self):
-        P = parse_poly(FIVE_STATE_POLY, F2)
-        skel = cartier_closure(frobenius_from_poly(P))
-        branch = BranchRoot(a0=F2.element(0), series=hensel_root(P, 0, 300))
-        attach_outputs(skel, branch)
-        spot_check_closure(skel, branch, random.Random(7), samples=20)
+        # Thue-Morse branch 0: state 0 is t(n), state 1 = Lambda_1 f is 1 - t(n)
+        skel = cartier_closure(frobenius_from_poly(parse_poly(TM_POLY, F2)))
+        values = [TruncSeries1(F2, [thue_morse(n) for n in range(64)]),
+                  TruncSeries1(F2, [1 - thue_morse(n) for n in range(64)])]
+        spot_check_closure(skel, values)
+        skel.transitions[1][1] = 1
+        with pytest.raises(AlgSeriesError, match="state 1, digit 1"):
+            spot_check_closure(skel, values)
+
+    def test_corrupted_transition_rejected(self):
+        skel = cartier_closure(frobenius_from_poly(parse_poly(FIVE_STATE_POLY, F2)))
+        assert skel.transitions[1][0] == 2
+        skel.transitions[1][0] = 3
+        branch = self._branch(FIVE_STATE_POLY, 0, skel)
+        with pytest.raises(AlgSeriesError, match="state 1, digit 0"):
+            attach_outputs(skel, branch)
 
 
 class TestRootsAutomata:
@@ -257,3 +271,36 @@ class TestRootsAutomata:
         assert len(out.branches) == 2 and not out.failures
         for branch, aut in out.branches:
             assert eval_bipoly_at_series(P, aut.generate(64)).is_zero()
+
+    def test_deep_f3_closure(self):
+        P = parse_poly(DEEP_F3_POLY, F3)
+        skel = cartier_closure(frobenius_from_poly(P))
+        depth = [0] + [None] * (skel.n_states - 1)
+        for s, row in enumerate(skel.transitions):
+            for t in row:
+                if depth[t] is None:
+                    depth[t] = depth[s] + 1
+        assert skel.n_states == 262 and max(depth) == 19
+        out = roots_automata(P, 64)
+        assert len(out.branches) == 1 and not out.failures
+        assert len(out.branches[0][0].outputs) == 262
+
+
+@st.composite
+def small_polys(draw):
+    field = draw(st.sampled_from([F2, F3, F4]))
+    terms = draw(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 2)),
+                                 st.integers(1, field.order - 1),
+                                 min_size=1, max_size=5))
+    return BiPoly(field, terms)
+
+
+@settings(max_examples=30)
+@given(small_polys())
+def test_roots_property(P):
+    try:
+        out = roots_automata(P, 32, state_budget=64)
+    except (DegenerateReduction, HypothesisViolated, NotSquarefree,
+            StateBudgetExceeded, ZeroA0):
+        assume(False)
+    assert not out.failures
