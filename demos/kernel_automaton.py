@@ -24,7 +24,7 @@ for i, state in enumerate(kernel.states):
     print(f"  state {i}: numerator {state.numerator.to_text()}")
 
 # the 2-D automaton indexes arbitrary coefficients
-S = series_expand_ratio(num, den, 20)
+S = series_expand_ratio(num, den, 9)
 assert all(kernel.coefficient(m, n).raw == S.get(m, n)
            for m in range(10) for n in range(10))
 print("coefficient automaton matches the series expansion on a 10x10 grid")

@@ -5,9 +5,10 @@ as raw values of ``field``.  Two paths, chosen by operand length and field
 kind only:
 
   * schoolbook -- over Q, and when either operand (trailing zeros dropped)
-    has fewer than KRONECKER_MIN terms.  Over F_p it sums plain int
-    products and reduces mod p once per coefficient; over F_{p^k} it runs
-    on the field's lookup tables.
+    has fewer than KRONECKER_MIN terms.  Its row step, accumulate, adds
+    scaled rows into a list; over F_p it sums plain int products and
+    reduces mod p once per coefficient, over F_{p^k} it runs on the field's
+    lookup tables.  series_expand_ratio runs on the same step.
   * Kronecker substitution -- over F_p and F_{p^k} otherwise.  Each operand
     is packed into one Python int, one slot per coefficient (per t-digit of
     a coefficient over F_{p^k}), the two ints are multiplied once by
@@ -53,21 +54,33 @@ def _trim(values):
 
 def _schoolbook(field, a, b, limit):
     size = min(len(a) + len(b) - 1, limit + 1)
-    out = [field.zero] * size
+    return accumulate(field, [field.zero] * size,
+                      [(i, x, b[:size - i]) for i, x in enumerate(a) if x])
+
+
+def accumulate(field, out, rows):
+    """out[i:i+len(row)] += x*row for each (i, x, row); returns the result.
+
+    ``out`` is updated in place over Q and F_{p^k}.  Over F_p the sums stay
+    plain ints and are reduced mod p once, into a new list, at the end, so
+    the entries of ``out`` and of every row must be residues.
+    """
     if field.kind == "extension":
         q, add, mul = field.order, field._add, field._mul
-        for i, x in enumerate(a):
-            if x:
-                xq = x * q
-                row = b[:size - i]
-                out[i:i + len(row)] = [add[u * q + mul[xq + v]]
-                                       for u, v in zip(out[i:i + len(row)], row)]
+        for i, x, row in rows:
+            xq = x * q
+            end = i + len(row)
+            out[i:end] = [add[u * q + mul[xq + v]]
+                          for u, v in zip(out[i:end], row)]
         return out
-    for i, x in enumerate(a):
-        if x:
-            row = b[:size - i]
-            out[i:i + len(row)] = [u + x * v
-                                   for u, v in zip(out[i:i + len(row)], row)]
+    for i, x, row in rows:
+        end = i + len(row)
+        if x == 1:  # common over Q, where a product by 1 copies a big int
+            out[i:end] = [u + v for u, v in zip(out[i:end], row)]
+        elif x == -1:
+            out[i:end] = [u - v for u, v in zip(out[i:end], row)]
+        else:
+            out[i:end] = [u + x * v for u, v in zip(out[i:end], row)]
     if field.kind == "prime":
         p = field.char
         return [c % p for c in out]

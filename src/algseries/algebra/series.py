@@ -1,17 +1,18 @@
 """Truncated formal power series, univariate and bivariate.
 
 TruncSeries1 holds c_0..c_N for a fixed truncation order N; TruncSeries2
-holds a sparse total-degree-T truncation.  Arithmetic results carry the
-minimum of the operand orders.  TruncSeries1 products go through the dense
-kernel conv (Kronecker substitution over finite fields), and the inverse is
-a Newton iteration on top of it, so both cost O(M(N)) for the cost M(N) of
-one product at order N.  series_expand_ratio expands num/den by the
-linear recurrence S[i,j] = (num[i,j] - sum den[a,b]*S[i-a,j-b]) / den[0,0],
-and diagonal_series reads the diagonal off such an expansion.
+holds the box i, j <= N of a bivariate series, by anti-diagonals.
+TruncSeries1 arithmetic results carry the minimum of the operand orders.
+Its products go through the dense kernel conv (Kronecker substitution over
+finite fields), and the inverse is a Newton iteration on top of it, so both
+cost O(M(N)) for the cost M(N) of one product at order N.
+series_expand_ratio expands num/den in the box by the linear recurrence
+S[i,j] = (num[i,j] - sum den[a,b]*S[i-a,j-b]) / den[0,0], one anti-diagonal
+at a time, and diagonal_series reads the diagonal off such an expansion.
 """
 
 from ..errors import AlgSeriesError, InsufficientPrecision, ZeroConstantTerm
-from .conv import conv
+from .conv import accumulate, conv
 
 
 class TruncSeries1:
@@ -139,132 +140,83 @@ class TruncSeries1:
 
 
 class TruncSeries2:
-    """Bivariate series truncated at total degree T (sparse)."""
+    """Bivariate series modulo (X^(N+1), Y^(N+1)): the box i, j <= N.
 
-    __slots__ = ("field", "terms", "total_order")
+    ``diagonals[t]`` lists the anti-diagonal i + j = t of the box, for i
+    from max(0, t - N) to min(t, N), as raw values; t runs from 0 to 2N.
+    """
 
-    def __init__(self, field, terms, total_order):
+    __slots__ = ("field", "diagonals", "order")
+
+    def __init__(self, field, diagonals, order):
         self.field = field
-        self.total_order = total_order
-        self.terms = {k: v for k, v in terms.items()
-                      if v and k[0] + k[1] <= total_order}
-
-    @classmethod
-    def from_bipoly(cls, poly, total_order):
-        return cls(poly.field, poly.terms, total_order)
+        self.diagonals = diagonals
+        self.order = order
 
     def get(self, i, j):
-        if i + j > self.total_order:
+        N = self.order
+        if i > N or j > N:
             raise InsufficientPrecision(
-                f"coefficient ({i},{j}) beyond total degree {self.total_order}")
-        return self.terms.get((i, j), self.field.zero)
-
-    def items(self):
-        return sorted(self.terms.items())
-
-    def is_zero(self):
-        return not self.terms
-
-    def _same(self, other):
-        if not isinstance(other, TruncSeries2) or other.field != self.field:
-            raise AlgSeriesError("series arithmetic needs matching fields")
-        return other
-
-    def __add__(self, other):
-        other = self._same(other)
-        f = self.field
-        t = min(self.total_order, other.total_order)
-        out = {k: v for k, v in self.terms.items() if k[0] + k[1] <= t}
-        for k, v in other.terms.items():
-            if k[0] + k[1] <= t:
-                s = f.add(out.get(k, f.zero), v)
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return TruncSeries2(f, out, t)
-
-    def __sub__(self, other):
-        return self + other.scale(self.field.neg(self.field.one))
-
-    def __mul__(self, other):
-        other = self._same(other)
-        f = self.field
-        t = min(self.total_order, other.total_order)
-        add, mul = f.add, f.mul
-        out = {}
-        for (i, j), v in self.terms.items():
-            if i + j > t:
-                continue
-            for (a, b), w in other.terms.items():
-                ii, jj = i + a, j + b
-                if ii + jj > t:
-                    continue
-                key = (ii, jj)
-                prev = out.get(key)
-                out[key] = mul(v, w) if prev is None else add(prev, mul(v, w))
-        return TruncSeries2(f, out, t)
-
-    def mul_bipoly(self, poly):
-        return self * TruncSeries2.from_bipoly(poly, self.total_order)
-
-    def scale(self, c):
-        f = self.field
-        if not c:
-            return TruncSeries2(f, {}, self.total_order)
-        return TruncSeries2(f, {k: f.mul(c, v) for k, v in self.terms.items()},
-                            self.total_order)
-
-    def __eq__(self, other):
-        return (isinstance(other, TruncSeries2) and other.field == self.field
-                and other.total_order == self.total_order
-                and other.terms == self.terms)
-
-    def __hash__(self):
-        return hash((self.field, self.total_order,
-                     tuple(sorted(self.terms.items()))))
+                f"coefficient ({i},{j}) beyond the box of order {N}")
+        t = i + j
+        return self.diagonals[t][i - max(0, t - N)]
 
     def __repr__(self):
-        return f"series2[{len(self.terms)} terms; total degree {self.total_order}]"
+        return f"series2[box of order {self.order}]"
 
 
-def series_expand_ratio(num, den, total_order):
-    """Expand num/den as a TruncSeries2 of total degree ``total_order``.
+def series_expand_ratio(num, den, order):
+    """Expand num/den modulo (X^(order+1), Y^(order+1)) as a TruncSeries2.
 
-    den must have a nonzero constant term; the result S satisfies
-    S * den == num modulo total degree total_order + 1.
+    den must have a nonzero constant term.  With den(0,0) scaled to 1, cell
+    (i, j) is num[i,j] - sum den[a,b]*S[i-a,j-b] over the other terms of den,
+    and every S[i-a,j-b] lies on an earlier anti-diagonal.  So each
+    anti-diagonal is the numerator's plus one shifted slice of an earlier
+    anti-diagonal per term of den, all added by one accumulate call.
     """
     f = num.field
-    d00 = den.terms.get((0, 0))
+    N = order
+    num_terms, den_terms = num.terms, den.terms
+    d00 = den_terms.get((0, 0))
     if not d00:
         raise ZeroConstantTerm("denominator vanishes at the origin")
-    inv00 = f.inv(d00)
-    rest = [(a, b, c) for (a, b), c in den.items() if (a, b) != (0, 0)]
-    add, sub, mul = f.add, f.sub, f.mul
-    out = {}
-    for t in range(total_order + 1):
-        for i in range(t + 1):
-            j = t - i
-            acc = num.terms.get((i, j), f.zero)
-            for a, b, c in rest:
-                if a <= i and b <= j:
-                    v = out.get((i - a, j - b))
-                    if v:
-                        acc = sub(acc, mul(c, v))
-            if acc:
-                out[(i, j)] = mul(inv00, acc)
-    return TruncSeries2(f, out, total_order)
+    if d00 != f.one:
+        inv = f.inv(d00)
+        num_terms = {k: f.mul(inv, c) for k, c in num_terms.items()}
+        den_terms = {k: f.mul(inv, c) for k, c in den_terms.items()}
+    steps = [(a, b, f.neg(c)) for (a, b), c in den_terms.items()
+             if 0 < a + b and a <= N and b <= N]
+    num_cells = {}
+    for (i, j), c in num_terms.items():
+        if i <= N and j <= N:
+            num_cells.setdefault(i + j, []).append((i, c))
+    diagonals = []
+    for t in range(2 * N + 1):
+        lo, hi = max(0, t - N), min(t, N)
+        acc = [f.zero] * (hi - lo + 1)
+        for i, c in num_cells.get(t, ()):
+            acc[i - lo] = c
+        rows = []
+        for a, b, x in steps:
+            s = t - a - b
+            if s >= 0:
+                # cells i in [max(lo, a), min(hi, t - b)] read (i - a) on s
+                i0 = max(lo, a)
+                start = i0 - a - max(0, s - N)
+                rows.append((i0 - lo, x,
+                             diagonals[s][start:start + min(hi, t - b) - i0 + 1]))
+        diagonals.append(accumulate(f, acc, rows))
+    return TruncSeries2(f, diagonals, N)
 
 
 def diagonal_series(series2, order):
     """Diagonal c_n = [X^n Y^n] of a bivariate truncation."""
-    if 2 * order > series2.total_order:
+    if order > series2.order:
         raise InsufficientPrecision(
-            f"diagonal to order {order} needs total degree {2 * order}, "
-            f"have {series2.total_order}")
-    f = series2.field
+            f"diagonal to order {order} needs a box of order {order}, "
+            f"have {series2.order}")
     return TruncSeries1(
-        f, [series2.terms.get((n, n), f.zero) for n in range(order + 1)], order)
+        series2.field, [series2.get(n, n) for n in range(order + 1)], order)
 
 
 def eval_bipoly_at_series(poly, series):

@@ -56,5 +56,4 @@ def furstenberg_rep(Q):
 
 def diagonal_coeffs(rep, order):
     """c_0..c_order of the diagonal of rep.num/rep.den."""
-    expansion = series_expand_ratio(rep.num, rep.den, 2 * order)
-    return diagonal_series(expansion, order)
+    return diagonal_series(series_expand_ratio(rep.num, rep.den, order), order)

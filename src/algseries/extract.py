@@ -17,7 +17,7 @@ from .algebra.conv import conv
 from .algebra.fields import FieldElement
 from .algebra.polys import BiPoly, derivative_y
 from .algebra.series import TruncSeries1
-from .errors import HypothesisViolated
+from .errors import AlgSeriesError, HypothesisViolated
 
 
 class FixedPointProblem:
@@ -50,41 +50,30 @@ def _correction_rows(problem):
     return rows
 
 
-def fs_coefficients(problem, order):
-    """f_1..f_order of the fixed point, one coefficient list per the formula.
+def _power_rows(problem, N):
+    """Y-slices {j: {i: coeff}} of P^m for m = 1, 2, ..., 2N - 1, as (m, rows).
 
     P^m is built incrementally (P^{m+1} = P^m * P); monomials that can no
-    longer land on an extracted cell [X^n Y^(m'-1)] with n <= order are
-    dropped: keep (i, j) only while i <= order, j <= 2*order - 2 and
-    (2i + j <= 2*order - 1 + m  or  i + j <= order - 1 + m).
+    longer land on an extracted cell [X^n Y^(m'-1)] with n <= N are
+    dropped: keep (i, j) only while i <= N, j <= 2N - 2 and
+    (2i + j <= 2N - 1 + m  or  i + j <= N - 1 + m).  Stops early once
+    nothing is left.
     """
     field = problem.field
-    N = order
-    if problem.poly.is_zero() or N == 0:
-        return TruncSeries1.zeros(field, N)
     add, mul = field.add, field.mul
-    wrows = _correction_rows(problem)
     pterms = list(problem.poly.terms.items())
     ymax = 2 * N - 2
-    f = [field.zero] * (N + 1)
-    # rows: j -> {i: coeff}, the Y-slices of the current power P^m
     rows = {}
     for (a, b), c in pterms:
-        if a <= N and b <= max(ymax, 0):
+        if a <= N and b <= ymax:
             rows.setdefault(b, {})[a] = c
     m_top = 2 * N - 1
     for m in range(1, m_top + 1):
-        for bw, wterms in wrows.items():
-            row = rows.get(m - 1 - bw)
-            if not row:
-                continue
-            for aw, cw in wterms:
-                for i, v in row.items():
-                    n = i + aw
-                    if n <= N:
-                        f[n] = add(f[n], mul(cw, v))
+        if not rows:
+            return
+        yield m, rows
         if m == m_top:
-            break
+            return
         hi2, hi1 = 2 * N + m, N + m  # prune bounds for step m+1
         nxt = {}
         for j, row in rows.items():
@@ -105,60 +94,76 @@ def fs_coefficients(problem, order):
         rows = {j: {i: v for i, v in row.items() if v}
                 for j, row in nxt.items()}
         rows = {j: row for j, row in rows.items() if row}
-        if not rows:
-            break
+
+
+def fs_coefficients(problem, order):
+    """f_1..f_order of the fixed point, one coefficient list per the formula."""
+    field = problem.field
+    N = order
+    add, mul = field.add, field.mul
+    wrows = _correction_rows(problem)
+    f = [field.zero] * (N + 1)
+    for m, rows in _power_rows(problem, N):
+        for bw, wterms in wrows.items():
+            row = rows.get(m - 1 - bw)
+            if not row:
+                continue
+            for aw, cw in wterms:
+                for i, v in row.items():
+                    n = i + aw
+                    if n <= N:
+                        f[n] = add(f[n], mul(cw, v))
     f[0] = field.zero  # forced by P(0,0) = 0
     return TruncSeries1(field, f, N)
 
 
-def fixed_point_coefficients(problem, order):
-    """Independent oracle: iterate f <- P(X, f) mod X^(order+1) from 0.
+def _substitute(field, slices, degy, f, n):
+    """P(X, f) mod X^(n+1) by Horner in Y on dense lists."""
+    acc = [field.zero] * (n + 1)
+    for j in range(degy, -1, -1):
+        acc = conv(field, acc, f, n)
+        for i, c in slices.get(j, {}).items():
+            if i <= n:
+                acc[i] = field.add(acc[i], c)
+    return acc
 
-    Each iteration gains at least one X-adic digit, so at most order + 1
-    iterations are needed; stops as soon as the iterate is stable.
+
+def fixed_point_coefficients(problem, order):
+    """Independent oracle: iterate f <- P(X, f) from 0, one digit per step.
+
+    P'_Y(0,0) = 0 and f(0) = 0, so coefficient k of P(X, f) depends only on
+    f mod X^k: step k runs at order k and fixes f_k.  A last step at the
+    full order must give f back, which certifies it as the unique fixed
+    point mod X^(order+1).
     """
     field = problem.field
     N = order
-    add = field.add
     slices = {}
     for (a, b), c in problem.poly.terms.items():
         if a <= N:
             slices.setdefault(b, {})[a] = c
     degy = max(slices, default=0)
     f = [field.zero] * (N + 1)
-    for _ in range(N + 1):
-        # P(X, f) by Horner in Y on dense lists
-        acc = [field.zero] * (N + 1)
-        for j in range(degy, -1, -1):
-            acc = conv(field, acc, f, N)
-            row = slices.get(j)
-            if row:
-                for i, c in row.items():
-                    acc[i] = add(acc[i], c)
-        if acc == f:
-            break
-        f = acc
+    for k in range(1, N + 1):
+        f[:k + 1] = _substitute(field, slices, degy, f, k)
+    if _substitute(field, slices, degy, f, N) != f:
+        raise AlgSeriesError(f"fixed-point iteration is not stable at order {N}")
     return TruncSeries1(field, f, N)
 
 
 def fs_partial_sum(problem, n, m_max):
     """sum_{m=1}^{m_max} [X^n Y^(m-1)] (1 - P'_Y) P^m as a FieldElement.
 
-    Stabilizes at m_max >= 2n - 1, where it equals f_n.
+    Stabilizes at m_max >= 2n - 1, where it equals f_n: the terms past
+    m = 2n - 1 vanish, and _power_rows stops there.
     """
     if m_max < 1:
         raise HypothesisViolated("m_max must be >= 1")
     field = problem.field
     add, mul = field.add, field.mul
     wrows = _correction_rows(problem)
-    pterms = list(problem.poly.terms.items())
-    jmax = m_max - 1
     total = field.zero
-    rows = {}
-    for (a, b), c in pterms:
-        if a <= n and b <= jmax:
-            rows.setdefault(b, {})[a] = c
-    for m in range(1, m_max + 1):
+    for m, rows in _power_rows(problem, n):
         for bw, wterms in wrows.items():
             row = rows.get(m - 1 - bw)
             if not row:
@@ -169,17 +174,4 @@ def fs_partial_sum(problem, n, m_max):
                     total = add(total, mul(cw, v))
         if m == m_max:
             break
-        nxt = {}
-        for j, row in rows.items():
-            for (a, b), c in pterms:
-                jj = j + b
-                if jj > jmax:
-                    continue
-                dst = nxt.setdefault(jj, {})
-                for i, v in row.items():
-                    ii = i + a
-                    if ii > n:
-                        continue
-                    dst[ii] = add(dst.get(ii, field.zero), mul(c, v))
-        rows = {j: {i: v for i, v in row.items() if v} for j, row in nxt.items()}
     return FieldElement(field, total)

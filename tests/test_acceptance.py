@@ -139,7 +139,7 @@ def test_c05_kernel_closure_and_coefficients():
             for state in kernel.states[1:]:
                 assert state.numerator.total_degree < max(bound, 1)
             dfao = kernel.to_dfao()
-            S = series_expand_ratio(P, Q, 62)
+            S = series_expand_ratio(P, Q, 31)
             for m in range(32):
                 for n in range(32):
                     assert dfao.run_raw((m, n)) == S.get(m, n)

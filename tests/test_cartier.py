@@ -102,7 +102,7 @@ class TestRationalKernel:
             for state in k.states[1:]:
                 assert state.numerator.total_degree < max(bound, 1)
             # brute-force coefficient check against the series expansion
-            S = series_expand_ratio(P, den, 30)
+            S = series_expand_ratio(P, den, 9)
             for m in range(10):
                 for n in range(10):
                     assert k.coefficient(m, n).raw == S.get(m, n)
@@ -128,7 +128,7 @@ class TestRationalKernel:
         Q = parse_poly("2+X+Y", F3)
         P = parse_poly("1+X", F3)
         k = rational_kernel(P, Q)
-        S = series_expand_ratio(P, Q, 2)
+        S = series_expand_ratio(P, Q, 0)
         assert k.output(0).raw == S.get(0, 0)
 
 
@@ -153,6 +153,6 @@ class TestDiagonalAutomaton:
                               (0, 0): F3.one})
             k = rational_kernel(P, den)
             d = diagonal_automaton(k)
-            S = series_expand_ratio(P, den, 24)
+            S = series_expand_ratio(P, den, 12)
             for n in range(13):
                 assert d.run_raw(n) == S.get(n, n)

@@ -21,6 +21,22 @@ TM_JSON = """{
 }
 """
 
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+# argv of the diagonal runs whose stdout tests/data/diagonal_golden.json holds
+DIAGONAL_GOLDEN = {
+    "catalan_q": ["diagonal", "--field", "Q", "--from-poly", "X + Y^2 - Y",
+                  "-n", "40"],
+    "quartic_f8": ["diagonal", "--field", "F8", "--from-poly",
+                   "X + Y^2 + X*Y^3 - Y", "-n", "64"],
+    "generator_f8": ["diagonal", "--field", "F8", "--from-poly",
+                     "t*X + Y^2 + (1+t)*X*Y^3 - Y", "-n", "64"],
+    "thue_morse_f2": ["diagonal", "--field", "F2", "--from-poly", TM_POLY,
+                      "-n", "64"],
+    "fractions_q": ["diagonal", "--field", "Q", "--num", "1 + X*Y^2",
+                    "--den", "2 - X - 3*Y + X^2*Y", "-n", "12"],
+}
+
 
 @pytest.fixture
 def tm_file(tmp_path):
@@ -127,6 +143,14 @@ class TestDiagonal:
         code, _, err = run(capsys, "diagonal", "--field", "Q",
                            "--from-poly", "X+Y^2")
         assert code == 2 and "Q_Y" in err
+
+    @pytest.mark.parametrize("name", sorted(DIAGONAL_GOLDEN))
+    def test_golden_json(self, capsys, name):
+        # expected stdout written by the cell-by-cell triangle expansion
+        code, out, err = run(capsys, *DIAGONAL_GOLDEN[name], "--format", "json")
+        assert (code, err) == (0, "")
+        with open(os.path.join(DATA, "diagonal_golden.json")) as handle:
+            assert out == json.load(handle)[name]
 
 
 class TestKernel:

@@ -1,11 +1,56 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from algseries import (GF, QQ, BiPoly, TruncSeries1, TruncSeries2,
-                       diagonal_series, eval_bipoly_at_series, parse_poly,
-                       series_expand_ratio)
+from algseries import (GF, QQ, BiPoly, DiagonalRep, TruncSeries1,
+                       diagonal_coeffs, diagonal_series, eval_bipoly_at_series,
+                       parse_poly, series_expand_ratio)
 from algseries.errors import InsufficientPrecision, ZeroConstantTerm
 
-from conftest import F2, F4, binomial, random_bipoly
+from conftest import F2, F3, F4, F5, F9, binomial, random_bipoly
+
+
+def reference_expand(num, den, total_order):
+    """{(i, j): S[i,j]} for i + j <= total_order, one cell at a time.
+
+    The triangle recurrence series_expand_ratio ran before it swept the box
+    by anti-diagonals: S[i,j] = (num[i,j] - sum den[a,b]*S[i-a,j-b]) / den[0,0].
+    """
+    f = num.field
+    d00 = den.terms.get((0, 0))
+    if not d00:
+        raise ZeroConstantTerm("denominator vanishes at the origin")
+    inv00 = f.inv(d00)
+    rest = [(a, b, c) for (a, b), c in den.items() if (a, b) != (0, 0)]
+    out = {}
+    for t in range(total_order + 1):
+        for i in range(t + 1):
+            j = t - i
+            acc = num.terms.get((i, j), f.zero)
+            for a, b, c in rest:
+                if a <= i and b <= j:
+                    v = out.get((i - a, j - b))
+                    if v:
+                        acc = f.sub(acc, f.mul(c, v))
+            if acc:
+                out[(i, j)] = f.mul(inv00, acc)
+    return out
+
+
+def times_den_in_box(S, den, order):
+    """The nonzero cells of S * den with i, j <= order, term by term."""
+    f = S.field
+    out = {}
+    for i in range(order + 1):
+        for j in range(order + 1):
+            v = S.get(i, j)
+            if not v:
+                continue
+            for (a, b), c in den.terms.items():
+                if i + a <= order and j + b <= order:
+                    key = (i + a, j + b)
+                    out[key] = f.add(out.get(key, f.zero), f.mul(v, c))
+    return {k: v for k, v in out.items() if v}
 
 
 class TestTruncSeries1:
@@ -30,20 +75,30 @@ class TestTruncSeries1:
 
 class TestExpandRatio:
     def test_binomial_table(self):
-        # 1/(1-X-Y): [X^i Y^j] = C(i+j, j), checked by direct convolution
+        # 1/(1-X-Y): [X^i Y^j] = C(i+j, j) on the whole box i, j <= 4
         S = series_expand_ratio(BiPoly.one(QQ), parse_poly("1-X-Y", QQ), 4)
+        table = [[1, 1, 1, 1, 1],
+                 [1, 2, 3, 4, 5],
+                 [1, 3, 6, 10, 15],
+                 [1, 4, 10, 20, 35],
+                 [1, 5, 15, 35, 70]]
         for i in range(5):
-            for j in range(5 - i):
+            for j in range(5):
                 assert S.get(i, j) == binomial(i + j, j)
+                assert S.get(i, j) == table[i][j]
 
     def test_trivial_one(self):
         S = series_expand_ratio(BiPoly.one(QQ), BiPoly.one(QQ), 3)
         assert S.get(0, 0) == 1 and S.get(1, 0) == 0
 
     def test_f2_hand_convolution(self):
+        # Y/(1+X+Y) = sum_k Y(X+Y)^k; mod 2 and mod (X^3, Y^3) the cells
+        # (0,1); (1,1), (0,2); (2,1) from k = 0, 1, 2 and (2,2) from k = 3
         S = series_expand_ratio(parse_poly("Y", F2), parse_poly("1+X+Y", F2), 2)
-        expected = {(0, 1): 1, (1, 1): 1, (0, 2): 1}
-        assert S.terms == expected
+        expected = {(0, 1): 1, (1, 1): 1, (0, 2): 1, (2, 1): 1, (2, 2): 1}
+        got = {(i, j): S.get(i, j) for i in range(3) for j in range(3)
+               if S.get(i, j)}
+        assert got == expected
 
     def test_zero_constant_term_rejected(self):
         with pytest.raises(ZeroConstantTerm):
@@ -56,28 +111,34 @@ class TestExpandRatio:
                 den = random_bipoly(field, rng)
                 den = den + BiPoly.constant(field, field.one) \
                     if not den.terms.get((0, 0)) else den
-                T = 8
-                S = series_expand_ratio(num, den, T)
-                back = S.mul_bipoly(den)
-                want = TruncSeries2.from_bipoly(num, T)
-                assert back == want
+                N = 8
+                S = series_expand_ratio(num, den, N)
+                want = {k: v for k, v in num.terms.items()
+                        if k[0] <= N and k[1] <= N}
+                assert times_den_in_box(S, den, N) == want
 
 
 class TestDiagonal:
     def test_all_ones(self):
-        S = series_expand_ratio(BiPoly.one(QQ), parse_poly("(1-X)*(1-Y)", QQ), 10)
+        S = series_expand_ratio(BiPoly.one(QQ), parse_poly("(1-X)*(1-Y)", QQ), 5)
         assert diagonal_series(S, 5).coeffs == (1,) * 6
 
     def test_central_binomials(self):
-        S = series_expand_ratio(BiPoly.one(QQ), parse_poly("1-X-Y", QQ), 6)
+        S = series_expand_ratio(BiPoly.one(QQ), parse_poly("1-X-Y", QQ), 3)
         assert diagonal_series(S, 3).coeffs == (1, 2, 6, 20)
 
     def test_empty_support(self):
-        S = TruncSeries2(QQ, {}, 8)
+        S = series_expand_ratio(BiPoly.zero(QQ), parse_poly("1-X-Y", QQ), 4)
         assert diagonal_series(S, 4).is_zero()
 
     def test_precision_guard(self):
-        S = series_expand_ratio(BiPoly.one(QQ), parse_poly("1-X-Y", QQ), 6)
+        # a box of order 3 holds the cells i, j <= 3 and no others
+        S = series_expand_ratio(BiPoly.one(QQ), parse_poly("1-X-Y", QQ), 3)
+        assert S.get(3, 3) == 20 and S.get(0, 3) == 1
+        with pytest.raises(InsufficientPrecision):
+            S.get(4, 0)
+        with pytest.raises(InsufficientPrecision):
+            S.get(0, 4)
         with pytest.raises(InsufficientPrecision):
             diagonal_series(S, 4)
 
@@ -86,10 +147,68 @@ class TestDiagonal:
         for _ in range(10):
             n1 = random_bipoly(F2, rng)
             n2 = random_bipoly(F2, rng)
-            d1 = diagonal_series(series_expand_ratio(n1, den, 8), 4)
-            d2 = diagonal_series(series_expand_ratio(n2, den, 8), 4)
-            d12 = diagonal_series(series_expand_ratio(n1 + n2, den, 8), 4)
+            d1 = diagonal_series(series_expand_ratio(n1, den, 4), 4)
+            d2 = diagonal_series(series_expand_ratio(n2, den, 4), 4)
+            d12 = diagonal_series(series_expand_ratio(n1 + n2, den, 4), 4)
             assert d12 == d1 + d2
+
+
+PROPERTY_FIELDS = [F2, F3, F5, F4, F9, QQ]
+MAX_ORDER = 12
+DEN_SHAPES = ["general", "pure X", "pure Y", "constant", "zero constant term"]
+
+
+def coefficients(field, nonzero=False):
+    if field.is_finite:
+        return st.integers(1 if nonzero else 0, field.order - 1)
+    values = st.one_of(st.integers(-9, 9),
+                       st.fractions(min_value=-9, max_value=9, max_denominator=6))
+    return values.filter(bool) if nonzero else values
+
+
+@st.composite
+def ratios(draw):
+    """(num, den, N): num may reach past the box; den has one of DEN_SHAPES."""
+    field = draw(st.sampled_from(PROPERTY_FIELDS))
+    order = draw(st.integers(0, MAX_ORDER))
+    exponents = st.integers(0, order + 3)
+    num = draw(st.dictionaries(st.tuples(exponents, exponents),
+                               coefficients(field), max_size=6))
+    shape = draw(st.sampled_from(DEN_SHAPES))
+    small, positive = st.integers(0, 4), st.integers(1, 4)
+    keys = {"pure X": st.tuples(positive, st.just(0)),
+            "pure Y": st.tuples(st.just(0), positive)}.get(
+        shape, st.tuples(small, small).filter(any))
+    den = {}
+    if shape != "constant":
+        den = draw(st.dictionaries(keys, coefficients(field, nonzero=True),
+                                   min_size=1, max_size=5))
+    if shape == "zero constant term":
+        den[(0, 0)] = field.zero
+        den[draw(st.sampled_from([(1, 0), (0, 1), (1, 1)]))] = field.one
+    else:
+        den[(0, 0)] = draw(coefficients(field, nonzero=True))
+    return BiPoly(field, num), BiPoly(field, den), order
+
+
+@settings(max_examples=200)
+@given(ratios())
+def test_box_sweep_matches_triangle_recurrence(case):
+    num, den, N = case
+    if not den.terms.get((0, 0)):
+        with pytest.raises(ZeroConstantTerm):
+            series_expand_ratio(num, den, N)
+        with pytest.raises(ZeroConstantTerm):
+            reference_expand(num, den, 2 * N)
+        return
+    want = reference_expand(num, den, 2 * N)
+    S = series_expand_ratio(num, den, N)
+    zero = num.field.zero
+    for i in range(N + 1):
+        for j in range(N + 1):
+            assert S.get(i, j) == want.get((i, j), zero)
+    diagonal = diagonal_coeffs(DiagonalRep(num, den), N)
+    assert diagonal.coeffs == tuple(want.get((n, n), zero) for n in range(N + 1))
 
 
 def test_eval_bipoly_at_series():
