@@ -75,12 +75,7 @@ def accumulate(field, out, rows):
         return out
     for i, x, row in rows:
         end = i + len(row)
-        if x == 1:  # common over Q, where a product by 1 copies a big int
-            out[i:end] = [u + v for u, v in zip(out[i:end], row)]
-        elif x == -1:
-            out[i:end] = [u - v for u, v in zip(out[i:end], row)]
-        else:
-            out[i:end] = [u + x * v for u, v in zip(out[i:end], row)]
+        out[i:end] = [u + x * v for u, v in zip(out[i:end], row)]
     if field.kind == "prime":
         p = field.char
         return [c % p for c in out]

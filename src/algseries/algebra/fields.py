@@ -403,9 +403,10 @@ class RationalField(Field):
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("inverse of zero")
-        if isinstance(a, int):
-            return Fraction(1, a)
-        return 1 / a
+        r = Fraction(1, a) if isinstance(a, int) else 1 / a
+        # an integral inverse (of a unit such as -1) stays an int, so that
+        # scaling by it keeps int coefficients ints rather than Fractions
+        return r.numerator if r.denominator == 1 else r
 
     def div(self, a, b):
         if not b:

@@ -154,7 +154,10 @@ class TruncSeries2:
         self.order = order
 
     def get(self, i, j):
+        """Coefficient of X^i Y^j; zero for a negative exponent."""
         N = self.order
+        if i < 0 or j < 0:
+            return self.field.zero
         if i > N or j > N:
             raise InsufficientPrecision(
                 f"coefficient ({i},{j}) beyond the box of order {N}")

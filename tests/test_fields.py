@@ -110,6 +110,9 @@ def test_rational_field_exactness():
     assert QQ.div(1, 3) == Fraction(1, 3)
     assert QQ.add(Fraction(1, 3), Fraction(1, 6)) == Fraction(1, 2)
     assert QQ.inv(-2) == Fraction(-1, 2)
+    # an integral inverse is an int, so scaling by a unit keeps ints ints
+    for a, inv in [(1, 1), (-1, -1), (Fraction(-1), -1), (Fraction(1, 3), 3)]:
+        assert QQ.inv(a) == inv and type(QQ.inv(a)) is int
     assert QQ.from_literal("3/4") == Fraction(3, 4)
     assert QQ.from_literal("-5") == -5
     assert QQ.to_literal(Fraction(3, 1)) == "3"

@@ -135,6 +135,7 @@ class TestDiagonal:
         # a box of order 3 holds the cells i, j <= 3 and no others
         S = series_expand_ratio(BiPoly.one(QQ), parse_poly("1-X-Y", QQ), 3)
         assert S.get(3, 3) == 20 and S.get(0, 3) == 1
+        assert S.get(-1, 2) == 0 and S.get(-1, -1) == 0 and S.get(2, -3) == 0
         with pytest.raises(InsufficientPrecision):
             S.get(4, 0)
         with pytest.raises(InsufficientPrecision):
