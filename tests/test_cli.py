@@ -37,6 +37,16 @@ DIAGONAL_GOLDEN = {
                     "--den", "2 - X - 3*Y + X^2*Y", "-n", "12"],
 }
 
+# argv of the roots runs whose stdout, exit code and --json/--dot branch
+# files tests/data/roots_golden.json holds
+ROOTS_GOLDEN = {
+    "five_state_f2": ["roots", "--field", "F2", "--poly", "Y^2+(1+X)*Y+X^2"],
+    "ten_state_f5": ["roots", "--field", "F5", "--poly", "Y^2+(1+X)*Y+X^2"],
+    "artin_schreier_f4": ["roots", "--field", "F4", "--poly", "Y^2+Y+X"],
+    "generator_f9": ["roots", "--field", "F9", "--poly",
+                     "(1+2*t)*Y + X^2 + (2+2*t)*X^3*Y^2"],
+}
+
 
 @pytest.fixture
 def tm_file(tmp_path):
@@ -241,6 +251,19 @@ class TestRoots:
         code, _, err = run(capsys, "roots", "--field", "F2",
                            "--poly", "Y^2+X^2")
         assert code == 2
+
+    @pytest.mark.parametrize("name", sorted(ROOTS_GOLDEN))
+    def test_golden_outputs(self, capsys, tmp_path, name):
+        # expected outputs written by the closure on rational coordinates
+        with open(os.path.join(DATA, "roots_golden.json")) as handle:
+            want = json.load(handle)[name]
+        code, out, err = run(capsys, *ROOTS_GOLDEN[name], "-n", "64",
+                             "--json", str(tmp_path / "json"),
+                             "--dot", str(tmp_path / "dot"))
+        assert (code, out, err) == (want["exit"], want["stdout"], want["stderr"])
+        files = {f"{sub}/{fn}": (tmp_path / sub / fn).read_text()
+                 for sub in ("json", "dot") for fn in os.listdir(tmp_path / sub)}
+        assert files == want["files"]
 
 
 class TestGen:
