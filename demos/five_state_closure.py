@@ -2,10 +2,11 @@
 
 The Cartier closure of the formal root under Lambda_0, Lambda_1 produces
 states i, a, b, c and a zero sink; both series roots share the skeleton and
-differ only in the attached outputs.  The closure works with formal
-combinations r_0(X) f + r_1(X) f^2 whose coefficients may have X-power
-poles; evaluating them on a lifted branch shows every state is a genuine
-power series.
+differ only in the attached outputs.  The closure works in Ore's
+polynomial coordinates: with A_0 the coefficient of f in the relation, a
+state is E_0(X) g + E_1(X) g^2 for g = f/A_0.  Each state is printed as its
+reduced coordinates on f and f^2; these may have X-power poles, yet every
+state is a power series, and its constant term is its output on a branch.
 """
 
 from algseries import (GF, cartier_closure, eval_bipoly_at_series, export_dot,
@@ -19,9 +20,9 @@ print("annihilating relation:", relation.to_text())
 
 skeleton = cartier_closure(relation)
 print(f"\nclosure skeleton ({skeleton.n_states} states):")
-for i, elem in enumerate(skeleton.states):
+for i, label in enumerate(skeleton.labels):
     targets = skeleton.transitions[i]
-    print(f"  state {i}: {elem.to_text()}   (0 -> {targets[0]}, 1 -> {targets[1]})")
+    print(f"  state {i}: {label}   (0 -> {targets[0]}, 1 -> {targets[1]})")
 
 outcome = roots_automata(Q, 64)
 for branch, automaton in outcome.branches:

@@ -51,16 +51,8 @@ class UniPoly:
         return cls(field, (field.one,), var)
 
     @classmethod
-    def x(cls, field, var="X"):
-        return cls(field, (field.zero, field.one), var)
-
-    @classmethod
     def constant(cls, field, c, var="X"):
         return cls(field, (c,), var)
-
-    @classmethod
-    def from_int_coeffs(cls, field, ints, var="X"):
-        return cls(field, [field.from_int(c) for c in ints], var)
 
     @property
     def degree(self):
@@ -120,12 +112,6 @@ class UniPoly:
         if not c:
             return UniPoly.zero(f, self.var)
         return UniPoly(f, [f.mul(c, x) for x in self.coeffs], self.var)
-
-    def shift(self, k):
-        """Multiply by X^k."""
-        if not self.coeffs:
-            return self
-        return UniPoly(self.field, (self.field.zero,) * k + self.coeffs, self.var)
 
     def __pow__(self, n):
         result = UniPoly.one(self.field, self.var)
@@ -290,14 +276,6 @@ class BiPoly:
             key = (i, j)
             acc[key] = field.add(acc.get(key, field.zero), c)
         return cls(field, acc)
-
-    @classmethod
-    def from_unipoly(cls, poly, axis="X"):
-        terms = {}
-        for n, c in enumerate(poly.coeffs):
-            if c:
-                terms[(n, 0) if axis == "X" else (0, n)] = c
-        return cls(poly.field, terms)
 
     def items(self):
         return sorted(self.terms.items())

@@ -43,12 +43,6 @@ class TruncSeries1:
     def is_zero(self):
         return not any(self.coeffs)
 
-    def prefix(self, order):
-        if order > self.order:
-            raise InsufficientPrecision(
-                f"series has order {self.order}, need {order}")
-        return TruncSeries1(self.field, self.coeffs[:order + 1], order)
-
     def _same(self, other):
         if not isinstance(other, TruncSeries1) or other.field != self.field:
             raise AlgSeriesError("series arithmetic needs matching fields")
@@ -77,18 +71,6 @@ class TruncSeries1:
         n = min(self.order, other.order)
         return TruncSeries1(self.field,
                             conv(self.field, self.coeffs, other.coeffs, n), n)
-
-    def scale(self, c):
-        f = self.field
-        return TruncSeries1(f, [f.mul(c, x) for x in self.coeffs], self.order)
-
-    def shift(self, k):
-        """Multiply by X^k, keeping the truncation order."""
-        f = self.field
-        if k > self.order:
-            return TruncSeries1.zeros(f, self.order)
-        return TruncSeries1(f, (f.zero,) * k + self.coeffs[:self.order + 1 - k],
-                            self.order)
 
     def inverse(self):
         """Multiplicative inverse; needs an invertible constant term.

@@ -15,7 +15,7 @@ digit automaton of the diagonal sequence [X^n Y^n](P/Q).
 from dataclasses import dataclass, field as dc_field
 
 from .algebra.fields import FieldElement
-from .algebra.polys import BiPoly, RationalFn, UniPoly
+from .algebra.polys import BiPoly, UniPoly
 from .automaton import DFAO
 from .errors import (DigitOutOfRange, InfiniteField, StateBudgetExceeded,
                      ZeroConstantTerm)
@@ -35,16 +35,7 @@ def _check_digit(r, q):
 
 
 def cartier_uni(A, r):
-    """Univariate digit section: [X^n]result = [X^(qn+r)]A.
-
-    For a rational function the section is taken through the identity
-    Lambda_r(num/den) = Lambda_r(num * den^(q-1)) / den and renormalized.
-    """
-    if isinstance(A, RationalFn):
-        q = _digit_base(A.field)
-        _check_digit(r, q)
-        num = A.num * A.den ** (q - 1)
-        return RationalFn(cartier_uni(num, r), A.den)
+    """Univariate digit section of a UniPoly: [X^n]result = [X^(qn+r)]A."""
     q = _digit_base(A.field)
     _check_digit(r, q)
     return UniPoly(A.field, A.coeffs[r::q], A.var)

@@ -62,13 +62,8 @@ class NotSquarefree(AlgSeriesError):
 
 
 class ZeroA0(AlgSeriesError):
-    """Every dependency lacks the k=0 term; relations with a shift l > 0
-    are carried by the data type but never synthesized."""
-
-
-class NegativeValuation(AlgSeriesError):
-    """A state that should be a power series evaluated to a genuine Laurent
-    series; indicates an internal inconsistency."""
+    """A relation lacks the k=0 term; Ore's normalization needs A_0 != 0.
+    frobenius_from_poly never synthesizes one for a squarefree P."""
 
 
 class SchemaError(AlgSeriesError):

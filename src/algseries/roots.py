@@ -4,12 +4,18 @@ Pipeline: enumerate residue roots a0 of P(0, Y); Newton-lift each simple one
 to a series root; derive a minimal Frobenius relation
 sum A_k(X) f^(q^k) = 0 by finding the first linear dependency among
 Y^(q^k) mod P over F_q(X); close the formal element f under the Cartier
-operators using Lambda_r(g^q h) = g Lambda_r(h), substituting
-f = sum_k (-A_k/A_0) f^(q^k) for the j = 0 coordinate first; attach per
-branch outputs by evaluating each closure state once on the lifted series
-(coefficients may have X-power poles, so evaluation runs with Laurent
-headroom and asserts that no negative exponent survives) and check every
+operators in Ore's polynomial coordinates; attach per-branch outputs by
+evaluating each closure state once on the lifted series, and check every
 transition against those values.
+
+Ore's normalization (from the proof of Christol's theorem): as A_0 != 0,
+g = f/A_0 satisfies g = sum_{i>=1} C_i g^(q^i) with
+C_i = -A_i*A_0^(q^i-2) in F_q[X].  A state is h = sum_{i<d} E_i g^(q^i)
+with every E_i in F_q[X], the start state f is (A_0, 0, ..., 0), and
+Lambda_r(a^q b) = a Lambda_r(b) turns each step into polynomial products and
+slices.  With A_0 = X^v*U and U(0) != 0, a state's value on a branch is
+sum_i E_i * X^(-v*q^i) * (f/U)(X^(q^i)): one series inverse per branch.
+Labels show the reduced rational coordinates E_i/A_0^(q^i) on f^(q^i).
 
 Minimality of the relation makes the coordinate vectors of closure states a
 sound equality key: were two distinct coordinate vectors to evaluate to the
@@ -17,7 +23,9 @@ same series, their difference would be a shorter dependency.
 """
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
+from .algebra.conv import conv
 from .algebra.fields import FieldElement
 from .algebra.polys import RationalFn, UniPoly, derivative_y
 from .algebra.series import TruncSeries1, eval_bipoly_at_series, poly_to_series
@@ -26,8 +34,8 @@ from .annihilator import (FrobeniusRelation, null_left_vector,
 from .automaton import DFAO
 from .cartier import cartier_uni, close
 from .errors import (AlgSeriesError, DegenerateReduction, HypothesisViolated,
-                     InfiniteField, InsufficientPrecision, NegativeValuation,
-                     NonSimpleRoot, NotSquarefree, ZeroA0)
+                     InfiniteField, InsufficientPrecision, NonSimpleRoot,
+                     NotSquarefree, ZeroA0)
 
 CLOSURE_BUDGET = 4096
 _OUTPUT_GUARD = 8  # extra X-adic digits when evaluating states on a branch
@@ -96,7 +104,7 @@ def _ymul(a, b, field):
     return _ytrim(out)
 
 
-def _ymod(a, m, field):
+def _ymod(a, m):
     a = list(a)
     dm = len(m) - 1
     inv = m[-1].inverse()
@@ -110,10 +118,10 @@ def _ymod(a, m, field):
     return _ytrim(a)
 
 
-def _ygcd(a, b, field):
+def _ygcd(a, b):
     a, b = _ytrim(list(a)), _ytrim(list(b))
     while b:
-        a, b = b, _ymod(a, b, field)
+        a, b = b, _ymod(a, b)
     return a
 
 
@@ -121,8 +129,16 @@ def frobenius_from_poly(P):
     """Minimal Frobenius relation satisfied by every series root of P.
 
     Computes Y^(q^k) mod P for k = 0, 1, ... by repeated squaring in
-    F_q(X)[Y]/(P) and returns the first linear dependency (it includes the
-    k = 0 column, else ZeroA0).  P must be squarefree in Y.
+    F_q(X)[Y]/(P) and returns the first linear dependency.  P must be
+    squarefree in Y.
+
+    That dependency has A_0 != 0, as Ore's normalization in cartier_closure
+    needs.  Once gcd(P, P_Y) = 1, A = F_q(X)[Y]/(P) is etale over
+    K = F_q(X), so the map K (x)_{K^q} A^q -> A is an isomorphism and q-th
+    powers of K-linearly independent elements stay K-linearly independent.
+    A first dependency sum_{k>=1} A_k y^(q^k) = 0 without the k = 0 term
+    would make y^q, ..., y^(q^m) dependent, hence y, ..., y^(q^(m-1)), an
+    earlier dependency.  The ZeroA0 raise below guards that argument.
     """
     field = P.field
     if not field.is_finite:
@@ -137,14 +153,14 @@ def frobenius_from_poly(P):
     pderiv = _ytrim([pcoeffs[j + 1] * RationalFn.from_poly(
         UniPoly.constant(field, field.from_int(j + 1)))
         for j in range(D)])
-    g = _ygcd(pcoeffs, pderiv, field)
+    g = _ygcd(pcoeffs, pderiv)
     if len(g) - 1 >= 1:
         raise NotSquarefree("gcd(P, P_Y) has positive degree in Y")
     inv_lead = pcoeffs[D].inverse()
     monic = [c * inv_lead for c in pcoeffs]
 
     def ring_mul(a, b):
-        return _ymod(_ymul(a, b, field), monic, field)
+        return _ymod(_ymul(a, b, field), monic)
 
     def ring_pow_q(a):
         result, base, n = None, a, q
@@ -160,16 +176,15 @@ def frobenius_from_poly(P):
         vec = list(a) + [RationalFn.zero(field)] * (D - len(a))
         return vec[:D]
 
-    y = _ymod([RationalFn.zero(field), RationalFn.one(field)], monic, field)
+    y = _ymod([RationalFn.zero(field), RationalFn.one(field)], monic)
     vectors = [y]
     while True:
         k = len(vectors) - 1
         combo = null_left_vector([as_vector(v) for v in vectors])
         if combo is not None:
             if combo[0].is_zero():
-                raise ZeroA0(
-                    "dependency exists only without the k=0 term; the shift "
-                    "l > 0 case is not synthesized")
+                raise ZeroA0("first dependency lacks the k=0 term for a "
+                             "squarefree P; internal error")
             return relation_from_rationals(combo, q)
         if k >= D:
             raise AlgSeriesError("no dependency up to q^deg_Y; internal error")
@@ -178,25 +193,15 @@ def frobenius_from_poly(P):
 
 @dataclass(frozen=True)
 class ModuleElement:
-    """r_const(X) + sum_j coords[j](X) * f^(q^j), coefficients canonical."""
+    """sum_i coords[i](X) * g^(q^i) for g = f/A_0: Ore coordinates in F_q[X]."""
 
-    const: RationalFn
     coords: tuple
 
     def key(self):
-        return (self.const.key(), tuple(c.key() for c in self.coords))
+        return tuple(c.coeffs for c in self.coords)
 
     def is_zero(self):
-        return self.const.is_zero() and all(c.is_zero() for c in self.coords)
-
-    def to_text(self):
-        parts = []
-        if not self.const.is_zero():
-            parts.append(self.const.to_text())
-        for j, c in enumerate(self.coords):
-            if not c.is_zero():
-                parts.append(_coeff_times(c, j))
-        return " + ".join(parts) if parts else "0"
+        return all(c.is_zero() for c in self.coords)
 
 
 def _coeff_times(coeff, j):
@@ -223,34 +228,48 @@ class ClosureSkeleton:
     def n_states(self):
         return len(self.states)
 
+    @cached_property
+    def coordinates(self):
+        """Each state's coordinates on f, f^q, ...: E_i / A_0^(q^i), reduced."""
+        A0 = self.relation.coeffs[0]
+        dens = [A0 ** (self.q ** i) for i in range(len(self.states[0].coords))]
+        return [tuple(RationalFn(e, den) for e, den in zip(state.coords, dens))
+                for state in self.states]
+
+    @cached_property
+    def labels(self):
+        """Each state's label text: its nonzero rational coordinates."""
+        return [" + ".join(_coeff_times(c, j) for j, c in enumerate(coords)
+                           if not c.is_zero()) or "0"
+                for coords in self.coordinates]
+
 
 def cartier_closure(relation, state_budget=CLOSURE_BUDGET):
-    """Close {f} under Lambda_0..Lambda_{q-1} using the relation for j = 0.
+    """Close {f} under Lambda_0..Lambda_{q-1} in Ore coordinates.
 
-    Transition on digit r sends r_const + sum_j r_j f^(q^j) to
-    Lambda_r(r_const) + sum_j Lambda_r(r_{j+1} + r_0 * B_{j+1}) f^(q^j)
-    with B_k = -A_k/A_0 (the relation solved for f).
+    Digit r sends (E_0, ..., E_{d-1}) to (Lambda_r(E_{i+1} + E_0*C_{i+1}))_i
+    with E_d = 0 and C_i = -A_i*A_0^(q^i-2): g = f/A_0 solved from the
+    relation.  The products E_0*C_i are shared by all q digits.
     """
     field = relation.field
     q = relation.q
-    if relation.coeffs[0].is_zero():
+    A0 = relation.coeffs[0]
+    if A0.is_zero():
         raise ZeroA0("closure needs a relation with A_0 != 0")
     n = relation.length
-    A0 = relation.coeffs[0]
-    B = [RationalFn(-relation.coeffs[k], A0) for k in range(1, n + 1)]
-    zero_rf = RationalFn.zero(field)
+    C = [-(A * A0 ** (q ** i - 2)) for i, A in enumerate(relation.coeffs[1:], 1)]
+    zero = UniPoly.zero(field)
 
     def images(elem):
-        terms = list(elem.coords[1:]) + [zero_rf]
-        if not elem.coords[0].is_zero():
-            terms = [t + elem.coords[0] * b for t, b in zip(terms, B)]
-        return [ModuleElement(cartier_uni(elem.const, r),
-                              tuple(cartier_uni(t, r) for t in terms))
+        terms = list(elem.coords[1:]) + [zero]
+        E0 = elem.coords[0]
+        if not E0.is_zero():
+            terms = [t + E0 * c for t, c in zip(terms, C)]
+        return [ModuleElement(tuple(cartier_uni(t, r) for t in terms))
                 for r in range(q)]
 
     # a relation "A_0 f = 0" (n = 0) pins f = 0: one absorbing state
-    start = ModuleElement(zero_rf, (RationalFn.one(field) if n else zero_rf,)
-                          + (zero_rf,) * (n - 1))
+    start = ModuleElement((A0 if n else zero,) + (zero,) * (n - 1))
     states, transitions = close(start, images, state_budget, "Cartier closure")
     return ClosureSkeleton(field, q, relation, states, transitions)
 
@@ -264,84 +283,70 @@ class BranchRoot:
     outputs: dict = dc_field(default_factory=dict)
 
 
-def _den_split(ratfn):
-    """den = X^v * unit; return (v, unit)."""
-    v = ratfn.den.valuation()
-    unit = UniPoly(ratfn.field, ratfn.den.coeffs[v:], ratfn.den.var)
-    return v, unit
-
-
 def closure_output_order(skeleton):
-    """Series precision needed to evaluate every state, plus guard digits."""
-    need = 0
-    for elem in skeleton.states:
-        for part in (elem.const, *elem.coords):
-            if part.is_zero():
-                continue
-            need = max(need, part.den.degree + max(part.num.degree, 0))
-    return need + _OUTPUT_GUARD
+    """Series order that evaluates every state past its coordinates' degrees.
 
-
-def _evaluate_element(elem, powers, const_one, order):
-    """Evaluate a ModuleElement on a branch as a TruncSeries1.
-
-    ``powers[j]`` must hold f^(q^j) at precision >= order; the result order
-    is order - vmax where vmax is the worst denominator pole.  Raises
-    NegativeValuation if the value is not a power series.
+    State values reach v = val(A_0) below the series order; past that they
+    need the largest numerator plus denominator degree of a state's
+    rational coordinates, plus guard digits.
     """
-    field = powers[0].field if powers else const_one.field
-    parts = []
-    if not elem.const.is_zero():
-        parts.append((elem.const, const_one))
-    for j, coeff in enumerate(elem.coords):
-        if not coeff.is_zero():
-            parts.append((coeff, powers[j]))
-    if not parts:
-        return TruncSeries1.zeros(field, order)
-    vmax = max(_den_split(coeff)[0] for coeff, _ in parts)
-    if vmax > order:
-        raise InsufficientPrecision("branch series shorter than pole depth")
-    total = [field.zero] * (order + 1)
+    need = max((c.num.degree + c.den.degree
+                for coords in skeleton.coordinates for c in coords
+                if not c.is_zero()), default=0)
+    return skeleton.relation.coeffs[0].valuation() + need + _OUTPUT_GUARD
+
+
+def _state_values(skeleton, series):
+    """Every closure state evaluated on one branch, to order series.order - v.
+
+    With A_0 = X^v*U and U(0) != 0, g^(q^i) = X^(-v*q^i) * w(X^(q^i)) for
+    w = f/U, so coefficients v*q^i .. v*q^i + order of E_i * w(X^(q^i)) are
+    state coefficients 0 .. order; they read w only up to X^(series.order).
+    """
+    field, q = skeleton.field, skeleton.q
+    A0 = skeleton.relation.coeffs[0]
+    v = A0.valuation()
+    order = series.order - v
+    unit = poly_to_series(UniPoly(field, A0.coeffs[v:]), field, series.order)
+    w = (unit.inverse() * series).coeffs
+    spreads = []
+    for i in range(len(skeleton.states[0].coords)):
+        e = q ** i
+        spread = [field.zero] * (v * e + order + 1)
+        spread[::e] = w[:v + order // e + 1]
+        spreads.append((v * e, spread))
     add = field.add
-    for coeff, series in parts:
-        v, unit = _den_split(coeff)
-        value = poly_to_series(unit, field, order).inverse() * series
-        value = value.mul_poly(coeff.num)
-        pad = vmax - v
-        for e, c in enumerate(value.coeffs[:order + 1 - pad]):
-            if c:
-                total[e + pad] = add(total[e + pad], c)
-    if any(total[:vmax]):
-        raise NegativeValuation(
-            "state evaluates to a Laurent series with a pole")
-    return TruncSeries1(field, total[vmax:], order - vmax)
+    values = []
+    for state in skeleton.states:
+        total = [field.zero] * (order + 1)
+        for E, (shift, spread) in zip(state.coords, spreads):
+            if not E.is_zero():
+                lo = max(0, shift - E.degree)
+                part = conv(field, E.coeffs, spread[lo:], shift - lo + order)
+                total = [add(a, b) for a, b in zip(total, part[shift - lo:])]
+        values.append(TruncSeries1(field, total, order))
+    return values
 
 
 def attach_outputs(skeleton, branch):
     """Fill the branch's output map and return the complete DFAO.
 
-    Every closure state is evaluated once on the branch series, at its full
-    order; spot_check_closure then checks every transition against those
-    values, and the output of a state is the constant term of its value.
+    Every closure state is evaluated once on the branch series;
+    spot_check_closure then checks every transition against those values,
+    and the output of a state is the constant term of its value.
     """
     field = skeleton.field
     need = closure_output_order(skeleton)
     if branch.series.order < need:
         raise InsufficientPrecision(
             f"branch series order {branch.series.order} below required {need}")
-    order = branch.series.order
-    n = len(skeleton.states[0].coords)
-    powers = [branch.series.spread(skeleton.q ** j) for j in range(n)]
-    const_one = TruncSeries1(field, [field.one], order)
-    values = [_evaluate_element(elem, powers, const_one, order)
-              for elem in skeleton.states]
+    values = _state_values(skeleton, branch.series)
     spot_check_closure(skeleton, values)
     outputs = [value.coeffs[0] for value in values]
     for idx, out in enumerate(outputs):
         branch.outputs[idx] = FieldElement(field, out)
-    labels = [elem.to_text() for elem in skeleton.states]
     return DFAO(skeleton.q, skeleton.field, 0, skeleton.transitions, outputs,
-                labels)
+                skeleton.labels)
 
 
 def spot_check_closure(skeleton, values):
@@ -388,9 +393,10 @@ def roots_automata(P, order, state_budget=CLOSURE_BUDGET):
         raise HypothesisViolated("P has no simple residue root")
     relation = frobenius_from_poly(P)
     skeleton = cartier_closure(relation, state_budget)
-    check_order = 128  # lift far enough for digit sections of order 128
-    need = max(order, closure_output_order(skeleton),
-               skeleton.q * check_order + skeleton.q - 1)
+    check_order = 128  # state values long enough for digit sections of order 128
+    v = relation.coeffs[0].valuation()  # state values reach v below the lift
+    need = max(order + v, closure_output_order(skeleton),
+               skeleton.q * check_order + skeleton.q - 1 + v)
     branches = []
     failures = []
     for a0 in simple:

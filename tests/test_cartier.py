@@ -1,9 +1,8 @@
 import pytest
 
-from algseries import (QQ, BiPoly, KernelState, RationalFn, UniPoly,
-                       cartier_bi, cartier_uni, diagonal_automaton,
-                       kernel_output, parse_poly, parse_ratfun,
-                       rational_kernel, series_expand_ratio)
+from algseries import (QQ, BiPoly, KernelState, UniPoly, cartier_bi,
+                       cartier_uni, diagonal_automaton, kernel_output,
+                       parse_poly, rational_kernel, series_expand_ratio)
 from algseries.errors import DigitOutOfRange, InfiniteField, ZeroConstantTerm
 
 from conftest import F2, F3, F4, binomial, random_bipoly, random_raw
@@ -29,14 +28,6 @@ class TestCartierUni:
                 out = cartier_uni(poly, r)
                 for n in range(5):
                     assert out[n] == poly[q * n + r]
-
-    def test_rational_section_keeps_denominator_family(self):
-        # a rational element with a pole at 0: the identity
-        # Lambda_r(num/den) = Lambda_r(num*den^(q-1))/den still applies
-        r = parse_ratfun("(1+X)/X", F2)
-        out = cartier_uni(r, 0)
-        # Lambda_0((1+X)*X)/X = Lambda_0(X+X^2)/X = X/X = 1
-        assert out.is_one()
 
     def test_errors(self):
         with pytest.raises(DigitOutOfRange):

@@ -131,21 +131,28 @@ class TestCartierClosure:
         assert skel.n_states == 2
         # Lambda_0(f) = f, Lambda_1(f) = f1, Lambda_0(f1) = f1, Lambda_1(f1) = f
         assert skel.transitions == [[0, 1], [1, 0]]
-        f1 = skel.states[1]
+        f1 = skel.coordinates[1]
         # f1 = f^2/X + X f^2 + f/X: coords (1/X, (1+X^2)/X)
-        assert f1.coords[0].num == UniPoly.one(F2)
-        assert f1.coords[0].den == uni(F2, "X")
-        assert f1.coords[1].num == uni(F2, "1+X^2")
-        assert f1.coords[1].den == uni(F2, "X")
+        assert f1[0].num == UniPoly.one(F2)
+        assert f1[0].den == uni(F2, "X")
+        assert f1[1].num == uni(F2, "1+X^2")
+        assert f1[1].den == uni(F2, "X")
+        assert skel.labels[1] == "(1/X)*f + ((1 + X^2)/X)*f^(q^1)"
 
     def test_five_state_closure(self):
         skel = cartier_closure(frobenius_from_poly(parse_poly(FIVE_STATE_POLY, F2)))
         assert skel.n_states == 5
         assert skel.transitions == [[1, 1], [2, 3], [1, 4], [3, 3], [4, 4]]
         # state 2 is f/(1+X); state 4 is the zero element
-        assert skel.states[2].coords[0].den == uni(F2, "1+X")
-        assert skel.states[2].coords[1].is_zero()
+        assert skel.coordinates[2][0].den == uni(F2, "1+X")
+        assert skel.coordinates[2][1].is_zero()
         assert skel.states[4].is_zero()
+
+    def test_zero_a0_rejected(self):
+        # frobenius_from_poly never returns A_0 = 0; a hand-built one is refused
+        rel = FrobeniusRelation((UniPoly.zero(F2), UniPoly.one(F2)), 2)
+        with pytest.raises(ZeroA0):
+            cartier_closure(rel)
 
     def test_zero_relation_single_state(self):
         rel = FrobeniusRelation((UniPoly.one(F2),), 2)
@@ -301,6 +308,6 @@ def test_roots_property(P):
     try:
         out = roots_automata(P, 32, state_budget=64)
     except (DegenerateReduction, HypothesisViolated, NotSquarefree,
-            StateBudgetExceeded, ZeroA0):
+            StateBudgetExceeded):
         assume(False)
     assert not out.failures
