@@ -47,6 +47,13 @@ ROOTS_GOLDEN = {
                      "(1+2*t)*Y + X^2 + (2+2*t)*X^3*Y^2"],
 }
 
+# annihilate inputs and outputs: the branch automata of the automata-Fq
+# benchmark's roots jobs (roots0-4, five) and its kernel automata
+# (kernel0-4) at seed 1, the unminimized 9-state F2 kernel of
+# (X^2+Y^2)/(1+X+X^2+Y^2) and branch 0 of roots over F3 of Y^2+(1+X)*Y+X^2
+with open(os.path.join(DATA, "annihilate_golden.json")) as _handle:
+    ANNIHILATE_GOLDEN = json.load(_handle)
+
 
 @pytest.fixture
 def tm_file(tmp_path):
@@ -222,6 +229,15 @@ class TestAnnihilate:
         bad.write_text('{"q": 2}')
         code, _, err = run(capsys, "annihilate", "--automaton", str(bad))
         assert code == 2 and "$." in err
+
+    @pytest.mark.parametrize("name", sorted(ANNIHILATE_GOLDEN))
+    def test_golden_outputs(self, capsys, tmp_path, name):
+        # expected outputs written by the elimination over F_q(X)
+        want = ANNIHILATE_GOLDEN[name]
+        path = tmp_path / "automaton.json"
+        path.write_text(want["automaton"])
+        code, out, err = run(capsys, "annihilate", "--automaton", str(path))
+        assert (code, out, err) == (want["exit"], want["stdout"], want["stderr"])
 
 
 class TestRoots:
