@@ -9,7 +9,7 @@ only by their common monomial content (full bivariate gcd is out of scope).
 """
 
 from ..errors import AlgSeriesError, ZeroDenominator
-from .conv import conv
+from .conv import accumulate, conv
 
 
 def _term_text(field, coeff, mono):
@@ -134,13 +134,14 @@ class UniPoly:
             return UniPoly.zero(f, self.var), self
         quot = [f.zero] * (dq + 1)
         inv_lead = f.inv(other.lead())
+        size = len(other.coeffs)
         for k in range(dq, -1, -1):
             top = rem[k + other.degree]
             if top:
                 c = f.mul(top, inv_lead)
                 quot[k] = c
-                for i, oc in enumerate(other.coeffs):
-                    rem[k + i] = f.sub(rem[k + i], f.mul(c, oc))
+                rem[k:k + size] = accumulate(f, rem[k:k + size],
+                                             [(0, f.neg(c), other.coeffs)])
         return UniPoly(f, quot, self.var), UniPoly(f, rem[:other.degree], self.var)
 
     def __floordiv__(self, other):

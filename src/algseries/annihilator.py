@@ -9,13 +9,16 @@ first row gives, for k = 0..d,
 
 so the d+1 first rows B_0..B_d of those products are linearly dependent
 over F_q(X), and any left null vector of B annihilates G_1, G_1^q, ...,
-G_1^(q^d).  Relations are canonicalized: denominators cleared, common
-polynomial gcd removed, highest-index coefficient monic.
+G_1^(q^d).  The rows have entries in F_q[X], and one fraction-free
+elimination pass over them (null_left_vector) finds the first row B_m that
+depends on B_0..B_{m-1}, with a combination in F_q[X]; no rational function
+is formed.  Relations are canonicalized: common polynomial gcd removed,
+highest-index coefficient monic.
 """
 
 from dataclasses import dataclass
 
-from .algebra.polys import RationalFn, UniPoly
+from .algebra.polys import UniPoly
 from .algebra.series import TruncSeries1
 from .errors import (BaseMismatch, DegreeBlowup, InfiniteField,
                      InsufficientPrecision, NoRelation)
@@ -71,30 +74,32 @@ class FrobeniusRelation:
         return self.to_text()
 
 
-def relation_from_rationals(fractions, q, shift=0):
-    """Clear denominators and canonicalize a coefficient vector.
+def primitive_part(polys):
+    """``polys`` divided by the monic gcd of all of them.
 
-    ``fractions`` is a sequence of univariate RationalFn over F_q.
+    The gcd chain runs from the lowest degree up and stops at the first
+    constant gcd, which is the common case.
     """
-    field = fractions[0].field
-    lcm = UniPoly.one(field)
-    for frac in fractions:
-        if frac.is_zero():
-            continue
-        g = lcm.gcd(frac.den)
-        lcm = lcm * (frac.den // g)
-    polys = [frac.num * (lcm // frac.den) for frac in fractions]
-    gcd = UniPoly.zero(field)
-    for p in polys:
+    gcd = UniPoly.zero(polys[0].field)
+    for p in sorted((p for p in polys if not p.is_zero()), key=lambda p: p.degree):
         gcd = gcd.gcd(p)
-        if gcd.degree == 0 and not gcd.is_zero():
-            break
-    if gcd.degree > 0:
-        polys = [p // gcd for p in polys]
-    top = next(p for p in reversed(polys) if not p.is_zero())
-    lead = top.lead()
-    if lead != field.one:
-        inv = field.inv(lead)
+        if gcd.degree == 0:
+            return list(polys)
+    if gcd.is_zero():
+        return list(polys)
+    return [p // gcd for p in polys]
+
+
+def canonical_relation(polys, q, shift=0):
+    """The relation sum_k polys[k] * phi^(q^(k+shift)) = 0 in canonical form.
+
+    ``polys`` are univariate polynomials over F_q, not all zero; they are
+    made primitive and the highest-index nonzero one monic.
+    """
+    polys = primitive_part(polys)
+    lead = next(p for p in reversed(polys) if not p.is_zero()).lead()
+    if lead != polys[0].field.one:
+        inv = polys[0].field.inv(lead)
         polys = [p.scale(inv) for p in polys]
     return FrobeniusRelation(tuple(polys), q, shift)
 
@@ -153,51 +158,60 @@ def _subst_matrix(M, e):
 
 
 def null_left_vector(rows):
-    """A nonzero c with sum_i c_i * rows[i] = 0, or None if independent.
+    """The first dependency among ``rows``, or None if they are independent.
 
-    ``rows`` is a list of equal-length lists of univariate RationalFn.
-    Elimination processes rows in order with leftmost pivots, so the result
-    is deterministic; with more rows than columns a null vector always
-    exists.
+    ``rows`` is an iterable of equal-length sequences of UniPoly over one
+    field.  It is read one row at a time, and only up to the first row m
+    that depends on the rows before it; the result is then polynomials
+    c_0..c_m with c_m != 0 and sum_i c_i * rows[i] = 0.  As rows 0..m-1 are
+    independent, that dependency is unique up to a factor in F_q(X).
+
+    The elimination is fraction-free: each row is reduced once, against the
+    earlier rows' leftmost pivots in turn.  When it meets the pivot row p at
+    column c, with g = gcd(p[c], row[c]), it becomes (p[c]/g)*row -
+    (row[c]/g)*p, and its combination vector takes the same step.  A row
+    that stays nonzero becomes a pivot once it and its combination are
+    divided by their common content, which keeps the degrees of all later
+    steps down; no fraction is formed.
     """
-    if not rows:
-        return None
-    field = rows[0][0].field
-    ncols = len(rows[0])
-    one = RationalFn.one(field)
-    zero = RationalFn.zero(field)
-    pivots = {}  # column -> (reduced row, combination)
+    pivots = {}  # column -> (reduced row, its combination)
     for i, row in enumerate(rows):
         work = list(row)
-        combo = [zero] * len(rows)
-        combo[i] = one
-        for col in range(ncols):
-            if work[col].is_zero():
-                continue
-            hit = pivots.get(col)
-            if hit is None:
-                inv = work[col].inverse()
-                work = [w * inv for w in work]
-                combo = [c * inv for c in combo]
-                pivots[col] = (work, combo)
-                work = None
-                break
-            prow, pcombo = hit
-            factor = work[col]
-            work = [w - factor * pw for w, pw in zip(work, prow)]
-            combo = [c - factor * pc for c, pc in zip(combo, pcombo)]
-        if work is not None and all(w.is_zero() for w in work):
-            return combo[:len(rows)]
+        field = work[0].field
+        zero = UniPoly.zero(field)
+        combo = [zero] * i + [UniPoly.one(field)]
+        col = _leading(work, 0)
+        while col is not None and col in pivots:
+            prow, pcombo = pivots[col]
+            g = prow[col].gcd(work[col])
+            a, b = prow[col] // g, work[col] // g
+            work = [zero] * (col + 1) + [a * w - b * p for w, p in
+                                         zip(work[col + 1:], prow[col + 1:])]
+            combo = [a * c - b * p for c, p in zip(combo, pcombo)] + \
+                [a * c for c in combo[len(pcombo):]]
+            col = _leading(work, col + 1)
+        if col is None:
+            return combo
+        reduced = primitive_part(work + combo)
+        work, combo = reduced[:len(work)], reduced[len(work):]
+        pivots[col] = (work, combo)
     return None
+
+
+def _leading(work, start):
+    """Index of the first nonzero entry of ``work`` from ``start`` on."""
+    return next((j for j in range(start, len(work)) if not work[j].is_zero()),
+                None)
 
 
 def frobenius_relation(automaton, size_cap=KERNEL_SIZE_CAP, check_order=256):
     """Annihilating relation for the series generated by the automaton.
 
     Minimizes the automaton, builds the stacked row matrix B of the
-    minimized one and returns the shortest prefix dependency that verifies
-    against the automaton's series truncation; always succeeds when the
-    minimized automaton has d <= size_cap states.
+    minimized one and returns the first dependency among its rows in
+    canonical form, once it verifies against the automaton's series
+    truncation; always succeeds when the minimized automaton has
+    d <= size_cap states.
     """
     automaton = automaton.minimize()
     matrix = kernel_matrix(automaton)
@@ -216,22 +230,16 @@ def frobenius_relation(automaton, size_cap=KERNEL_SIZE_CAP, check_order=256):
         prod = _matmul(_subst_matrix(matrix.entries, q ** k), prod, field)
         rows.append(prod[0])
     rows.reverse()
-    rational_rows = [[RationalFn.from_poly(p) for p in row] for row in rows]
-    best = None
-    for top in range(1, d + 1):
-        combo = null_left_vector(rational_rows[:top + 1])
-        if combo is None:
-            continue
-        relation = relation_from_rationals(combo[:top + 1], q)
-        needed = relation.max_coeff_degree() + check_order
-        if needed > series.order:
-            series = automaton.generate(needed)
-        if verify_relation(relation, series, check_order=check_order):
-            best = relation
-            break
-    if best is None:
+    combo = null_left_vector(rows)
+    if combo is None:
         raise NoRelation("no dependency among kernel rows; internal error")
-    return best
+    relation = canonical_relation(combo, q)
+    needed = relation.max_coeff_degree() + check_order
+    if needed > series.order:
+        series = automaton.generate(needed)
+    if not verify_relation(relation, series, check_order=check_order):
+        raise NoRelation("no dependency among kernel rows; internal error")
+    return relation
 
 
 def verify_relation(relation, series, check_order=None):

@@ -3,19 +3,21 @@
 Grammar (whitespace ignored, offsets refer to the input string):
 
     expr   := ['-'] term (('+'|'-') term)*
-    term   := factor (('*' factor) | factor)*      -- juxtaposition multiplies
+    term   := factor (('*' factor) | ('/' uint) | factor)*
+                                                  -- juxtaposition multiplies
     factor := base ('^' uint)?
     base   := uint | VAR | '(' expr ')'
 
 Integer literals reduce into the field (mod p in characteristic p, exact
-rationals over Q); over F_{p^k} the symbol t is the field generator, as in
+rationals over Q), and so do quotients by an integer literal, as in the Q
+coefficient "3/4*X"; over F_{p^k} the symbol t is the field generator, as in
 ExtensionField.fmt.  parse_ratfun additionally splits on a single top-level
 '/'.  Printing a parsed polynomial with BiPoly.to_text()/UniPoly.to_text()
 and reparsing yields the identical canonical object.
 """
 
 from .algebra.polys import BiPoly, RationalFn, UniPoly
-from .errors import NegativeExponent, ParseError, UnknownSymbol
+from .errors import NegativeExponent, ParseError, UnknownSymbol, ZeroDenominator
 
 _INT = "int"
 _VAR = "var"
@@ -53,7 +55,7 @@ def _tokenize(text):
 
 class ExprAst:
     """Expression tree node: ('int', v) | ('var', name) | ('neg', e) |
-    ('add'|'sub'|'mul', l, r) | ('pow', e, k)."""
+    ('add'|'sub'|'mul', l, r) | ('pow', e, k) | ('div', e, k)."""
 
     __slots__ = ("kind", "args")
 
@@ -104,6 +106,12 @@ class _Parser:
             if kind == _OP and val == "*":
                 self.advance()
                 node = ExprAst("mul", node, self.factor())
+            elif kind == _OP and val == "/":
+                self.advance()
+                kind, val, off = self.advance()
+                if kind != _INT:
+                    raise ParseError("expected an integer divisor after '/'", off)
+                node = ExprAst("div", node, val)
             elif kind in (_INT, _VAR) or (kind == _OP and val == "("):
                 node = ExprAst("mul", node, self.factor())
             else:
@@ -166,6 +174,12 @@ def _eval_ast(node, field, varmap):
         return _eval_ast(node.args[0], field, varmap) * _eval_ast(node.args[1], field, varmap)
     if kind == "pow":
         return _eval_ast(node.args[0], field, varmap) ** node.args[1]
+    if kind == "div":
+        divisor = field.from_int(node.args[1])
+        if not divisor:
+            raise ZeroDenominator(f"division by {node.args[1]}, which is zero "
+                                  "in the field")
+        return _eval_ast(node.args[0], field, varmap).scale(field.inv(divisor))
     raise AssertionError(f"unhandled node {kind}")
 
 

@@ -29,8 +29,8 @@ from .algebra.conv import conv
 from .algebra.fields import FieldElement
 from .algebra.polys import RationalFn, UniPoly, derivative_y
 from .algebra.series import TruncSeries1, eval_bipoly_at_series, poly_to_series
-from .annihilator import (FrobeniusRelation, null_left_vector,
-                          relation_from_rationals, verify_relation)
+from .annihilator import (FrobeniusRelation, canonical_relation,
+                          null_left_vector, verify_relation)
 from .automaton import DFAO
 from .cartier import cartier_uni, close
 from .errors import (AlgSeriesError, DegenerateReduction, HypothesisViolated,
@@ -129,8 +129,9 @@ def frobenius_from_poly(P):
     """Minimal Frobenius relation satisfied by every series root of P.
 
     Computes Y^(q^k) mod P for k = 0, 1, ... by repeated squaring in
-    F_q(X)[Y]/(P) and returns the first linear dependency.  P must be
-    squarefree in Y.
+    F_q(X)[Y]/(P), clears each one's denominators, and returns the first
+    linear dependency found by one elimination pass over those rows.  P
+    must be squarefree in Y.
 
     That dependency has A_0 != 0, as Ore's normalization in cartier_closure
     needs.  Once gcd(P, P_Y) = 1, A = F_q(X)[Y]/(P) is etale over
@@ -172,23 +173,28 @@ def frobenius_from_poly(P):
                 base = ring_mul(base, base)
         return result
 
-    def as_vector(a):
-        vec = list(a) + [RationalFn.zero(field)] * (D - len(a))
-        return vec[:D]
+    scales = []
 
-    y = _ymod([RationalFn.zero(field), RationalFn.one(field)], monic)
-    vectors = [y]
-    while True:
-        k = len(vectors) - 1
-        combo = null_left_vector([as_vector(v) for v in vectors])
-        if combo is not None:
-            if combo[0].is_zero():
-                raise ZeroA0("first dependency lacks the k=0 term for a "
-                             "squarefree P; internal error")
-            return relation_from_rationals(combo, q)
-        if k >= D:
-            raise AlgSeriesError("no dependency up to q^deg_Y; internal error")
-        vectors.append(ring_pow_q(vectors[-1]))
+    def cleared_rows():
+        """Each power Y^(q^k) mod P as a row over F_q[X]: its coordinates
+        times the lcm s_k of their denominators, which goes to scales."""
+        vector = _ymod([RationalFn.zero(field), RationalFn.one(field)], monic)
+        for _ in range(D + 1):
+            coords = vector + [RationalFn.zero(field)] * (D - len(vector))
+            lcm = UniPoly.one(field)
+            for c in coords:
+                lcm = lcm * (c.den // lcm.gcd(c.den))
+            scales.append(lcm)
+            yield [c.num * (lcm // c.den) for c in coords]
+            vector = ring_pow_q(vector)
+
+    combo = null_left_vector(cleared_rows())
+    if combo is None:
+        raise AlgSeriesError("no dependency up to q^deg_Y; internal error")
+    if combo[0].is_zero():
+        raise ZeroA0("first dependency lacks the k=0 term for a "
+                     "squarefree P; internal error")
+    return canonical_relation([c * s for c, s in zip(combo, scales)], q)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,14 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from algseries import (DFAO, GF, RationalFn, TruncSeries1, UniPoly,
                        frobenius_relation, kernel_matrix, null_left_vector,
-                       parse_poly, parse_ratfun, verify_relation)
-from algseries.annihilator import FrobeniusRelation, relation_from_rationals
+                       parse_poly, verify_relation)
+from algseries.annihilator import FrobeniusRelation, canonical_relation
 from algseries.errors import BaseMismatch, DegreeBlowup, InsufficientPrecision
 
-from conftest import F2, F4, thue_morse
+from conftest import F2, F3, F4, thue_morse
 
 
 def uni(field, text):
@@ -66,9 +68,17 @@ class TestKernelMatrix:
                 assert acc == G[i]
 
 
+def combine(combo, rows, col):
+    """sum_i combo[i] * rows[i][col]."""
+    acc = UniPoly.zero(rows[0][0].field)
+    for c, row in zip(combo, rows):
+        acc = acc + c * row[col]
+    return acc
+
+
 class TestNullLeftVector:
     def test_two_equal_rows(self):
-        one = RationalFn.one(F2)
+        one = UniPoly.one(F2)
         combo = null_left_vector([[one], [one]])
         assert combo is not None
         # c0 * 1 + c1 * 1 = 0 with c != 0
@@ -76,33 +86,102 @@ class TestNullLeftVector:
         assert not (combo[0].is_zero() and combo[1].is_zero())
 
     def test_x_and_x_squared(self):
-        rows = [[RationalFn.from_poly(uni(F2, "X"))],
-                [RationalFn.from_poly(uni(F2, "X^2"))]]
-        combo = null_left_vector(rows)
+        combo = null_left_vector([[uni(F2, "X")], [uni(F2, "X^2")]])
         # proportional to (X, 1)
-        ratio = combo[0] / combo[1]
-        assert ratio == RationalFn.from_poly(uni(F2, "X"))
+        assert combo[0] == combo[1] * uni(F2, "X")
 
     def test_independent_rows_give_none(self):
-        rows = [[RationalFn.one(F2), RationalFn.zero(F2)],
-                [RationalFn.zero(F2), RationalFn.one(F2)]]
-        assert null_left_vector(rows) is None
+        one, zero = UniPoly.one(F2), UniPoly.zero(F2)
+        assert null_left_vector([[one, zero], [zero, one]]) is None
 
     def test_combination_annihilates(self, rng):
         # more rows than columns always yields a null combination
         for _ in range(10):
             rows = []
             for _ in range(3):
-                rows.append([RationalFn.from_poly(
-                    UniPoly(F2, [rng.randrange(2) for _ in range(3)]))
-                    for _ in range(2)])
+                rows.append([UniPoly(F2, [rng.randrange(2) for _ in range(3)])
+                             for _ in range(2)])
             combo = null_left_vector(rows)
             assert combo is not None
             for col in range(2):
-                acc = RationalFn.zero(F2)
-                for c, row in zip(combo, rows):
-                    acc = acc + c * row[col]
-                assert acc.is_zero()
+                assert combine(combo, rows, col).is_zero()
+
+
+def reference_null_left_vector(rows):
+    """Elimination over F_q(X) with leftmost pivots, as annihilate ran it
+    before its fraction-free pass: every row scaled to a unit pivot."""
+    field = rows[0][0].field
+    one, zero = RationalFn.one(field), RationalFn.zero(field)
+    pivots = {}
+    for i, row in enumerate(rows):
+        work = list(row)
+        combo = [zero] * len(rows)
+        combo[i] = one
+        for col in range(len(row)):
+            if work[col].is_zero():
+                continue
+            hit = pivots.get(col)
+            if hit is None:
+                inv = work[col].inverse()
+                pivots[col] = ([w * inv for w in work], [c * inv for c in combo])
+                work = None
+                break
+            prow, pcombo = hit
+            factor = work[col]
+            work = [w - factor * pw for w, pw in zip(work, prow)]
+            combo = [c - factor * pc for c, pc in zip(combo, pcombo)]
+        if work is not None:
+            return combo
+    return None
+
+
+def reference_relation(fractions, q):
+    """Canonical relation of a vector over F_q(X): denominators cleared by
+    their lcm, then canonical_relation."""
+    lcm = UniPoly.one(fractions[0].field)
+    for frac in fractions:
+        lcm = lcm * (frac.den // lcm.gcd(frac.den))
+    return canonical_relation([f.num * (lcm // f.den) for f in fractions], q)
+
+
+@st.composite
+def polynomial_rows(draw):
+    """Up to five rows of one to three polynomials, some zero or repeated."""
+    field = draw(st.sampled_from([F2, F3, F4]))
+    ncols = draw(st.integers(1, 3))
+    entry = st.lists(st.integers(0, field.order - 1), max_size=5).map(
+        lambda c: UniPoly(field, c))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["random", "zero", "repeat"]))
+        if kind == "zero":
+            rows.append([UniPoly.zero(field)] * ncols)
+        elif kind == "repeat" and rows:
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            rows.append(draw(st.lists(entry, min_size=ncols, max_size=ncols)))
+    return rows
+
+
+@given(polynomial_rows())
+def test_elimination_matches_prefix_search(rows):
+    # the shortest prefix with a dependency over F_q(X), searched as
+    # annihilate searched it, against the one fraction-free pass
+    q = rows[0][0].field.order
+    fractions = [[RationalFn.from_poly(p) for p in row] for row in rows]
+    want = None
+    for top in range(len(rows)):
+        want = reference_null_left_vector(fractions[:top + 1])
+        if want is not None:
+            break
+    combo = null_left_vector(rows)
+    if want is None:
+        assert combo is None
+        return
+    assert len(combo) == top + 1 and not combo[top].is_zero()
+    for col in range(len(rows[0])):
+        assert combine(combo, rows, col).is_zero()
+    assert canonical_relation(combo, q) == reference_relation(want, q)
 
 
 class TestFrobeniusRelation:
@@ -114,11 +193,12 @@ class TestFrobeniusRelation:
         assert verify_relation(rel, tm_series())
 
     def test_fraction_form_clears_to_same_relation(self):
-        # f^4 + f^2/(1+X)^3 + X f/(1+X)^4 = 0, cleared by (1+X)^4
-        fractions = [parse_ratfun("X/(1+X)^4", F2),
-                     parse_ratfun("1/(1+X)^3", F2),
-                     parse_ratfun("1", F2)]
-        rel = relation_from_rationals(fractions, 2)
+        # f^4 + f^2/(1+X)^3 + X f/(1+X)^4 = 0, cleared by a common multiple
+        # X^2*(1+X)^5 of its denominators, not their lcm
+        common = uni(F2, "X^2*(1+X)")
+        cleared = [uni(F2, "X") * common, uni(F2, "1+X") * common,
+                   uni(F2, "(1+X)^4") * common]
+        rel = canonical_relation(cleared, 2)
         assert rel.coeffs == frobenius_relation(tm_automaton()).coeffs
 
     def test_constant_zero_automaton(self):
@@ -147,14 +227,15 @@ class TestFrobeniusRelation:
         rel = frobenius_relation(aut)
         assert verify_relation(rel, aut.generate(256))
 
-    def test_canonicalization_invariance(self, rng):
-        # uniform scaling of B and rescaling of the null vector do not
-        # change the canonical relation
+    def test_canonicalization_invariance(self):
+        # scaling the coefficients by a polynomial, or over F_3 by a
+        # constant, does not change the canonical relation
         rel = frobenius_relation(tm_automaton())
-        fractions = [RationalFn.from_poly(c) for c in rel.coeffs]
-        scale = parse_ratfun("(1+X)/X^3", F2)
-        scaled = [f * scale for f in fractions]
-        assert relation_from_rationals(scaled, 2).coeffs == rel.coeffs
+        scale = uni(F2, "(1+X)*X^3")
+        assert canonical_relation([c * scale for c in rel.coeffs], 2) == rel
+        f3 = canonical_relation([uni(F3, "2*X"), uni(F3, "2+2*X")], 3)
+        assert f3.coeffs == (uni(F3, "X"), uni(F3, "1+X"))
+        assert canonical_relation([c.scale(2) for c in f3.coeffs], 3) == f3
 
 
 def test_relation_from_kernel_pipeline():

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -6,7 +8,7 @@ from algseries import GF, QQ, BiPoly, parse_poly, parse_ratfun, parse_unipoly
 from algseries.errors import (NegativeExponent, ParseError, UnknownSymbol,
                               ZeroDenominator)
 
-from conftest import F2, F4, F5, F8, F9, random_bipoly
+from conftest import F2, F3, F4, F5, F8, F9, random_bipoly
 
 
 def test_example1_polynomial():
@@ -123,3 +125,32 @@ def extension_polys(draw):
 @given(extension_polys())
 def test_extension_print_parse_roundtrip(poly):
     assert parse_poly(poly.to_text(), poly.field) == poly
+
+
+@st.composite
+def prime_and_rational_polys(draw):
+    field = draw(st.sampled_from([F2, F3, F5, GF(7), QQ]))
+    if field.is_finite:
+        coeffs = st.integers(0, field.order - 1)
+    else:
+        coeffs = st.fractions(-20, 20, max_denominator=12).map(
+            lambda c: c.numerator if c.denominator == 1 else c)
+    terms = draw(st.dictionaries(
+        st.tuples(st.integers(0, 4), st.integers(0, 4)), coeffs, max_size=6))
+    return BiPoly(field, terms)
+
+
+@given(prime_and_rational_polys())
+def test_prime_and_rational_print_parse_roundtrip(poly):
+    assert parse_poly(poly.to_text(), poly.field) == poly
+
+
+def test_division_by_integer_literal():
+    assert parse_poly("3/4*X - 1/2", QQ).terms == {(1, 0): Fraction(3, 4),
+                                                   (0, 0): Fraction(-1, 2)}
+    assert parse_poly("X/2", F5) == parse_poly("3*X", F5)
+    with pytest.raises(ZeroDenominator):
+        parse_poly("X/3", F3)
+    for text in ("X/Y", "X/(2)", "X/"):
+        with pytest.raises(ParseError):
+            parse_poly(text, QQ)

@@ -1,10 +1,12 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from algseries import (GF, QQ, BiPoly, RationalFn, UniPoly, derivative_y,
                        parse_poly, substitute_xy)
 from algseries.errors import ZeroDenominator
 
-from conftest import ALL_FIELDS, F2, random_bipoly, random_raw
+from conftest import ALL_FIELDS, F2, F3, F4, F5, F9, random_bipoly, random_raw
 
 
 def uni(field, text):
@@ -48,6 +50,49 @@ class TestUniPoly:
     def test_subst_power(self):
         p = uni(F2, "1+X+X^3")
         assert p.subst_power(2) == uni(F2, "1+X^2+X^6")
+
+
+def reference_divmod(a, b):
+    """Schoolbook division, one field operation per coefficient product."""
+    f = a.field
+    rem = list(a.coeffs)
+    dq = len(rem) - len(b.coeffs)
+    if dq < 0:
+        return UniPoly.zero(f), a
+    quot = [f.zero] * (dq + 1)
+    inv_lead = f.inv(b.lead())
+    for k in range(dq, -1, -1):
+        top = rem[k + b.degree]
+        if top:
+            c = f.mul(top, inv_lead)
+            quot[k] = c
+            for i, oc in enumerate(b.coeffs):
+                rem[k + i] = f.sub(rem[k + i], f.mul(c, oc))
+    return UniPoly(f, quot), UniPoly(f, rem[:b.degree])
+
+
+@st.composite
+def division_pairs(draw):
+    field = draw(st.sampled_from([F2, F3, F5, F4, F9, QQ]))
+    if field.is_finite:
+        coeff = st.integers(0, field.order - 1)
+    else:
+        coeff = st.fractions(-9, 9, max_denominator=6).map(
+            lambda c: c.numerator if c.denominator == 1 else c)
+    a = UniPoly(field, draw(st.lists(coeff, max_size=40)))
+    b = UniPoly(field, draw(st.lists(coeff, min_size=1, max_size=20)))
+    if b.is_zero():
+        b = UniPoly.one(field)
+    return a, b
+
+
+@given(division_pairs())
+def test_divmod_matches_reference(pair):
+    a, b = pair
+    quot, rem = a.divmod(b)
+    assert (quot, rem) == reference_divmod(a, b)
+    assert quot * b + rem == a
+    assert rem.degree < b.degree
 
 
 class TestBiPoly:
