@@ -84,14 +84,14 @@ def primitive_part(polys):
     for p in sorted((p for p in polys if not p.is_zero()), key=lambda p: p.degree):
         gcd = gcd.gcd(p)
         if gcd.degree == 0:
-            return list(polys)
-    if gcd.is_zero():
+            break
+    if gcd.degree < 1:
         return list(polys)
     return [p // gcd for p in polys]
 
 
-def canonical_relation(polys, q, shift=0):
-    """The relation sum_k polys[k] * phi^(q^(k+shift)) = 0 in canonical form.
+def canonical_relation(polys, q):
+    """The relation sum_k polys[k] * phi^(q^k) = 0 in canonical form.
 
     ``polys`` are univariate polynomials over F_q, not all zero; they are
     made primitive and the highest-index nonzero one monic.
@@ -101,7 +101,7 @@ def canonical_relation(polys, q, shift=0):
     if lead != polys[0].field.one:
         inv = polys[0].field.inv(lead)
         polys = [p.scale(inv) for p in polys]
-    return FrobeniusRelation(tuple(polys), q, shift)
+    return FrobeniusRelation(tuple(polys), q)
 
 
 @dataclass(frozen=True)
