@@ -54,6 +54,12 @@ ROOTS_GOLDEN = {
 with open(os.path.join(DATA, "annihilate_golden.json")) as _handle:
     ANNIHILATE_GOLDEN = json.load(_handle)
 
+# extract runs with their argv: the extract jobs of the extract-Q (q0-q9)
+# and series-Fq (fq0-fq2) benchmark workloads at seed 1, two text-format
+# runs over Q and one input that breaks a hypothesis
+with open(os.path.join(DATA, "extract_golden.json")) as _handle:
+    EXTRACT_GOLDEN = json.load(_handle)
+
 
 @pytest.fixture
 def tm_file(tmp_path):
@@ -131,6 +137,14 @@ class TestExtract:
                            "--poly", "X+Y^2", "-n", "4", "--format", "json")
         assert code == 0
         assert json.loads(out) == ["1", "1", "2", "5"]
+
+    @pytest.mark.parametrize("name", sorted(EXTRACT_GOLDEN))
+    def test_golden_outputs(self, capsys, name):
+        # expected outputs written with the substitution-iteration oracle
+        # and the relaxed P^m prune
+        want = EXTRACT_GOLDEN[name]
+        code, out, err = run(capsys, *want["argv"])
+        assert (code, out, err) == (want["exit"], want["stdout"], want["stderr"])
 
 
 class TestDiagonal:
