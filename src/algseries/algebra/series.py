@@ -205,17 +205,26 @@ def diagonal_series(series2, order):
 
 
 def eval_bipoly_at_series(poly, series):
-    """P(X, f) for a BiPoly P and TruncSeries1 f, by Horner in Y."""
+    """P(X, f) for a BiPoly P and TruncSeries1 f, by Horner in Y.
+
+    Each step is one series product; the next Y-slice's few coefficients
+    are then added into the product's coefficient list.
+    """
     f = series.field
+    N = series.order
     slices = poly.y_slices()
     if not slices:
-        return TruncSeries1.zeros(f, series.order)
+        return TruncSeries1.zeros(f, N)
     degy = max(slices)
-    acc = TruncSeries1.zeros(f, series.order)
-    for j in range(degy, -1, -1):
+    acc = poly_to_series(slices[degy], f, N)
+    for j in range(degy - 1, -1, -1):
         acc = acc * series
         if j in slices:
-            acc = acc + poly_to_series(slices[j], f, series.order)
+            coeffs = list(acc.coeffs)
+            for i, c in enumerate(slices[j].coeffs[:N + 1]):
+                if c:
+                    coeffs[i] = f.add(coeffs[i], c)
+            acc = TruncSeries1(f, coeffs, N)
     return acc
 
 

@@ -12,8 +12,10 @@ Integer literals reduce into the field (mod p in characteristic p, exact
 rationals over Q), and so do quotients by an integer literal, as in the Q
 coefficient "3/4*X"; over F_{p^k} the symbol t is the field generator, as in
 ExtensionField.fmt.  parse_ratfun additionally splits on a single top-level
-'/'.  Printing a parsed polynomial with BiPoly.to_text()/UniPoly.to_text()
-and reparsing yields the identical canonical object.
+'/' that is not followed by an integer literal.  Printing a parsed
+polynomial with BiPoly.to_text()/UniPoly.to_text(), or a rational function
+with RationalFn.to_text(), and reparsing yields the identical canonical
+object.
 """
 
 from .algebra.polys import BiPoly, RationalFn, UniPoly
@@ -206,7 +208,11 @@ def parse_unipoly(text, field, var="X"):
 
 
 def parse_ratfun(text, field, variables=("X", "Y")):
-    """Parse "num/den" (the '/' optional) into a canonical RationalFn."""
+    """Parse "num/den" (the '/' optional) into a canonical RationalFn.
+
+    A '/' followed by an integer literal divides a coefficient, as in
+    "1/2*X/(1 + X)", and stays with the polynomial it is part of.
+    """
     depth = 0
     split = None
     for i, ch in enumerate(text):
@@ -215,6 +221,8 @@ def parse_ratfun(text, field, variables=("X", "Y")):
         elif ch == ")":
             depth -= 1
         elif ch == "/" and depth == 0:
+            if text[i + 1:].lstrip()[:1].isdigit():
+                continue  # a coefficient quotient such as 1/2
             if split is not None:
                 raise ParseError("more than one top-level '/'", i)
             split = i

@@ -8,16 +8,18 @@ f(0) = 0 is unique, and
 The sum is finite in disguise: every monomial X^a Y^b of P has 2a + b >= 2
 (that is exactly the hypothesis pair), so every monomial of P^m has
 2i + j >= 2m, and [X^n Y^(m-1)] P^m forces 2n + m - 1 >= 2m, i.e.
-m <= 2n - 1.  fs_coefficients evaluates the sum exactly with that cutoff;
-fixed_point_coefficients is the independent oracle (plain substitution
-iteration), and fs_partial_sum exposes the per-m partial sums.
+m <= 2n - 1.  fs_coefficients evaluates the sum exactly with that cutoff,
+building only the cells of P^m from which some product of P's monomials
+still reaches an extracted cell (_reach_limits); fixed_point_coefficients
+is the independent oracle (Newton lifting of Y - P(X, Y), certified by one
+exact substitution), and fs_partial_sum exposes the per-m partial sums.
 """
 
-from .algebra.conv import conv
 from .algebra.fields import FieldElement
 from .algebra.polys import BiPoly, derivative_y
-from .algebra.series import TruncSeries1
+from .algebra.series import TruncSeries1, eval_bipoly_at_series
 from .errors import AlgSeriesError, HypothesisViolated
+from .roots import hensel_root
 
 
 class FixedPointProblem:
@@ -50,22 +52,66 @@ def _correction_rows(problem):
     return rows
 
 
-def _power_rows(problem, N):
+def _reach_limits(problem, N, wrows):
+    """{s: largest i kept on the rows j of P^m with m - 1 - j = s}.
+
+    A cell (i, j) of P^m reaches the extracted cells [X^n Y^(m'-1)] W P^m'
+    (W = 1 - P'_Y, m' >= m, n <= N) through some multiset of P's monomials
+    X^a Y^b with sum (b - 1) = m - 1 - j - b_w, for a term X^a_w Y^b_w of
+    W, and then lands at n = i + a_w + sum a.  With cost(t) the least sum a
+    over multisets with sum (b - 1) = t (cost(0) = 0), the cell is kept iff
+    i <= N - min over W's terms of (a_w + cost(s - b_w)), s = m - 1 - j;
+    the s without an entry keep nothing.  cost is a shortest path over t
+    with steps b - 1 of weight a, found with one queue per cost value, as
+    only the values 0..N matter.  The search stays in the window
+    [-N, 2N - 2] of the wanted t (s <= 2N - 2, and b_w >= 0), which loses
+    no multiset of cost <= N: its only steps down are the monomials with
+    b = 0, each of size 1 and cost a >= 1, so at most N of them; taken
+    first, they keep every partial sum within [-N, max(0, t)].
+    """
+    steps = {}
+    for a, b in problem.poly.terms:
+        if b != 1 and a <= N:
+            steps[b - 1] = min(a, steps.get(b - 1, a))
+    hi = 2 * N - 2
+    cost = {0: 0}
+    queue = [[0]] + [[] for _ in range(N)]  # queue[c]: t reached at cost c
+    for c, ts in enumerate(queue):
+        for t in ts:  # sees the t that zero-weight steps append
+            if cost[t] < c:
+                continue
+            for step, a in steps.items():
+                u, cu = t + step, c + a
+                if -N <= u <= hi and cu < cost.get(u, N + 1):
+                    cost[u] = cu
+                    queue[cu].append(u)
+    limits = {}
+    for bw, terms in wrows.items():
+        aw = min(a for a, _ in terms)
+        for t, c in cost.items():
+            s, top = t + bw, N - aw - c
+            if s <= hi and top > limits.get(s, -1):
+                limits[s] = top
+    return limits
+
+
+def _power_rows(problem, N, wrows):
     """Y-slices {j: {i: coeff}} of P^m for m = 1, 2, ..., 2N - 1, as (m, rows).
 
-    P^m is built incrementally (P^{m+1} = P^m * P); monomials that can no
-    longer land on an extracted cell [X^n Y^(m'-1)] with n <= N are
-    dropped: keep (i, j) only while i <= N, j <= 2N - 2 and
-    (2i + j <= 2N - 1 + m  or  i + j <= N - 1 + m).  Stops early once
-    nothing is left.
+    P^m is built incrementally (P^{m+1} = P^m * P) and keeps exactly the
+    cells that can still land on an extracted cell [X^n Y^(m'-1)] W P^m'
+    with n <= N, for the Y-slices wrows of W = 1 - P'_Y: (i, j) stays iff
+    i <= limits[m - 1 - j] (_reach_limits).  A dropped cell feeds only
+    dropped cells, so every kept value is the full coefficient of P^m.
+    Stops early once nothing is left.
     """
     field = problem.field
     add, mul = field.add, field.mul
     pterms = list(problem.poly.terms.items())
-    ymax = 2 * N - 2
+    limits = _reach_limits(problem, N, wrows)
     rows = {}
     for (a, b), c in pterms:
-        if a <= N and b <= ymax:
+        if a <= limits.get(-b, -1):
             rows.setdefault(b, {})[a] = c
     m_top = 2 * N - 1
     for m in range(1, m_top + 1):
@@ -74,20 +120,20 @@ def _power_rows(problem, N):
         yield m, rows
         if m == m_top:
             return
-        hi2, hi1 = 2 * N + m, N + m  # prune bounds for step m+1
         nxt = {}
         for j, row in rows.items():
             for (a, b), c in pterms:
                 jj = j + b
-                if jj > ymax:
+                top = limits.get(m - jj, -1) - a  # keep i + a <= limit
+                if top < 0:
                     continue
                 dst = nxt.get(jj)
                 if dst is None:
                     dst = nxt[jj] = {}
                 for i, v in row.items():
-                    ii = i + a
-                    if ii > N or (2 * ii + jj > hi2 and ii + jj > hi1):
+                    if i > top:
                         continue
+                    ii = i + a
                     prev = dst.get(ii)
                     product = mul(c, v)
                     dst[ii] = product if prev is None else add(prev, product)
@@ -103,7 +149,7 @@ def fs_coefficients(problem, order):
     add, mul = field.add, field.mul
     wrows = _correction_rows(problem)
     f = [field.zero] * (N + 1)
-    for m, rows in _power_rows(problem, N):
+    for m, rows in _power_rows(problem, N, wrows):
         for bw, wterms in wrows.items():
             row = rows.get(m - 1 - bw)
             if not row:
@@ -117,38 +163,23 @@ def fs_coefficients(problem, order):
     return TruncSeries1(field, f, N)
 
 
-def _substitute(field, slices, degy, f, n):
-    """P(X, f) mod X^(n+1) by Horner in Y on dense lists."""
-    acc = [field.zero] * (n + 1)
-    for j in range(degy, -1, -1):
-        acc = conv(field, acc, f, n)
-        for i, c in slices.get(j, {}).items():
-            if i <= n:
-                acc[i] = field.add(acc[i], c)
-    return acc
-
-
 def fixed_point_coefficients(problem, order):
-    """Independent oracle: iterate f <- P(X, f) from 0, one digit per step.
+    """Independent oracle: the root of Y - P(X, Y) lifted from 0 by Newton.
 
-    P'_Y(0,0) = 0 and f(0) = 0, so coefficient k of P(X, f) depends only on
-    f mod X^k: step k runs at order k and fixes f_k.  A last step at the
-    full order must give f back, which certifies it as the unique fixed
-    point mod X^(order+1).
+    (Y - P)'_Y(0, 0) = 1, so the residue root 0 is simple and hensel_root
+    doubles the X-adic precision per step.  A last exact substitution must
+    give the lift back, P(X, f) = f mod X^(order+1), which certifies it as
+    the unique fixed point.
     """
     field = problem.field
-    N = order
-    slices = {}
-    for (a, b), c in problem.poly.terms.items():
-        if a <= N:
-            slices.setdefault(b, {})[a] = c
-    degy = max(slices, default=0)
-    f = [field.zero] * (N + 1)
-    for k in range(1, N + 1):
-        f[:k + 1] = _substitute(field, slices, degy, f, k)
-    if _substitute(field, slices, degy, f, N) != f:
-        raise AlgSeriesError(f"fixed-point iteration is not stable at order {N}")
-    return TruncSeries1(field, f, N)
+    terms = {(a, b): field.neg(c) for (a, b), c in problem.poly.terms.items()
+             if a <= order}
+    terms[(0, 1)] = field.one  # P'_Y(0, 0) = 0: no Y term to add it to
+    f = hensel_root(BiPoly(field, terms), field.zero, order)
+    if eval_bipoly_at_series(problem.poly, f) != f:
+        raise AlgSeriesError(
+            f"Newton lift is not a fixed point at order {order}")
+    return f
 
 
 def fs_partial_sum(problem, n, m_max):
@@ -163,7 +194,7 @@ def fs_partial_sum(problem, n, m_max):
     add, mul = field.add, field.mul
     wrows = _correction_rows(problem)
     total = field.zero
-    for m, rows in _power_rows(problem, n):
+    for m, rows in _power_rows(problem, n, wrows):
         for bw, wterms in wrows.items():
             row = rows.get(m - 1 - bw)
             if not row:

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from algseries import GF, QQ, BiPoly, parse_poly, parse_ratfun, parse_unipoly
+from algseries import (GF, QQ, BiPoly, RationalFn, parse_poly, parse_ratfun,
+                       parse_unipoly)
 from algseries.errors import (NegativeExponent, ParseError, UnknownSymbol,
                               ZeroDenominator)
 
@@ -143,6 +144,40 @@ def prime_and_rational_polys(draw):
 @given(prime_and_rational_polys())
 def test_prime_and_rational_print_parse_roundtrip(poly):
     assert parse_poly(poly.to_text(), poly.field) == poly
+
+
+@st.composite
+def rational_functions(draw):
+    field = draw(st.sampled_from([QQ, F4, F9]))
+    if field.is_finite:
+        coeffs = st.integers(0, field.order - 1)
+    else:
+        coeffs = st.fractions(-20, 20, max_denominator=12).map(
+            lambda c: c.numerator if c.denominator == 1 else c)
+    polys = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 2)),
+                            coeffs, max_size=4).map(lambda t: BiPoly(field, t))
+    num, den = draw(polys), draw(polys)
+    if den.is_zero():
+        den = BiPoly.one(field)
+    r = RationalFn(num, den)
+    if r.num.deg_y <= 0 and r.den.deg_y <= 0:
+        # without Y, text reads back as a univariate function
+        return RationalFn(r.num.as_unipoly_x(), r.den.as_unipoly_x())
+    return r
+
+
+@given(rational_functions())
+def test_ratfun_print_parse_roundtrip(r):
+    # over Q a coefficient prints as a quotient, as in 1/2*X/(1 + X)
+    assert parse_ratfun(r.to_text(), r.field) == r
+
+
+def test_ratfun_coefficient_quotients():
+    r = RationalFn(parse_poly("X/2", QQ).as_unipoly_x(),
+                   parse_poly("1+X", QQ).as_unipoly_x())
+    assert r.to_text() == "1/2*X/(1 + X)"
+    assert parse_ratfun("1/2*X/(1 + X)", QQ) == r
+    assert parse_ratfun("X / 2", QQ) == parse_ratfun("X/(2)", QQ)
 
 
 def test_division_by_integer_literal():

@@ -1,11 +1,15 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from algseries import (GF, QQ, BiPoly, FixedPointProblem, parse_poly,
                        eval_bipoly_at_series, fixed_point_coefficients,
                        fs_coefficients, fs_partial_sum)
+from algseries.algebra.conv import conv
 from algseries.errors import HypothesisViolated
+from algseries.extract import _correction_rows, _power_rows
 
-from conftest import (F2, F3, F4, F5, catalan_numbers, random_problem,
+from conftest import (F2, F3, F4, F5, F9, catalan_numbers, random_problem,
                       thue_morse)
 
 
@@ -111,3 +115,148 @@ class TestOracleAgreement:
                 prob = random_problem(field, rng)
                 f = fs_coefficients(prob, 12)
                 assert eval_bipoly_at_series(prob.poly, f) == f
+
+
+# -- the earlier algorithms, kept here as references ------------------------
+
+def substitution_oracle(problem, N):
+    """f <- P(X, f) from 0, step k at order k, by Horner on dense lists."""
+    field = problem.field
+    slices = {}
+    for (a, b), c in problem.poly.terms.items():
+        if a <= N:
+            slices.setdefault(b, {})[a] = c
+    degy = max(slices, default=0)
+
+    def substitute(f, n):
+        acc = [field.zero] * (n + 1)
+        for j in range(degy, -1, -1):
+            acc = conv(field, acc, f, n)
+            for i, c in slices.get(j, {}).items():
+                if i <= n:
+                    acc[i] = field.add(acc[i], c)
+        return acc
+
+    f = [field.zero] * (N + 1)
+    for k in range(1, N + 1):
+        f[:k + 1] = substitute(f, k)
+    return f
+
+
+def relaxed_power_rows(problem, N):
+    """P^m rows kept while i <= N, j <= 2N - 2 and
+    (2i + j <= 2N - 1 + m or i + j <= N - 1 + m)."""
+    field = problem.field
+    pterms = list(problem.poly.terms.items())
+    ymax = 2 * N - 2
+    rows = {}
+    for (a, b), c in pterms:
+        if a <= N and b <= ymax:
+            rows.setdefault(b, {})[a] = c
+    for m in range(1, 2 * N):
+        if not rows:
+            return
+        yield m, rows
+        nxt = {}
+        for j, row in rows.items():
+            for (a, b), c in pterms:
+                jj = j + b
+                if jj > ymax:
+                    continue
+                dst = nxt.setdefault(jj, {})
+                for i, v in row.items():
+                    ii = i + a
+                    if ii > N or (2 * ii + jj > 2 * N + m and ii + jj > N + m):
+                        continue
+                    dst[ii] = field.add(dst.get(ii, field.zero), field.mul(c, v))
+        rows = {j: {i: v for i, v in row.items() if v} for j, row in nxt.items()}
+        rows = {j: row for j, row in rows.items() if row}
+
+
+def relaxed_fs_coefficients(problem, N):
+    field = problem.field
+    wrows = _correction_rows(problem)
+    f = [field.zero] * (N + 1)
+    for m, rows in relaxed_power_rows(problem, N):
+        for bw, wterms in wrows.items():
+            for aw, cw in wterms:
+                for i, v in rows.get(m - 1 - bw, {}).items():
+                    if i + aw <= N:
+                        f[i + aw] = field.add(f[i + aw], field.mul(cw, v))
+    f[0] = field.zero
+    return f
+
+
+@st.composite
+def fixed_point_problems(draw):
+    """(P, N) over F2, F3, F4, F5, F9 or Q, with N up to 24."""
+    kind = draw(st.sampled_from(["F2", "F3", "F4", "F5", "F9", "Q", "Q/"]))
+    if kind == "Q":
+        field, coeffs = QQ, st.integers(-9, 9)
+    elif kind == "Q/":
+        field = QQ
+        coeffs = st.fractions(-9, 9, max_denominator=6).map(
+            lambda c: c.numerator if c.denominator == 1 else c)
+    else:
+        field = {"F2": F2, "F3": F3, "F4": F4, "F5": F5, "F9": F9}[kind]
+        coeffs = st.integers(0, field.order - 1)
+    monomials = st.tuples(st.integers(0, 3), st.integers(0, 4)).filter(
+        lambda ab: 2 * ab[0] + ab[1] >= 2)
+    terms = draw(st.dictionaries(monomials, coeffs, min_size=1, max_size=4))
+    return FixedPointProblem(BiPoly(field, terms)), draw(st.integers(1, 24))
+
+
+def reaching_cells(problem, N):
+    """{m: cells (i, j) of the support of P^m with i <= N from which a chain
+    of P's monomials reaches an extracted cell [X^n Y^(m'-1)] W P^m'}."""
+    mono = list(problem.poly.terms)
+    wmono = [(a, b) for b, terms in _correction_rows(problem).items()
+             for a, _ in terms]
+    support = {1: {(a, b) for a, b in mono if a <= N}}
+    for m in range(2, 2 * N):
+        support[m] = {(i + a, j + b) for i, j in support[m - 1]
+                      for a, b in mono if i + a <= N}
+    need = {2 * N: set()}
+    for m in range(2 * N - 1, 0, -1):
+        need[m] = {(i, j) for i, j in support[m]
+                   if any(i + aw <= N and j + bw == m - 1 for aw, bw in wmono)
+                   or any((i + a, j + b) in need[m + 1] for a, b in mono)}
+    return need
+
+
+class TestAgainstEarlierAlgorithms:
+    @given(fixed_point_problems())
+    def test_newton_oracle_matches_substitution(self, case):
+        prob, N = case
+        assert list(fixed_point_coefficients(prob, N).coeffs) == \
+            substitution_oracle(prob, N)
+
+    @given(fixed_point_problems())
+    def test_fs_coefficients_match_relaxed_sweep(self, case):
+        prob, N = case
+        assert list(fs_coefficients(prob, N).coeffs) == \
+            relaxed_fs_coefficients(prob, N)
+
+    @given(fixed_point_problems())
+    def test_kept_cells_are_kept_by_relaxed_rule(self, case):
+        # same values on a subset of the cells, row by row
+        prob, N = case
+        old = dict(relaxed_power_rows(prob, N))
+        for m, rows in _power_rows(prob, N, _correction_rows(prob)):
+            for j, row in rows.items():
+                for i, v in row.items():
+                    assert old.get(m, {}).get(j, {}).get(i) == v
+
+    @given(st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 4)).filter(
+            lambda ab: 2 * ab[0] + ab[1] >= 2),
+        st.integers(1, 5), min_size=1, max_size=4), st.integers(1, 12))
+    def test_prune_is_exact(self, terms, N):
+        # positive coefficients over Q: no cancellation, so the kept cells
+        # are the supports' cells that reach an extracted cell, no more
+        prob = FixedPointProblem(BiPoly(QQ, terms))
+        need = reaching_cells(prob, N)
+        kept = {m: {(i, j) for j, row in rows.items() for i in row}
+                for m, rows in _power_rows(prob, N, _correction_rows(prob))}
+        for m in range(1, 2 * N):
+            assert kept.get(m, set()) == need[m]
