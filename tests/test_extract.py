@@ -187,6 +187,11 @@ def relaxed_fs_coefficients(problem, N):
     return f
 
 
+# monomials X^a Y^b that P may have: 2a + b >= 2
+MONOMIALS = st.tuples(st.integers(0, 3), st.integers(0, 4)).filter(
+    lambda ab: 2 * ab[0] + ab[1] >= 2)
+
+
 @st.composite
 def fixed_point_problems(draw):
     """(P, N) over F2, F3, F4, F5, F9 or Q, with N up to 24."""
@@ -200,9 +205,7 @@ def fixed_point_problems(draw):
     else:
         field = {"F2": F2, "F3": F3, "F4": F4, "F5": F5, "F9": F9}[kind]
         coeffs = st.integers(0, field.order - 1)
-    monomials = st.tuples(st.integers(0, 3), st.integers(0, 4)).filter(
-        lambda ab: 2 * ab[0] + ab[1] >= 2)
-    terms = draw(st.dictionaries(monomials, coeffs, min_size=1, max_size=4))
+    terms = draw(st.dictionaries(MONOMIALS, coeffs, min_size=1, max_size=4))
     return FixedPointProblem(BiPoly(field, terms)), draw(st.integers(1, 24))
 
 
@@ -247,10 +250,8 @@ class TestAgainstEarlierAlgorithms:
                 for i, v in row.items():
                     assert old.get(m, {}).get(j, {}).get(i) == v
 
-    @given(st.dictionaries(
-        st.tuples(st.integers(0, 3), st.integers(0, 4)).filter(
-            lambda ab: 2 * ab[0] + ab[1] >= 2),
-        st.integers(1, 5), min_size=1, max_size=4), st.integers(1, 12))
+    @given(st.dictionaries(MONOMIALS, st.integers(1, 5), min_size=1,
+                           max_size=4), st.integers(1, 12))
     def test_prune_is_exact(self, terms, N):
         # positive coefficients over Q: no cancellation, so the kept cells
         # are the supports' cells that reach an extracted cell, no more
