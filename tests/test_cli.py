@@ -56,7 +56,9 @@ with open(os.path.join(DATA, "annihilate_golden.json")) as _handle:
 
 # extract runs with their argv: the extract jobs of the extract-Q (q0-q9)
 # and series-Fq (fq0-fq2) benchmark workloads at seed 1, two text-format
-# runs over Q and one input that breaks a hypothesis
+# runs over Q, one input that breaks a hypothesis, and three --check runs
+# over Q for the packed integer sweep: mixed denominators (lcm 105), large
+# integer coefficients, and alternating signs (negative slots throughout)
 with open(os.path.join(DATA, "extract_golden.json")) as _handle:
     EXTRACT_GOLDEN = json.load(_handle)
 
