@@ -10,10 +10,17 @@ The sum is finite in disguise: every monomial X^a Y^b of P has 2a + b >= 2
 2i + j >= 2m, and [X^n Y^(m-1)] P^m forces 2n + m - 1 >= 2m, i.e.
 m <= 2n - 1.  fs_coefficients evaluates the sum exactly with that cutoff,
 building only the cells of P^m from which some product of P's monomials
-still reaches an extracted cell (_reach_limits); fixed_point_coefficients
-is the independent oracle (Newton lifting of Y - P(X, Y), certified by one
-exact substitution), and fs_partial_sum exposes the per-m partial sums.
+still reaches an extracted cell (_reach_limits).  Over finite fields the
+Y-slices of P^m are {i: coeff} dicts (_power_rows); over Q they are the
+same cells of (D*P)^m, D the lcm of P's denominators, packed into one
+Python int per slice with signed slots of a proven width (_packed_rows,
+fs_coefficients).  fixed_point_coefficients is the independent oracle
+(Newton lifting of Y - P(X, Y), certified by one exact substitution), and
+fs_partial_sum exposes the per-m partial sums on the dict rows.
 """
+
+from fractions import Fraction
+from math import lcm
 
 from .algebra.fields import FieldElement
 from .algebra.polys import BiPoly, derivative_y
@@ -142,12 +149,141 @@ def _power_rows(problem, N, wrows):
         rows = {j: row for j, row in rows.items() if row}
 
 
+def _integer_form(problem, N, wrows):
+    """(D, P_Z, W_Z, w) of the packed sweep over Q (see fs_coefficients).
+
+    Only the terms with a <= N enter: the others never reach a kept cell
+    or an extracted coefficient.  P_Z and W_Z are lists of (a, b, c).
+    """
+    terms = [(a, b, c) for (a, b), c in problem.poly.terms.items() if a <= N]
+    D = lcm(*(c.denominator for _, _, c in terms))
+    pz = [(a, b, int(c * D)) for a, b, c in terms]
+    wz = [(a, b, int(c * D)) for b, row in wrows.items()
+          for a, c in row if a <= N]
+    bound = (2 * N * sum(abs(c) for _, _, c in wz)
+             * max(sum(abs(c) for _, _, c in pz), D) ** (2 * N - 1))
+    return D, pz, wz, bound.bit_length() + 2
+
+
+def _packed_rows(pz, limits, N, w):
+    """Y-slices {j: (lo, x)} of P_Z^m for m = 1, ..., 2N - 1, as (m, rows).
+
+    The cells of _power_rows, times D^m, with slot k of x holding the cell
+    (lo + k, j) (see fs_coefficients).  Stops early once nothing is left.
+    """
+    rows = {0: (0, 1)}  # P_Z^0
+    for m in range(2 * N - 1):
+        nxt = {}  # jj: [least lo so far, sum of the sources shifted to it]
+        for j, (lo, x) in rows.items():
+            for a, b, c in pz:
+                jj = j + b
+                s = lo + a
+                if s > limits.get(m - jj, -1):
+                    continue
+                y = x if c == 1 else c * x
+                entry = nxt.get(jj)
+                if entry is None:
+                    nxt[jj] = [s, y]
+                elif s >= entry[0]:
+                    entry[1] += y << w * (s - entry[0])
+                else:
+                    entry[1] = (entry[1] << w * (entry[0] - s)) + y
+                    entry[0] = s
+        rows = {}
+        for jj, (base, acc) in nxt.items():
+            bits = w * (limits[m - jj] - base + 1)
+            if acc.bit_length() >= bits:  # a slot above the limit is nonzero
+                acc &= (1 << bits) - 1
+                if acc >> (bits - 1):
+                    acc -= 1 << bits
+            if acc:
+                rows[jj] = (base, acc)
+        if not rows:
+            return
+        yield m + 1, rows
+
+
+def _unpack(x, count, w):
+    """The first count signed w-bit slots of x, lowest first."""
+    out = []
+    full, half = 1 << w, 1 << (w - 1)
+    mask = full - 1
+    for _ in range(count):
+        v = x & mask
+        if v >= half:
+            v -= full
+        out.append(v)
+        x = (x - v) >> w
+    return out
+
+
+def _rational_coefficients(problem, N, wrows):
+    """f_0..f_N over Q by the packed sweep (see fs_coefficients)."""
+    D, pz, wz, w = _integer_form(problem, N, wrows)
+    A = last = 0
+    for m, rows in _packed_rows(pz, _reach_limits(problem, N, wrows), N, w):
+        T = 0
+        for aw, bw, cw in wz:
+            row = rows.get(m - 1 - bw)
+            if row:
+                lo, x = row
+                T += (x if cw == 1 else cw * x) << w * (lo + aw)
+        A = A + T if D == 1 else A * D + T
+        last = m
+    values = _unpack(A, N + 1, w)
+    values[0] = 0  # forced by P(0,0) = 0
+    if D == 1:
+        return values
+    den = D ** (last + 1)
+    out = []
+    for v in values:
+        q = Fraction(v, den)
+        out.append(q.numerator if q.denominator == 1 else q)
+    return out
+
+
 def fs_coefficients(problem, order):
-    """f_1..f_order of the fixed point, one coefficient list per the formula."""
+    """f_0..f_order of the fixed point, by the formula.
+
+    Over finite fields the sweep keeps the dict rows of _power_rows.  Over
+    Q it keeps the same cells as integers packed into Python ints, so one
+    big-int operation replaces a field call per cell.  With D the lcm of
+    the denominators of P, P_Z = D*P and W_Z = D*W (W = 1 - P'_Y),
+
+        f_n = sum_m T_m[n] / D^(m+1),   T_m = [Y^(m-1)] W_Z P_Z^m,
+
+    so the accumulator A <- A*D + T_m over m = 1..M (M the last m with
+    rows left) gives f_n = A[n] / D^(M+1), an int when integral as in QQ.
+    Y-slice j of P_Z^m is a pair (lo, x), x = sum_k v_k 2^(w k), where the
+    signed slot v_k is the cell (lo + k, j).  Row jj of P_Z^(m+1) sums its
+    sources c*x shifted to the least lo + a among them, keeps the slots
+    i <= limits[m - jj] by the symmetric residue mod 2^(w (limit - lo + 1))
+    and is dropped when zero; A collects c_w*x shifted to lo + a_w, and is
+    decoded once, slot by slot with borrows.  The slot width
+
+        w = bit_length(2N |W_Z|_1 B^(2N-1)) + 2,   B = max(|P_Z|_1, D),
+
+    with |.|_1 the sum of absolute coefficients, keeps every slot strictly
+    inside (-2^(w-2), 2^(w-2)), which makes the packing exact.  For
+    m <= 2N - 1:
+      * a cell of P_Z^m is at most |P_Z^m|_1 <= |P_Z|_1^m <= B^(2N-1);
+      * a slot of a row of P_Z^(m+1) before truncation sums c*v over at
+        most one kept cell v of P_Z^m per term c of P_Z, and kept cells
+        are full coefficients, so it is at most |P_Z|_1^(m+1);
+      * a slot of T_m sums c_w*v over at most one kept cell per term c_w
+        of W_Z, so it is at most |W_Z|_1 |P_Z|_1^m, and a slot of
+        A = sum_m T_m D^(M-m), or of any partial sum of it, is at most
+        M |W_Z|_1 B^M < 2N |W_Z|_1 B^(2N-1).
+    Finite fields keep dicts because zero cells vanish there (Lucas): an
+    F_q row spans several times as many slots as it has nonzero cells, and
+    lifting F_p to Z for the packed sweep ran about 7 times slower.
+    """
     field = problem.field
     N = order
-    add, mul = field.add, field.mul
     wrows = _correction_rows(problem)
+    if field.kind == "rationals":
+        return TruncSeries1(field, _rational_coefficients(problem, N, wrows), N)
+    add, mul = field.add, field.mul
     f = [field.zero] * (N + 1)
     for m, rows in _power_rows(problem, N, wrows):
         for bw, wterms in wrows.items():

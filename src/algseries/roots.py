@@ -60,28 +60,39 @@ def residue_roots(P):
 def hensel_root(P, a0, order):
     """The unique series f with f(0) = a0 and P(X, f) = 0 mod X^(order+1).
 
-    Newton update f <- f - P(X,f)/P_Y(X,f) with X-adic precision doubling;
-    needs the residue root to be simple.  Each step evaluates P and P_Y by
-    Horner's rule and divides with the Newton series inverse, all through
-    the conv product kernel, so the lift costs a constant times one series
-    product at the final order.
+    Newton update f <- f - g*P(X,f) with X-adic precision doubling, where
+    g = 1/P_Y(X, f) is carried between steps instead of inverted afresh;
+    needs the residue root to be simple.  Before the step from precision k
+    to 2k, one Newton step g <- g + g*(1 - g*P_Y(X, f)) takes g from
+    precision k/2 to k, which is all the update needs, as P(X, f) = 0
+    mod X^k.  P and P_Y are evaluated by Horner's rule through the conv
+    product kernel, so the lift costs a constant times one series product
+    at the final order.
     """
     field = P.field
     raw = a0.raw if isinstance(a0, FieldElement) else a0
     if P.eval_x(field.zero).evaluate(raw):
         raise HypothesisViolated("a0 is not a residue root of P")
     PY = derivative_y(P)
-    if not PY.eval_x(field.zero).evaluate(raw):
+    slope0 = PY.eval_x(field.zero).evaluate(raw)
+    if not slope0:
         raise NonSimpleRoot("P_Y(0, a0) = 0; Newton lifting does not apply")
-    f = TruncSeries1(field, [raw], 0)
-    prec = 1
-    while prec <= order:
-        prec = min(2 * prec, order + 1)
-        f = TruncSeries1(field, f.coeffs, prec - 1)
-        value = eval_bipoly_at_series(P, f)
-        slope = eval_bipoly_at_series(PY, f)
-        f = f - value * slope.inverse()
-    return f
+    f = [raw]  # the root mod X^k
+    g = [field.inv(slope0)]  # 1/P_Y(X, f) mod X^len(g)
+    k = 1
+    while k <= order:
+        h = len(g)
+        if h < k:
+            # g*P_Y(X, f) = 1 + X^h * r mod X^k
+            slope = eval_bipoly_at_series(PY, TruncSeries1(field, f))
+            r = conv(field, slope.coeffs, g, k - 1)[h:]
+            g += [field.neg(c) for c in conv(field, g, r, k - 1 - h)]
+        prec = min(2 * k, order + 1)
+        value = eval_bipoly_at_series(P, TruncSeries1(field, f, prec - 1))
+        # P(X, f) = X^k * v mod X^prec, and f has degree < k
+        f += [field.neg(c) for c in conv(field, value.coeffs[k:], g, prec - 1 - k)]
+        k = prec
+    return TruncSeries1(field, f, order)
 
 
 # -- polynomials in Y over F_q(X), represented as coefficient lists ---------

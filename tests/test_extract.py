@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -6,8 +8,12 @@ from algseries import (GF, QQ, BiPoly, FixedPointProblem, parse_poly,
                        eval_bipoly_at_series, fixed_point_coefficients,
                        fs_coefficients, fs_partial_sum)
 from algseries.algebra.conv import conv
+from algseries.algebra.polys import derivative_y
+from algseries.algebra.series import TruncSeries1
 from algseries.errors import HypothesisViolated
-from algseries.extract import _correction_rows, _power_rows
+from algseries.extract import (_correction_rows, _integer_form, _packed_rows,
+                               _power_rows, _reach_limits, _unpack)
+from algseries.roots import hensel_root
 
 from conftest import (F2, F3, F4, F5, F9, catalan_numbers, random_problem,
                       thue_morse)
@@ -192,16 +198,27 @@ MONOMIALS = st.tuples(st.integers(0, 3), st.integers(0, 4)).filter(
     lambda ab: 2 * ab[0] + ab[1] >= 2)
 
 
+def rationals(bound, denominator):
+    # QQ keeps integral values as ints
+    return st.fractions(-bound, bound, max_denominator=denominator).map(
+        lambda c: c.numerator if c.denominator == 1 else c)
+
+
 @st.composite
-def fixed_point_problems(draw):
-    """(P, N) over F2, F3, F4, F5, F9 or Q, with N up to 24."""
-    kind = draw(st.sampled_from(["F2", "F3", "F4", "F5", "F9", "Q", "Q/"]))
+def fixed_point_problems(draw, kinds=("F2", "F3", "F4", "F5", "F9", "Q",
+                                      "Q/", "Qbig")):
+    """(P, N) over F2, F3, F4, F5, F9 or Q, with N up to 24.
+
+    Qbig draws coefficients up to 10^6 in size with denominators up to
+    10^3, so the packed rows of the Q sweep run near their width bound.
+    """
+    kind = draw(st.sampled_from(kinds))
     if kind == "Q":
         field, coeffs = QQ, st.integers(-9, 9)
     elif kind == "Q/":
-        field = QQ
-        coeffs = st.fractions(-9, 9, max_denominator=6).map(
-            lambda c: c.numerator if c.denominator == 1 else c)
+        field, coeffs = QQ, rationals(9, 6)
+    elif kind == "Qbig":
+        field, coeffs = QQ, rationals(10 ** 6, 10 ** 3)
     else:
         field = {"F2": F2, "F3": F3, "F4": F4, "F5": F5, "F9": F9}[kind]
         coeffs = st.integers(0, field.order - 1)
@@ -250,6 +267,24 @@ class TestAgainstEarlierAlgorithms:
                 for i, v in row.items():
                     assert old.get(m, {}).get(j, {}).get(i) == v
 
+    @given(fixed_point_problems(kinds=("Q", "Q/", "Qbig")))
+    def test_packed_rows_match_dict_rows(self, case):
+        # decoded and divided by D^m, every packed row of P_Z^m is the dict
+        # row of P^m, cell for cell
+        prob, N = case
+        wrows = _correction_rows(prob)
+        D, pz, _, w = _integer_form(prob, N, wrows)
+        packed = _packed_rows(pz, _reach_limits(prob, N, wrows), N, w)
+        dict_rows = _power_rows(prob, N, wrows)
+        for (m, rows), (m_dict, want) in zip(packed, dict_rows, strict=True):
+            assert m == m_dict
+            got = {}
+            for j, (lo, x) in rows.items():
+                slots = _unpack(x, x.bit_length() // w + 1, w)
+                got[j] = {lo + k: Fraction(v, D ** m)
+                          for k, v in enumerate(slots) if v}
+            assert got == want
+
     @given(st.dictionaries(MONOMIALS, st.integers(1, 5), min_size=1,
                            max_size=4), st.integers(1, 12))
     def test_prune_is_exact(self, terms, N):
@@ -261,3 +296,46 @@ class TestAgainstEarlierAlgorithms:
                 for m, rows in _power_rows(prob, N, _correction_rows(prob))}
         for m in range(1, 2 * N):
             assert kept.get(m, set()) == need[m]
+
+
+def doubling_hensel_root(P, a0, order):
+    """The Newton lift that inverts the slope from scratch at every step."""
+    field = P.field
+    PY = derivative_y(P)
+    f = TruncSeries1(field, [a0], 0)
+    prec = 1
+    while prec <= order:
+        prec = min(2 * prec, order + 1)
+        f = TruncSeries1(field, f.coeffs, prec - 1)
+        value = eval_bipoly_at_series(P, f)
+        slope = eval_bipoly_at_series(PY, f)
+        f = f - value * slope.inverse()
+    return f
+
+
+@st.composite
+def simple_roots(draw):
+    """(P, a0, order): P = s(Y - a0) + c(Y - a0)^2 + X R(X, Y), s != 0."""
+    kind = draw(st.sampled_from(["F2", "F3", "F4", "F5", "F9", "Q"]))
+    if kind == "Q":
+        field, coeffs = QQ, rationals(9, 6)
+    else:
+        field = {"F2": F2, "F3": F3, "F4": F4, "F5": F5, "F9": F9}[kind]
+        coeffs = st.integers(0, field.order - 1)
+    a0, c = draw(coeffs), draw(coeffs)
+    slope = draw(coeffs.filter(bool))
+    rest = draw(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                                coeffs, max_size=4))
+    shifted = BiPoly(field, {(0, 1): field.one, (0, 0): field.neg(a0)})
+    P = (shifted.scale(slope) + (shifted * shifted).scale(c)
+         + BiPoly(field, rest).mul_monomial(1, 0))
+    return P, a0, draw(st.integers(0, 40))
+
+
+class TestCarriedInverse:
+    @given(simple_roots())
+    def test_hensel_root_matches_doubling_inverse(self, case):
+        P, a0, order = case
+        f = hensel_root(P, a0, order)
+        assert f == doubling_hensel_root(P, a0, order)
+        assert eval_bipoly_at_series(P, f).is_zero()
