@@ -235,11 +235,8 @@ def _rational_coefficients(problem, N, wrows):
     if D == 1:
         return values
     den = D ** (last + 1)
-    out = []
-    for v in values:
-        q = Fraction(v, den)
-        out.append(q.numerator if q.denominator == 1 else q)
-    return out
+    quotients = (Fraction(v, den) for v in values)
+    return [q.numerator if q.denominator == 1 else q for q in quotients]
 
 
 def fs_coefficients(problem, order):
@@ -276,7 +273,8 @@ def fs_coefficients(problem, order):
         M |W_Z|_1 B^M < 2N |W_Z|_1 B^(2N-1).
     Finite fields keep dicts because zero cells vanish there (Lucas): an
     F_q row spans several times as many slots as it has nonzero cells, and
-    lifting F_p to Z for the packed sweep ran about 7 times slower.
+    the packed sweep over Z ran about 5 times slower than the dict sweep
+    over F_p on the same integer coefficients.
     """
     field = problem.field
     N = order

@@ -198,6 +198,9 @@ MONOMIALS = st.tuples(st.integers(0, 3), st.integers(0, 4)).filter(
     lambda ab: 2 * ab[0] + ab[1] >= 2)
 
 
+FINITE = {"F2": F2, "F3": F3, "F4": F4, "F5": F5, "F9": F9}
+
+
 def rationals(bound, denominator):
     # QQ keeps integral values as ints
     return st.fractions(-bound, bound, max_denominator=denominator).map(
@@ -220,7 +223,7 @@ def fixed_point_problems(draw, kinds=("F2", "F3", "F4", "F5", "F9", "Q",
     elif kind == "Qbig":
         field, coeffs = QQ, rationals(10 ** 6, 10 ** 3)
     else:
-        field = {"F2": F2, "F3": F3, "F4": F4, "F5": F5, "F9": F9}[kind]
+        field = FINITE[kind]
         coeffs = st.integers(0, field.order - 1)
     terms = draw(st.dictionaries(MONOMIALS, coeffs, min_size=1, max_size=4))
     return FixedPointProblem(BiPoly(field, terms)), draw(st.integers(1, 24))
@@ -316,11 +319,11 @@ def doubling_hensel_root(P, a0, order):
 @st.composite
 def simple_roots(draw):
     """(P, a0, order): P = s(Y - a0) + c(Y - a0)^2 + X R(X, Y), s != 0."""
-    kind = draw(st.sampled_from(["F2", "F3", "F4", "F5", "F9", "Q"]))
+    kind = draw(st.sampled_from([*FINITE, "Q"]))
     if kind == "Q":
         field, coeffs = QQ, rationals(9, 6)
     else:
-        field = {"F2": F2, "F3": F3, "F4": F4, "F5": F5, "F9": F9}[kind]
+        field = FINITE[kind]
         coeffs = st.integers(0, field.order - 1)
     a0, c = draw(coeffs), draw(coeffs)
     slope = draw(coeffs.filter(bool))
