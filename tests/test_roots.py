@@ -1,3 +1,6 @@
+import json
+import os
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -6,6 +9,7 @@ from algseries import (GF, QQ, BiPoly, TruncSeries1, UniPoly, attach_outputs,
                        frobenius_from_poly, hensel_root, parse_poly,
                        residue_roots, roots_automata, verify_relation)
 from algseries.annihilator import FrobeniusRelation
+from algseries.cli import parse_field_spec
 from algseries.roots import BranchRoot, closure_output_order, spot_check_closure
 from algseries.errors import (AlgSeriesError, DegenerateReduction,
                               HypothesisViolated, InfiniteField,
@@ -24,6 +28,12 @@ FIVE_STATE_POLY = "Y^2+(1+X)*Y+X^2"     # roots need a five-state automaton
 # 262-state closure of BFS depth 19: no number below 3^18 has the 19 digits
 # that reach its deepest states, far beyond the order outputs are evaluated at
 DEEP_F3_POLY = "2*X^3+2*X^3*Y^3+Y+X^3*Y+2*X*Y+Y^3+X"
+
+# relations of length 3 with coefficient degrees up to 220 (the F5 cubic),
+# 896 (F8) and 1332 (F9), each as FrobeniusRelation.to_text prints it
+with open(os.path.join(os.path.dirname(__file__), "data",
+                       "relations_golden.json")) as _handle:
+    RELATIONS_GOLDEN = json.load(_handle)
 
 
 class TestResidueRoots:
@@ -123,6 +133,12 @@ class TestFrobeniusFromPoly:
     def test_needs_y(self):
         with pytest.raises(HypothesisViolated):
             frobenius_from_poly(parse_poly("X^2+1", F2))
+
+    @pytest.mark.parametrize("name", sorted(RELATIONS_GOLDEN))
+    def test_golden_relations(self, name):
+        want = RELATIONS_GOLDEN[name]
+        P = parse_poly(want["poly"], parse_field_spec(want["field"]))
+        assert frobenius_from_poly(P).to_text() == want["relation"]
 
 
 class TestCartierClosure:
