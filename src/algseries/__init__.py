@@ -10,8 +10,8 @@ from .algebra import (GF, QQ, BiPoly, Field, FieldElement, RationalFn,
                       TruncSeries1, TruncSeries2, UniPoly, derivative_y,
                       diagonal_series, eval_bipoly_at_series,
                       series_expand_ratio, substitute_xy)
-from .annihilator import (FrobeniusRelation, KernelMatrix, frobenius_relation,
-                          kernel_matrix, null_left_vector, verify_relation)
+from .annihilator import (FrobeniusRelation, frobenius_relation,
+                          null_left_vector, verify_relation)
 from .automaton import DFAO, export_dot, from_json, to_json
 from .cartier import (KernelAutomaton2D, KernelState, cartier_bi, cartier_uni,
                       diagonal_automaton, kernel_output, rational_kernel)
@@ -30,8 +30,7 @@ __all__ = [
     "TruncSeries2", "UniPoly", "derivative_y", "diagonal_series",
     "eval_bipoly_at_series", "series_expand_ratio", "substitute_xy", "Field",
     "ExprAst",
-    "FrobeniusRelation", "KernelMatrix",
-    "frobenius_relation", "kernel_matrix", "null_left_vector",
+    "FrobeniusRelation", "frobenius_relation", "null_left_vector",
     "verify_relation", "DFAO", "export_dot", "from_json", "to_json",
     "KernelAutomaton2D", "KernelState", "cartier_bi", "cartier_uni",
     "diagonal_automaton", "kernel_output", "rational_kernel", "DiagonalRep",

@@ -165,12 +165,6 @@ class Field:
             n >>= 1
         return result
 
-    def sum(self, values):
-        acc = self.zero
-        for v in values:
-            acc = self.add(acc, v)
-        return acc
-
     # Serialization of raw values for JSON automata and reports.
     def to_literal(self, a):
         raise NotImplementedError
@@ -250,12 +244,9 @@ class ExtensionField(Field):
         modulus = tuple(c % p for c in modulus)
         if len(modulus) != k + 1 or not modulus[-1]:
             raise AlgSeriesError(f"modulus must have degree {k}")
+        q = _table_size(p, k)
         if not _irreducible(modulus, p):
             raise AlgSeriesError("modulus is reducible over F_p")
-        q = p ** k
-        if q > _TABLE_CAP:
-            raise AlgSeriesError(
-                f"extension of size {q} exceeds table cap {_TABLE_CAP}")
         self.char = p
         self.degree = k
         self.order = q
@@ -487,6 +478,7 @@ def GF(q, modulus=None):
         if modulus is not None:
             raise AlgSeriesError("prime fields take no modulus")
         return _cached_field(p, 1, None)
+    _table_size(p, k)
     if modulus is None:
         if q in _BUILTIN_MODULI:
             modulus = _BUILTIN_MODULI[q][1]
@@ -496,6 +488,16 @@ def GF(q, modulus=None):
         coeffs = getattr(modulus, "coeffs", modulus)
         modulus = tuple(int(c) % p for c in coeffs)
     return _cached_field(p, k, tuple(modulus))
+
+
+def _table_size(p, k):
+    """p^k, once it is within the table cap: checked before any search for
+    or test of a modulus, whose brute force grows like p^k."""
+    q = p ** k
+    if q > _TABLE_CAP:
+        raise AlgSeriesError(
+            f"extension of size {q} exceeds table cap {_TABLE_CAP}")
+    return q
 
 
 def _search_modulus(p, k):

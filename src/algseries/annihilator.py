@@ -18,6 +18,7 @@ highest-index coefficient monic.
 
 from dataclasses import dataclass
 
+from .algebra.conv import accumulate
 from .algebra.polys import UniPoly
 from .algebra.series import TruncSeries1
 from .errors import (BaseMismatch, DegreeBlowup, InfiniteField,
@@ -104,57 +105,33 @@ def canonical_relation(polys, q):
     return FrobeniusRelation(tuple(polys), q)
 
 
-@dataclass(frozen=True)
-class KernelMatrix:
-    """A(X) with A_{i,j} = sum of X^r over digits r with delta(i, r) = j."""
+def _kernel_rows(automaton):
+    """Rows B_0..B_d: B_k is the initial state's row of prod_{i=k}^{d} A(X^(q^i)).
 
-    entries: tuple  # d x d tuple of UniPoly
-    q: int
-
-    @property
-    def size(self):
-        return len(self.entries)
-
-
-def kernel_matrix(automaton):
-    """Kernel matrix of a digit automaton whose base matches its field."""
-    field = automaton.field
-    if not field.is_finite:
-        raise InfiniteField("kernel matrices require a finite field")
-    if automaton.arity != 1:
-        raise BaseMismatch("kernel matrices need a one-dimensional automaton")
-    if automaton.q != field.order:
-        raise BaseMismatch(
-            f"digit base {automaton.q} differs from field cardinality {field.order}")
+    The product M_k = A(X^(q^k)) * M_(k+1) is built from the identity M_(d+1) down:
+    row s of A(X^e) * M is sum_r X^(r*e) * M[delta(s, r)], so each cell is
+    one accumulate of at most q shifted cells of the product before it.
+    """
+    field, q, delta = automaton.field, automaton.q, automaton.transitions
     d = automaton.n_states
+    one = field.one
+    prod = [[[one] if s == j else [] for j in range(d)] for s in range(d)]
     rows = []
-    for i in range(d):
-        row = [dict() for _ in range(d)]
-        for r in range(automaton.q):
-            row[automaton.transitions[i][r]][r] = field.one
-        rows.append(tuple(
-            UniPoly(field, [cell.get(k, field.zero)
-                            for k in range(max(cell, default=-1) + 1)])
-            for cell in row))
-    return KernelMatrix(tuple(rows), automaton.q)
+    for k in range(d, -1, -1):
+        e = q ** k
+        prod = [[_shifted_sum(field, [(r * e, one, prod[t][j])
+                                      for r, t in enumerate(delta[s])
+                                      if prod[t][j]])
+                 for j in range(d)] for s in range(d)]
+        rows.append([UniPoly(field, cell) for cell in prod[automaton.initial]])
+    rows.reverse()
+    return rows
 
 
-def _matmul(A, B, field):
-    n, mid, m = len(A), len(B), len(B[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = UniPoly.zero(field)
-            for k in range(mid):
-                acc = acc + A[i][k] * B[k][j]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _subst_matrix(M, e):
-    return tuple(tuple(p.subst_power(e) for p in row) for row in M)
+def _shifted_sum(field, terms):
+    """sum of x * X^i * row over (i, x, row), as a coefficient list."""
+    size = max((i + len(row) for i, _, row in terms), default=0)
+    return accumulate(field, [field.zero] * size, terms)
 
 
 def null_left_vector(rows):
@@ -213,24 +190,23 @@ def frobenius_relation(automaton, size_cap=KERNEL_SIZE_CAP, check_order=256):
     truncation; always succeeds when the minimized automaton has
     d <= size_cap states.
     """
+    field = automaton.field
+    if not field.is_finite:
+        raise InfiniteField("kernel matrices require a finite field")
+    if automaton.arity != 1:
+        raise BaseMismatch("kernel matrices need a one-dimensional automaton")
+    if automaton.q != field.order:
+        raise BaseMismatch(
+            f"digit base {automaton.q} differs from field cardinality {field.order}")
     automaton = automaton.minimize()
-    matrix = kernel_matrix(automaton)
-    d = matrix.size
+    d = automaton.n_states
     if d > size_cap:
         raise DegreeBlowup(f"kernel has {d} states, cap is {size_cap}")
-    field = automaton.field
     q = automaton.q
     series = automaton.generate(check_order)
     if series.is_zero():
         return FrobeniusRelation((UniPoly.one(field),), q)
-    # rows[k] = first row of prod_{i=k}^{d} A(X^(q^i))
-    prod = _subst_matrix(matrix.entries, q ** d)
-    rows = [prod[0]]
-    for k in range(d - 1, -1, -1):
-        prod = _matmul(_subst_matrix(matrix.entries, q ** k), prod, field)
-        rows.append(prod[0])
-    rows.reverse()
-    combo = null_left_vector(rows)
+    combo = null_left_vector(_kernel_rows(automaton))
     if combo is None:
         raise NoRelation("no dependency among kernel rows; internal error")
     relation = canonical_relation(combo, q)

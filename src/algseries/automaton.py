@@ -57,9 +57,6 @@ class DFAO:
     def n_states(self):
         return len(self.transitions)
 
-    def output_element(self, state):
-        return FieldElement(self.field, self.outputs[state])
-
     def _digits(self, n):
         digits = []
         while n:

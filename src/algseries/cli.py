@@ -189,7 +189,7 @@ def cmd_gen(args):
     cfg = CliConfig.from_args(args, with_field=False)
     with open(args.automaton) as handle:
         automaton = from_json(handle.read())
-    values = [automaton.run_raw(n) for n in range(cfg.order + 1)]
+    values = automaton.generate(cfg.order).coeffs
     print(" ".join(automaton.field.fmt(v) for v in values))
     return EXIT_OK
 

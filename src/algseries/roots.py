@@ -30,7 +30,7 @@ from .algebra.fields import FieldElement
 from .algebra.polys import RationalFn, UniPoly, derivative_y
 from .algebra.series import TruncSeries1, eval_bipoly_at_series, poly_to_series
 from .annihilator import (FrobeniusRelation, canonical_relation,
-                          null_left_vector, verify_relation)
+                          null_left_vector, primitive_part, verify_relation)
 from .automaton import DFAO
 from .cartier import cartier_uni, close
 from .errors import (AlgSeriesError, DegenerateReduction, HypothesisViolated,
@@ -95,7 +95,7 @@ def hensel_root(P, a0, order):
     return TruncSeries1(field, f, order)
 
 
-# -- polynomials in Y over F_q(X), represented as coefficient lists ---------
+# -- polynomials in Y over F_q[X], as lists of UniPoly, constant term first --
 
 def _ytrim(a):
     while a and a[-1].is_zero():
@@ -103,46 +103,31 @@ def _ytrim(a):
     return a
 
 
-def _ymul(a, b, field):
-    if not a or not b:
-        return []
-    out = [RationalFn.zero(field) for _ in range(len(a) + len(b) - 1)]
-    for i, x in enumerate(a):
-        if not x.is_zero():
-            for j, y in enumerate(b):
-                if not y.is_zero():
-                    out[i + j] = out[i + j] + x * y
-    return _ytrim(out)
-
-
-def _ymod(a, m):
-    a = list(a)
-    dm = len(m) - 1
-    inv = m[-1].inverse()
-    while len(a) > dm:
-        top = a[-1]
+def _prem(a, b):
+    """(r, e) with lc(b)^e * a = r mod b and deg_Y r < deg_Y b."""
+    r, e = list(a), 0
+    lead, n = b[-1], len(b) - 1
+    while len(r) > n:
+        top = r.pop()
         if not top.is_zero():
-            f = top * inv
-            for i in range(dm):
-                a[len(a) - 1 - dm + i] = a[len(a) - 1 - dm + i] - f * m[i]
-        a.pop()
-    return _ytrim(a)
-
-
-def _ygcd(a, b):
-    a, b = _ytrim(list(a)), _ytrim(list(b))
-    while b:
-        a, b = b, _ymod(a, b)
-    return a
+            shift = len(r) - n
+            r = [c * lead for c in r[:shift]] + \
+                [c * lead - top * p for c, p in zip(r[shift:], b)]
+            e += 1
+    return _ytrim(r), e
 
 
 def frobenius_from_poly(P):
     """Minimal Frobenius relation satisfied by every series root of P.
 
-    Computes Y^(q^k) mod P for k = 0, 1, ... by repeated squaring in
-    F_q(X)[Y]/(P), clears each one's denominators, and returns the first
-    linear dependency found by one elimination pass over those rows.  P
-    must be squarefree in Y.
+    With L = lc_Y(P) and D = deg_Y P, rows N_k over F_q[X] with
+    L^(a_k) * Y^(q^k) = sum_j N_k[j] Y^j mod P come from one D x D matrix:
+    row j of M is L^(E-e_j) * (L^(e_j) * Y^(j*q) mod P), pseudo-remainders
+    with E = max e_j.  As (sum_j c_j Y^j)^q = sum_j c_j(X^q) Y^(j*q) over
+    F_q, N_(k+1) = N_k(X^q) * M and a_(k+1) = q*a_k + E.  The first
+    dependency sum_k c_k N_k = 0 that one elimination pass finds gives the
+    relation A_k = c_k * L^(a_k).  P must be squarefree in Y: the check is
+    a primitive pseudo-remainder gcd of P and P_Y.
 
     That dependency has A_0 != 0, as Ore's normalization in cartier_closure
     needs.  Once gcd(P, P_Y) = 1, A = F_q(X)[Y]/(P) is etale over
@@ -159,53 +144,44 @@ def frobenius_from_poly(P):
     D = P.deg_y
     if D < 1:
         raise HypothesisViolated("P must involve Y")
+    zero, one = UniPoly.zero(field), UniPoly.one(field)
     slices = P.y_slices()
-    pcoeffs = [RationalFn.from_poly(slices.get(j, UniPoly.zero(field)))
-               for j in range(D + 1)]
-    pderiv = _ytrim([pcoeffs[j + 1] * RationalFn.from_poly(
-        UniPoly.constant(field, field.from_int(j + 1)))
-        for j in range(D)])
-    g = _ygcd(pcoeffs, pderiv)
-    if len(g) - 1 >= 1:
+    pcoeffs = [slices.get(j, zero) for j in range(D + 1)]
+    g = pcoeffs
+    h = _ytrim([c.scale(field.from_int(j)) for j, c in enumerate(pcoeffs)][1:])
+    while h:
+        r = _prem(g, h)[0]
+        g, h = h, (primitive_part(r) if r else r)
+    if len(g) > 1:
         raise NotSquarefree("gcd(P, P_Y) has positive degree in Y")
-    inv_lead = pcoeffs[D].inverse()
-    monic = [c * inv_lead for c in pcoeffs]
 
-    def ring_mul(a, b):
-        return _ymod(_ymul(a, b, field), monic)
+    def padded(r):
+        return r + [zero] * (D - len(r))
 
-    def ring_pow_q(a):
-        result, base, n = None, a, q
-        while n:
-            if n & 1:
-                result = base if result is None else ring_mul(result, base)
-            n >>= 1
-            if n:
-                base = ring_mul(base, base)
-        return result
+    L = pcoeffs[D]
+    powers = [_prem([zero] * (j * q) + [one], pcoeffs) for j in range(D)]
+    E = max(e for _, e in powers)
+    M = [padded([c * L ** (E - e) for c in r]) for r, e in powers]
+    first, a0 = _prem([zero, one], pcoeffs)
+    exponents = []
 
-    scales = []
-
-    def cleared_rows():
-        """Each power Y^(q^k) mod P as a row over F_q[X]: its coordinates
-        times the lcm s_k of their denominators, which goes to scales."""
-        vector = _ymod([RationalFn.zero(field), RationalFn.one(field)], monic)
+    def rows():
+        row, a = padded(first), a0
         for _ in range(D + 1):
-            coords = vector + [RationalFn.zero(field)] * (D - len(vector))
-            lcm = UniPoly.one(field)
-            for c in coords:
-                lcm = lcm * (c.den // lcm.gcd(c.den))
-            scales.append(lcm)
-            yield [c.num * (lcm // c.den) for c in coords]
-            vector = ring_pow_q(vector)
+            exponents.append(a)
+            yield row
+            spread = [c.subst_power(q) for c in row]
+            row = [sum((c * m[i] for c, m in zip(spread, M)), zero)
+                   for i in range(D)]
+            a = q * a + E
 
-    combo = null_left_vector(cleared_rows())
+    combo = null_left_vector(rows())
     if combo is None:
         raise AlgSeriesError("no dependency up to q^deg_Y; internal error")
     if combo[0].is_zero():
         raise ZeroA0("first dependency lacks the k=0 term for a "
                      "squarefree P; internal error")
-    return canonical_relation([c * s for c, s in zip(combo, scales)], q)
+    return canonical_relation([c * L ** e for c, e in zip(combo, exponents)], q)
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from algseries import (DFAO, GF, RationalFn, TruncSeries1, UniPoly,
-                       frobenius_relation, kernel_matrix, null_left_vector,
-                       parse_poly, verify_relation)
-from algseries.annihilator import FrobeniusRelation, canonical_relation
+                       frobenius_relation, null_left_vector, parse_poly,
+                       verify_relation)
+from algseries.annihilator import (FrobeniusRelation, _kernel_rows,
+                                   canonical_relation)
 from algseries.errors import BaseMismatch, DegreeBlowup, InsufficientPrecision
 
 from conftest import F2, F3, F4, thue_morse
@@ -23,49 +24,112 @@ def tm_series(order=256):
     return TruncSeries1(F2, [thue_morse(n) for n in range(order + 1)], order)
 
 
+FIVE_STATE = DFAO(2, F2, 0, [(1, 1), (2, 3), (1, 4), (3, 3), (4, 4)],
+                  [0, 0, 0, 1, 0])
+F3_CYCLE = DFAO(3, GF(3), 0, [(0, 1, 1), (1, 0, 2), (2, 2, 0)], [0, 1, 2])
+
+
+def rows_coeffs(rows):
+    return [[c.coeffs for c in row] for row in rows]
+
+
 class TestKernelMatrix:
+    """The kernel matrix A(X) enters annihilate only through the rows B_k,
+    the initial state's rows of prod_{i=k}^{d} A(X^(q^i)), k = 0..d."""
+
     def test_thue_morse_matrix(self):
-        m = kernel_matrix(tm_automaton())
-        one, x = UniPoly.one(F2), uni(F2, "X")
-        assert m.entries == ((one, x), (x, one))
+        # A(X) = ((1, X), (X, 1)), d = 2: B_2 is the first row of A(X^4)
+        rows = _kernel_rows(tm_automaton())
+        assert rows == [
+            [uni(F2, "1+X^3+X^5+X^6"), uni(F2, "X+X^2+X^4+X^7")],
+            [uni(F2, "1+X^6"), uni(F2, "X^2+X^4")],
+            [UniPoly.one(F2), uni(F2, "X^4")]]
 
     def test_single_state_all_loops(self):
         a = DFAO(2, F2, 0, [(0, 0)], [1])
-        m = kernel_matrix(a)
-        assert m.entries == ((uni(F2, "1+X"),),)
+        assert _kernel_rows(a) == [[uni(F2, "(1+X)*(1+X^2)")],
+                                   [uni(F2, "1+X^2")]]
 
     def test_row_exponents_partition_digits(self):
-        # each row's exponent sets partition {0..q-1}
-        for a in (tm_automaton(),
-                  DFAO(2, F2, 0, [(1, 1), (2, 3), (1, 4), (3, 3), (4, 4)],
-                       [0, 0, 0, 1, 0])):
-            m = kernel_matrix(a)
-            for row in m.entries:
+        # B_k[j] sums X^(r_k*q^k + ... + r_d*q^d) over the digit strings
+        # r_k..r_d that lead to state j, and each string leads to one state
+        for a in (tm_automaton(), FIVE_STATE, F3_CYCLE):
+            d = a.n_states
+            for k, row in enumerate(_kernel_rows(a)):
                 seen = []
                 for entry in row:
-                    seen += [k for k, c in enumerate(entry.coeffs) if c]
-                assert sorted(seen) == list(range(a.q))
+                    assert set(entry.coeffs) <= {0, 1}
+                    seen += [n for n, c in enumerate(entry.coeffs) if c]
+                assert sorted(seen) == list(range(0, a.q ** (d + 1), a.q ** k))
 
     def test_base_mismatch(self):
-        a = DFAO(2, F4, 0, [(0, 0)], [1])
-        with pytest.raises(BaseMismatch):
-            kernel_matrix(a)
+        with pytest.raises(BaseMismatch, match="digit base 2 differs from "
+                                               "field cardinality 4"):
+            frobenius_relation(DFAO(2, F4, 0, [(0, 0)], [1]))
+        with pytest.raises(BaseMismatch, match="one-dimensional"):
+            frobenius_relation(DFAO(2, F2, 0, [(0, 0, 0, 0)], [1], arity=2))
 
     def test_matrix_identity_on_truncations(self):
-        # G_i(X) = sum_j A_ij(X) G_j(X^q) mod X^129 for every state
-        for a in (tm_automaton(),
-                  DFAO(2, F2, 0, [(1, 1), (2, 3), (1, 4), (3, 3), (4, 4)],
-                       [0, 0, 0, 1, 0]),
-                  DFAO(3, GF(3), 0, [(0, 1, 1), (1, 0, 2), (2, 2, 0)],
-                       [0, 1, 2])):
-            m = kernel_matrix(a)
-            order = 128
-            G = [a.reroot(i).generate(order) for i in range(a.n_states)]
-            for i in range(a.n_states):
+        # sum_j B_k[j] * G_j(X^(q^(d+1))) = G_1(X)^(q^k) mod X^129
+        for a in (tm_automaton(), FIVE_STATE, F3_CYCLE):
+            order, d = 128, a.n_states
+            G = [a.reroot(i).generate(order) for i in range(d)]
+            for k, row in enumerate(_kernel_rows(a)):
                 acc = TruncSeries1.zeros(a.field, order)
-                for j in range(a.n_states):
-                    acc = acc + G[j].spread(a.q).mul_poly(m.entries[i][j])
-                assert acc == G[i]
+                for j, entry in enumerate(row):
+                    acc = acc + G[j].spread(a.q ** (d + 1)).mul_poly(entry)
+                assert acc == G[0].spread(a.q ** k)
+
+
+def reference_kernel_rows(automaton):
+    """B_0..B_d from dense products of the kernel matrices A(X^(q^k)), as
+    annihilate formed them before it built the rows by recurrence."""
+    field, q, d = automaton.field, automaton.q, automaton.n_states
+    entries = []
+    for i in range(d):
+        row = [[field.zero] * q for _ in range(d)]
+        for r in range(q):
+            row[automaton.transitions[i][r]][r] = field.one
+        entries.append([UniPoly(field, cell) for cell in row])
+
+    def subst(e):
+        return [[p.subst_power(e) for p in row] for row in entries]
+
+    def matmul(A, B):
+        out = []
+        for i in range(d):
+            out.append([])
+            for j in range(d):
+                acc = UniPoly.zero(field)
+                for k in range(d):
+                    acc = acc + A[i][k] * B[k][j]
+                out[i].append(acc)
+        return out
+
+    prod = subst(q ** d)
+    rows = [prod[0]]
+    for k in range(d - 1, -1, -1):
+        prod = matmul(subst(q ** k), prod)
+        rows.append(prod[0])
+    return rows[::-1]
+
+
+@st.composite
+def digit_automata(draw):
+    """Automata over F2, F3, F4 and F5 with up to four states."""
+    field = draw(st.sampled_from([F2, F3, F4, GF(5)]))
+    q, n = field.order, draw(st.integers(1, 4))
+    state = st.integers(0, n - 1)
+    transitions = draw(st.lists(st.lists(state, min_size=q, max_size=q),
+                                min_size=n, max_size=n))
+    outputs = draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n))
+    return DFAO(q, field, 0, transitions, outputs)
+
+
+@given(digit_automata())
+def test_kernel_rows_match_matrix_products(automaton):
+    assert rows_coeffs(_kernel_rows(automaton)) == \
+        rows_coeffs(reference_kernel_rows(automaton))
 
 
 def combine(combo, rows, col):
@@ -222,10 +286,8 @@ class TestFrobeniusRelation:
             frobenius_relation(a)
 
     def test_five_state_automaton_relation(self):
-        aut = DFAO(2, F2, 0, [(1, 1), (2, 3), (1, 4), (3, 3), (4, 4)],
-                   [0, 0, 0, 1, 0])
-        rel = frobenius_relation(aut)
-        assert verify_relation(rel, aut.generate(256))
+        rel = frobenius_relation(FIVE_STATE)
+        assert verify_relation(rel, FIVE_STATE.generate(256))
 
     def test_canonicalization_invariance(self):
         # scaling the coefficients by a polynomial, or over F_3 by a

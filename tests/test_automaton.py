@@ -1,11 +1,12 @@
 import json
 import os
 import random
+import time
 
 import pytest
 
 from algseries import DFAO, GF, QQ, export_dot, from_json, to_json
-from algseries.errors import SchemaError
+from algseries.errors import AlgSeriesError, SchemaError
 
 from conftest import F2, F4, thue_morse
 
@@ -184,6 +185,18 @@ class TestJson:
         assert a.n_states == 5
         assert a.generate(7).coeffs == (0, 0, 1, 1, 0, 0, 1, 1)
         assert to_json(a) == text  # byte-stable reserialization
+
+    @pytest.mark.parametrize("field", [
+        {"kind": "extension", "p": 2, "k": 40},
+        {"kind": "extension", "p": 3, "k": 200, "modulus": "t^200+2*t+1"}])
+    def test_extension_over_table_cap(self, field):
+        # rejected before any modulus search or irreducibility test
+        doc = json.loads(to_json(tm_automaton()))
+        doc["field"] = field
+        start = time.perf_counter()
+        with pytest.raises(AlgSeriesError, match="exceeds table cap 1024"):
+            from_json(json.dumps(doc))
+        assert time.perf_counter() - start < 1.0
 
     def test_arity2_roundtrip(self):
         a = DFAO(2, F2, 0, [(0, 1, 1, 0), (1, 1, 0, 0)], [0, 1], arity=2)

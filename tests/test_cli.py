@@ -103,6 +103,14 @@ class TestFieldSpec:
                            "F3317044064679887385961981", "--poly", "X+Y^2")
         assert code == 2 and "cannot certify" in err
 
+    @pytest.mark.parametrize("spec", ["F2^40", "F3^200:t^200+2*t+1", "F3^7"])
+    def test_extension_over_table_cap_exit_2(self, capsys, spec):
+        # the cap is checked before any modulus search or irreducibility test
+        start = time.perf_counter()
+        code, _, err = run(capsys, "extract", "--field", spec, "--poly", "X+Y^2")
+        assert code == 2 and "exceeds table cap 1024" in err
+        assert time.perf_counter() - start < 1.0
+
 
 class TestExtract:
     def test_catalan(self, capsys):
@@ -308,3 +316,13 @@ class TestGen:
         code, _, err = run(capsys, "gen", "--automaton",
                            str(tmp_path / "none.json"))
         assert code == 2
+
+    def test_two_dimensional_kernel_exit_2(self, capsys, tmp_path):
+        # kernel without --diagonal writes an automaton over digit pairs
+        path = str(tmp_path / "k2d.json")
+        code, _, _ = run(capsys, "kernel", "--field", "F2", "--num", "1",
+                         "--den", "1+X+Y", "--json", path)
+        assert code == 0
+        code, out, err = run(capsys, "gen", "--automaton", path, "-n", "8")
+        assert code == 2 and not out
+        assert "one-dimensional" in err

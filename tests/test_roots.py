@@ -4,11 +4,13 @@ import os
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from algseries import (GF, QQ, BiPoly, TruncSeries1, UniPoly, attach_outputs,
+from algseries import (GF, QQ, BiPoly, RationalFn, TruncSeries1, UniPoly,
+                       attach_outputs,
                        cartier_closure, eval_bipoly_at_series,
                        frobenius_from_poly, hensel_root, parse_poly,
                        residue_roots, roots_automata, verify_relation)
-from algseries.annihilator import FrobeniusRelation
+from algseries.annihilator import (FrobeniusRelation, canonical_relation,
+                                   null_left_vector)
 from algseries.cli import parse_field_spec
 from algseries.roots import BranchRoot, closure_output_order, spot_check_closure
 from algseries.errors import (AlgSeriesError, DegenerateReduction,
@@ -16,7 +18,7 @@ from algseries.errors import (AlgSeriesError, DegenerateReduction,
                               InsufficientPrecision, NonSimpleRoot,
                               NotSquarefree, StateBudgetExceeded, ZeroA0)
 
-from conftest import F2, F3, F4, thue_morse
+from conftest import F2, F3, F4, F5, thue_morse
 
 
 def uni(field, text):
@@ -327,3 +329,82 @@ def test_roots_property(P):
             StateBudgetExceeded):
         assume(False)
     assert not out.failures
+
+
+def reference_frobenius_from_poly(P):
+    """The relation as roots built it before its rows came from pseudo-
+    remainders: Y^(q^k) mod P by products in F_q(X)[Y]/(P), each
+    power cleared by the lcm of its denominators."""
+    field, q, D = P.field, P.field.order, P.deg_y
+    zero = RationalFn.zero(field)
+
+    def trim(a):
+        while a and a[-1].is_zero():
+            a.pop()
+        return a
+
+    def mul(a, b):
+        out = [zero] * max(len(a) + len(b) - 1, 0)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = out[i + j] + x * y
+        return trim(out)
+
+    def mod(a, m):
+        a, inv = list(a), m[-1].inverse()
+        while len(a) >= len(m):
+            f = a[-1] * inv
+            for i in range(len(m) - 1):
+                a[len(a) - len(m) + i] = a[len(a) - len(m) + i] - f * m[i]
+            a.pop()
+        return trim(a)
+
+    slices = P.y_slices()
+    pcoeffs = [RationalFn.from_poly(slices.get(j, UniPoly.zero(field)))
+               for j in range(D + 1)]
+    a = pcoeffs
+    b = trim([c * RationalFn.from_poly(UniPoly.constant(field, field.from_int(j)))
+              for j, c in enumerate(pcoeffs)][1:])
+    while b:
+        a, b = b, mod(a, b)
+    if len(a) > 1:
+        raise NotSquarefree("gcd(P, P_Y) has positive degree in Y")
+    monic = [c * pcoeffs[D].inverse() for c in pcoeffs]
+    vector, rows, scales = mod([zero, RationalFn.one(field)], monic), [], []
+    for _ in range(D + 1):
+        coords = vector + [zero] * (D - len(vector))
+        lcm = UniPoly.one(field)
+        for c in coords:
+            lcm = lcm * (c.den // lcm.gcd(c.den))
+        scales.append(lcm)
+        rows.append([c.num * (lcm // c.den) for c in coords])
+        power = [RationalFn.one(field)]
+        for _ in range(q):
+            power = mod(mul(power, vector), monic)
+        vector = power
+    combo = null_left_vector(rows)
+    return canonical_relation([c * s for c, s in zip(combo, scales)], q)
+
+
+@st.composite
+def relation_polys(draw):
+    """P over F2..F5 with deg_Y 1..3 and X-degrees up to 2."""
+    field = draw(st.sampled_from([F2, F3, F4, F5]))
+    terms = draw(st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 3)),
+                                 st.integers(1, field.order - 1),
+                                 min_size=1, max_size=5))
+    P = BiPoly(field, terms)
+    assume(P.deg_y >= 1)
+    return P
+
+
+@settings(max_examples=60)
+@given(relation_polys())
+def test_relation_matches_rational_function_ring(P):
+    try:
+        want = reference_frobenius_from_poly(P)
+    except NotSquarefree:
+        with pytest.raises(NotSquarefree):
+            frobenius_from_poly(P)
+        return
+    assert frobenius_from_poly(P) == want
