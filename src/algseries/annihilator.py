@@ -106,11 +106,11 @@ def canonical_relation(polys, q):
 
 
 def _kernel_rows(automaton):
-    """Rows B_0..B_d: B_k is the initial state's row of prod_{i=k}^{d} A(X^(q^i)).
+    """Rows B_0..B_d, B_k the initial state's row of prod_{i=k}^{d} A(X^(q^i)).
 
-    The product M_k = A(X^(q^k)) * M_(k+1) is built from the identity M_(d+1) down:
-    row s of A(X^e) * M is sum_r X^(r*e) * M[delta(s, r)], so each cell is
-    one accumulate of at most q shifted cells of the product before it.
+    M_k = A(X^(q^k)) * M_(k+1) is built from the identity M_(d+1) down: row
+    s of A(X^e) * M is sum_r X^(r*e) * M[delta(s, r)], so each cell is one
+    accumulate of at most q shifted cells of the product before it.
     """
     field, q, delta = automaton.field, automaton.q, automaton.transitions
     d = automaton.n_states

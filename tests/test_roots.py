@@ -131,6 +131,9 @@ class TestFrobeniusFromPoly:
             frobenius_from_poly(parse_poly("Y^2+X^2", F2))  # (Y+X)^2
         with pytest.raises(NotSquarefree):
             frobenius_from_poly(parse_poly("Y^2", F2))
+        # the pseudo-remainder gcd runs two steps and ends at X*Y + 1
+        with pytest.raises(NotSquarefree):
+            frobenius_from_poly(parse_poly("(X*Y+1)^2*(Y+X)", F3))
 
     def test_needs_y(self):
         with pytest.raises(HypothesisViolated):
@@ -388,17 +391,22 @@ def reference_frobenius_from_poly(P):
 
 @st.composite
 def relation_polys(draw):
-    """P over F2..F5 with deg_Y 1..3 and X-degrees up to 2."""
+    """P over F2..F5 with deg_Y 1..3 and X-degrees up to 2, or such a P
+    times the square of a factor of degree 1 in X and Y."""
     field = draw(st.sampled_from([F2, F3, F4, F5]))
+    coeff = st.integers(1, field.order - 1)
     terms = draw(st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 3)),
-                                 st.integers(1, field.order - 1),
-                                 min_size=1, max_size=5))
+                                 coeff, min_size=1, max_size=5))
     P = BiPoly(field, terms)
+    if draw(st.booleans()):
+        factor = BiPoly(field, draw(st.dictionaries(
+            st.tuples(st.integers(0, 1), st.integers(0, 1)), coeff,
+            min_size=1, max_size=4)))
+        P = P * factor * factor
     assume(P.deg_y >= 1)
     return P
 
 
-@settings(max_examples=60)
 @given(relation_polys())
 def test_relation_matches_rational_function_ring(P):
     try:
