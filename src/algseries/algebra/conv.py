@@ -8,18 +8,21 @@ kind only:
     has fewer than KRONECKER_MIN terms.  Its row step, accumulate, adds
     scaled rows into a list; over F_p it sums plain int products and
     reduces mod p once per coefficient, over F_{p^k} it runs on the field's
-    lookup tables.  series_expand_ratio runs on the same step.
+    lookup tables.  series_expand_ratio runs on the same step over Q.
   * Kronecker substitution -- over F_p and F_{p^k} otherwise.  Each operand
     is packed into one Python int, one slot per coefficient (per t-digit of
     a coefficient over F_{p^k}), the two ints are multiplied once by
     CPython's subquadratic big-int product, and the slots are read back and
-    reduced.  A slot is wide enough for the largest coefficient of the
-    integer product, so no carry crosses slots.
+    reduced by reduce_slots.  A slot is wide enough for the largest
+    coefficient of the integer product, so no carry crosses slots.
 
 Over F_{p^k} each X-coefficient takes 2k-1 slots, one per power t^0..t^(2k-2)
 of its t-polynomial product; the low k reduced digits form an element code
 directly and the high k-1 digits h are folded back with a table of
 t^k * h mod m(t).  The per-field tables are built on first use.
+
+pack_bytes, unpack and reduce_slots are the slot format and its reduction
+mod p; series_expand_ratio packs anti-diagonals with them over F_q.
 """
 
 import functools
@@ -98,17 +101,30 @@ def _kronecker(field, a, b, limit):
     width = (bound.bit_length() + 7) // 8
     product = _pack(a, width) * _pack(b, width)
     raw = product.to_bytes(full * per * width, "little")[:count * per * width]
-    digits = [v % p for v in _unpack(raw, width)]
+    digits = reduce_slots(raw, width, p)
     if field.kind == "prime":
-        return digits
+        return list(digits)
     return _fold(field, digits)
 
 
 def _pack(values, width):
     """One int holding ``values`` in little-endian slots of ``width`` bytes."""
+    return int.from_bytes(pack_bytes(values, width), "little")
+
+
+def pack_bytes(values, width):
+    """The little-endian bytes of ``values``, ``width`` bytes each.
+
+    ``values`` is a list of ints, or bytes with one value per byte.
+    """
+    if isinstance(values, bytes):
+        if width == 1:
+            return values
+        wide = bytearray(len(values) * width)
+        wide[::width] = values
+        return wide
     if width > 8:
-        return int.from_bytes(b"".join([v.to_bytes(width, "little")
-                                        for v in values]), "little")
+        return b"".join([v.to_bytes(width, "little") for v in values])
     size = 1 << (width - 1).bit_length()
     wide = array(_TYPECODES[size], values)
     if sys.byteorder == "big":
@@ -119,10 +135,10 @@ def _pack(values, width):
         for j in range(width):
             narrow[j::width] = raw[j::size]
         raw = narrow
-    return int.from_bytes(raw, "little")
+    return raw
 
 
-def _unpack(raw, width):
+def unpack(raw, width):
     """The slot values of little-endian ``raw`` bytes, ``width`` bytes each."""
     if width > 8:
         return [int.from_bytes(raw[i:i + width], "little")
@@ -138,6 +154,34 @@ def _unpack(raw, width):
     if sys.byteorder == "big":
         out.byteswap()
     return out
+
+
+def reduce_slots(raw, width, p):
+    """The slots of little-endian ``raw`` bytes, ``width`` bytes each, mod p.
+
+    Equal to [v % p for v in unpack(raw, width)], which is what it runs
+    when p * width > 256; otherwise it returns the residues as bytes, one
+    per slot, and no Python loop runs per slot.  A slot is sum b_e * 256^e
+    over its bytes b_e, so it is congruent to the sum of its bytes mapped by
+    b -> b * 256^e mod p.  One bytes.translate per byte plane e does that
+    mapping; the width mapped planes, each below p, are added as ints with
+    no carry between bytes (each sum is at most width * (p - 1) < 256), and
+    one more translate reduces the sums.
+    """
+    if p * width > 256:
+        return [v % p for v in unpack(raw, width)]
+    tables = _plane_tables(p, width)
+    if width == 1:
+        return raw.translate(tables[0])
+    total = sum(int.from_bytes(raw[e::width].translate(table), "little")
+                for e, table in enumerate(tables))
+    return total.to_bytes(len(raw) // width, "little").translate(tables[0])
+
+
+@functools.lru_cache(maxsize=None)
+def _plane_tables(p, width):
+    """For each byte plane e < width, the translate table b -> b*256^e mod p."""
+    return [bytes(b * 256 ** e % p for b in range(256)) for e in range(width)]
 
 
 @functools.lru_cache(maxsize=None)

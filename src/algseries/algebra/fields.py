@@ -269,29 +269,52 @@ class ExtensionField(Field):
         return code
 
     def _build_tables(self):
+        """Code tables for +, *, - and inverse.
+
+        * is read off exp/log tables of a primitive element g: a*b is
+          g^(log a + log b).  + works digit-wise: a ^ b for p = 2, otherwise
+          the low base-p digits add mod p and the rest of the code adds by
+          the table of the field with one digit fewer.
+        """
         p, q = self.char, self.order
-        vecs = [self._decode(c) for c in range(q)]
-        add = [0] * (q * q)
-        mul = [0] * (q * q)
-        for a in range(q):
-            va = vecs[a]
-            for b in range(a, q):
-                vb = vecs[b]
-                s = self._encode(tuple((x + y) % p for x, y in zip(va, vb)))
-                add[a * q + b] = add[b * q + a] = s
-                prod = _pmod(_pmul(_ptrim(va), _ptrim(vb), p), self.modulus, p)
-                m = self._encode(tuple(prod) + (0,) * self.degree)
-                mul[a * q + b] = mul[b * q + a] = m
-        self._add = add
-        self._mul = mul
-        neg = [0] * q
-        for a in range(q):
-            neg[a] = self._encode(tuple(-x % p for x in vecs[a]))
-        self._neg = neg
-        inv = [0] * q
+        exp, log = self._powers()
+        mul = [0] * q
         for a in range(1, q):
-            inv[a] = self.pow(a, q - 2)
-        self._inv = inv
+            row = exp[log[a]:log[a] + q - 1]
+            mul += [0] + [row[log[b]] for b in range(1, q)]
+        self._mul = mul
+        if p == 2:
+            self._add = [a ^ b for a in range(q) for b in range(q)]
+        else:
+            add, size = [0], 1  # the table of the codes with no digit
+            while size < q:
+                prev, size = size, size * p
+                add = [(a % p + b % p) % p + p * add[a // p * prev + b // p]
+                       for a in range(size) for b in range(size)]
+            self._add = add
+        self._neg = [self._encode(tuple(-x % p for x in self._decode(a)))
+                     for a in range(q)]
+        self._inv = [0] + [exp[q - 1 - log[a]] for a in range(1, q)]
+
+    def _powers(self):
+        """exp, log of the first primitive element g: exp[i] = g^i for
+        0 <= i < 2(q-1), and log[g^i] = i for the nonzero codes."""
+        p, q = self.char, self.order
+        for g in range(p, q):
+            vg = _ptrim(self._decode(g))
+            power, exp = (1,), [1]
+            for _ in range(q - 2):
+                power = _pmod(_pmul(power, vg, p), self.modulus, p)
+                code = self._encode(power + (0,) * self.degree)
+                if code == 1:
+                    break
+                exp.append(code)
+            else:
+                log = [0] * q
+                for i, code in enumerate(exp):
+                    log[code] = i
+                return exp + exp, log
+        raise AlgSeriesError("no primitive element found")  # unreachable
 
     def add(self, a, b):
         return self._add[a * self.order + b]

@@ -8,11 +8,13 @@ finite fields), and the inverse is a Newton iteration on top of it, so both
 cost O(M(N)) for the cost M(N) of one product at order N.
 series_expand_ratio expands num/den in the box by the linear recurrence
 S[i,j] = (num[i,j] - sum den[a,b]*S[i-a,j-b]) / den[0,0], one anti-diagonal
-at a time, and diagonal_series reads the diagonal off such an expansion.
+at a time: over Q by conv.accumulate on lists, over F_q on anti-diagonals
+packed into ints with conv's slot format, one reduction mod p each.
+diagonal_series reads the diagonal off such an expansion.
 """
 
 from ..errors import AlgSeriesError, InsufficientPrecision, ZeroConstantTerm
-from .conv import accumulate, conv
+from .conv import accumulate, conv, pack_bytes, reduce_slots, unpack
 
 
 class TruncSeries1:
@@ -157,7 +159,8 @@ def series_expand_ratio(num, den, order):
     (i, j) is num[i,j] - sum den[a,b]*S[i-a,j-b] over the other terms of den,
     and every S[i-a,j-b] lies on an earlier anti-diagonal.  So each
     anti-diagonal is the numerator's plus one shifted slice of an earlier
-    anti-diagonal per term of den, all added by one accumulate call.
+    anti-diagonal per term of den: over Q the slices are added by one
+    accumulate call, over F_q as packed ints (_packed_sweep).
     """
     f = num.field
     N = order
@@ -175,23 +178,113 @@ def series_expand_ratio(num, den, order):
     for (i, j), c in num_terms.items():
         if i <= N and j <= N:
             num_cells.setdefault(i + j, []).append((i, c))
+    sweep = _accumulate_sweep if f.kind == "rationals" else _packed_sweep
+    return TruncSeries2(f, sweep(f, num_cells, steps, N), N)
+
+
+def _reads(t, N, steps):
+    """(s, start, at, count, x) for each step (a, b, x) that reads cells
+    for anti-diagonal t: its cells at..at+count-1 (counted from its first
+    cell) read cells start..start+count-1 of anti-diagonal s = t - a - b."""
+    lo, hi = max(0, t - N), min(t, N)
+    for a, b, x in steps:
+        s = t - a - b
+        i0, i1 = max(lo, a), min(hi, t - b)
+        if s >= 0 and i0 <= i1:
+            yield s, i0 - a - max(0, s - N), i0 - lo, i1 - i0 + 1, x
+
+
+def _accumulate_sweep(f, num_cells, steps, N):
+    """The anti-diagonals as lists, each by one accumulate call."""
     diagonals = []
     for t in range(2 * N + 1):
-        lo, hi = max(0, t - N), min(t, N)
-        acc = [f.zero] * (hi - lo + 1)
+        lo = max(0, t - N)
+        acc = [f.zero] * (min(t, N) - lo + 1)
         for i, c in num_cells.get(t, ()):
             acc[i - lo] = c
-        rows = []
-        for a, b, x in steps:
-            s = t - a - b
-            if s >= 0:
-                # cells i in [max(lo, a), min(hi, t - b)] read (i - a) on s
-                i0 = max(lo, a)
-                start = i0 - a - max(0, s - N)
-                rows.append((i0 - lo, x,
-                             diagonals[s][start:start + min(hi, t - b) - i0 + 1]))
+        rows = [(at, x, diagonals[s][start:start + count])
+                for s, start, at, count, x in _reads(t, N, steps)]
         diagonals.append(accumulate(f, acc, rows))
-    return TruncSeries2(f, diagonals, N)
+    return diagonals
+
+
+def _packed_sweep(f, num_cells, steps, N):
+    """The anti-diagonals over F_p or F_{p^k}, each built as one packed int.
+
+    A cell takes 2k-1 slots of ``width`` bytes, one per t-digit of its
+    t-polynomial (k = 1 over F_p).  An anti-diagonal is its numerator cells
+    plus, per step, a byte slice of an earlier packed anti-diagonal times
+    the step's packed multiplier, shifted to the cells that read it.  Over
+    F_{p^k} the digits of t^k..t^(2k-2) are then folded down through
+    t^k = sum r_d t^d (mod m(t)), highest first, each by one periodic mask
+    that picks that slot of every cell.  One reduce_slots call per
+    anti-diagonal takes the slots mod p; _slot_width bounds every slot
+    value on the way, so no carry crosses slots.
+    """
+    p = f.char
+    k = 1 if f.kind == "prime" else f.degree
+    per = 2 * k - 1
+    width = _slot_width(f, k, len(steps))
+    bits = 8 * width
+    cell = per * width  # bytes per cell
+
+    def packed(c):
+        if k == 1:
+            return c
+        return sum(d << e * bits for e, d in enumerate(f.coeff_vector(c)))
+
+    steps = [(a, b, packed(x)) for a, b, x in steps]
+    num_cells = {t: sum(packed(c) << 8 * cell * (i - max(0, t - N))
+                        for i, c in cells)
+                 for t, cells in num_cells.items()}
+    if k > 1:
+        mask = int.from_bytes((b"\xff" * width + bytes(cell - width)) * (N + 1),
+                              "little")
+        fold = packed(f.pow(p, k)) - (1 << k * bits)  # the code p is t
+        # code of a cell = sum of its digits d_e * p^e, read off slot k - 1
+        # of the cell times sum p^e * t^(k-1-e)
+        encode = sum(p ** e << (k - 1 - e) * bits for e in range(k))
+    # anti-diagonal s is read last by s + depth; later it is dropped
+    depth = max((a + b for a, b, _ in steps), default=0)
+    store, diagonals = [], []
+    for t in range(2 * N + 1):
+        cells = min(t, N) - max(0, t - N) + 1
+        acc = num_cells.get(t, 0)
+        for s, start, at, count, x in _reads(t, N, steps):
+            row = int.from_bytes(store[s][start * cell:(start + count) * cell],
+                                 "little")
+            acc += x * row << 8 * cell * at
+        for e in range(per - 1, k - 1, -1):
+            acc += ((acc >> e * bits) & mask) * fold << (e - k) * bits
+        digits = reduce_slots(acc.to_bytes(cells * cell, "little"), width, p)
+        raw = pack_bytes(digits, width)
+        store.append(raw)
+        if t >= depth:
+            store[t - depth] = None
+        if k > 1:
+            product = int.from_bytes(raw, "little") * encode
+            digits = unpack(product.to_bytes(cells * cell, "little"),
+                             width)[k - 1::per]
+        diagonals.append(list(digits))
+    return diagonals
+
+
+def _slot_width(f, k, terms):
+    """Bytes per slot of _packed_sweep over F_{p^k} with ``terms`` steps.
+
+    Bounds slot e of a cell by the step products and the numerator digit,
+    then through the fold of the high digits, highest first; the width
+    holds the largest bound and q - 1, for the codes read off the slots.
+    README.md ("Diagonals") has the proof.
+    """
+    p = f.char
+    per = 2 * k - 1
+    top = [terms * (p - 1) ** 2 * min(e + 1, per - e) + (p - 1) * (e < k)
+           for e in range(per)]
+    for e in range(per - 1, k - 1, -1):
+        for d, r in enumerate(f.coeff_vector(f.pow(p, k))):
+            top[e - k + d] += r * top[e]
+    return (max(top + [f.order - 1]).bit_length() + 7) // 8
 
 
 def diagonal_series(series2, order):

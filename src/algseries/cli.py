@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: extract, diagonal, kernel, annihilate, roots, gen.  Exit codes:
-0 success, 1 verification failure, 2 input/hypothesis error.  Field specs
-look like "Q", "F2", "F4", "F4:t^2+t+1" or "F3^2:t^2+1"; polynomial
+0 success, 1 verification failure, 2 input/hypothesis error, 141 (128 +
+SIGPIPE) when the reader closed stdout before the output ended.  Field
+specs look like "Q", "F2", "F4", "F4:t^2+t+1" or "F3^2:t^2+1"; polynomial
 arguments follow the exprparse grammar.  File outputs are written
 atomically (temp file + rename).
 """
@@ -27,6 +28,7 @@ from .roots import roots_automata
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
+EXIT_PIPE = 141
 
 
 @dataclass
@@ -261,7 +263,16 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Nobody reads the rest of the output.  Point stdout at devnull so
+        # that the flush at interpreter exit does not fail a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

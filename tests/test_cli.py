@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -326,3 +328,21 @@ class TestGen:
         code, out, err = run(capsys, "gen", "--automaton", path, "-n", "8")
         assert code == 2 and not out
         assert "one-dimensional" in err
+
+    def test_reader_closes_early_exit_141(self, tm_file):
+        # 200 KB of output fills the pipe, so the writer is still writing
+        # when the reader closes it: exit 141 (128 + SIGPIPE), no message
+        src = os.path.join(os.path.dirname(DATA), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "algseries.cli", "gen", "--automaton",
+             tm_file, "-n", "100000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        try:
+            assert proc.stdout.read(16) == b"0 1 1 0 1 0 0 1 "
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 141
+            assert proc.stderr.read() == b""
+        finally:
+            proc.kill()
+            proc.stderr.close()

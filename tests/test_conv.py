@@ -2,9 +2,11 @@
 
 The references below are the hand-written loops of TruncSeries1.__mul__ and
 TruncSeries1.inverse before both went through conv; lengths reach past
-KRONECKER_MIN so both paths of conv are compared with them.
+KRONECKER_MIN so both paths of conv are compared with them.  reduce_slots is
+compared with one % p per unpacked slot.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from algseries import GF, QQ, TruncSeries1
-from algseries.algebra.conv import KRONECKER_MIN, conv
+from algseries.algebra.conv import KRONECKER_MIN, conv, reduce_slots, unpack
 from algseries.errors import ZeroConstantTerm
 
 from conftest import F2, F3, F4, F5, F8, F9
@@ -120,3 +122,16 @@ def test_newton_inverse(a):
 def test_inverse_needs_unit_constant_term(field, order):
     with pytest.raises(ZeroConstantTerm):
         TruncSeries1(field, [field.zero, field.one], order).inverse()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 31, 37, 257, 10007])
+@pytest.mark.parametrize("width", range(1, 10))
+def test_reduce_slots_matches_per_slot_mod(p, width):
+    # byte tables when p * width <= 256, one % p per slot otherwise; random
+    # bytes reach every slot value, including all bytes 0 and all 255
+    rng = random.Random(p * 100 + width)
+    for count in (0, 1, 2, 37, 300):
+        raw = bytes(rng.randrange(256) for _ in range(count * width))
+        for data in (raw, b"\xff" * len(raw), bytes(len(raw))):
+            want = [v % p for v in unpack(data, width)]
+            assert list(reduce_slots(data, width, p)) == want

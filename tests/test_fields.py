@@ -2,7 +2,7 @@ import pytest
 from fractions import Fraction
 
 from algseries import GF, QQ
-from algseries.algebra.fields import _prime_power
+from algseries.algebra.fields import _pmod, _pmul, _prime_power, _ptrim
 from algseries.errors import AlgSeriesError
 
 from conftest import ALL_FIELDS, FINITE_FIELDS, F2, F4, F9, random_raw
@@ -74,6 +74,42 @@ def test_extension_custom_modulus_checked():
     assert f9.order == 9
     with pytest.raises(AlgSeriesError):
         GF(9, modulus=(0, 0, 1))  # t^2 is reducible
+
+
+def reference_tables(field):
+    """add, mul, neg, inv code tables by one F_p[t] product per pair: the
+    construction ExtensionField used before its exp/log tables."""
+    p, q, k = field.char, field.order, field.degree
+    vecs = [field._decode(c) for c in range(q)]
+    add = [0] * (q * q)
+    mul = [0] * (q * q)
+    for a in range(q):
+        va = vecs[a]
+        for b in range(a, q):
+            vb = vecs[b]
+            s = field._encode(tuple((x + y) % p for x, y in zip(va, vb)))
+            add[a * q + b] = add[b * q + a] = s
+            prod = _pmod(_pmul(_ptrim(va), _ptrim(vb), p), field.modulus, p)
+            m = field._encode(tuple(prod) + (0,) * k)
+            mul[a * q + b] = mul[b * q + a] = m
+    neg = [field._encode(tuple(-x % p for x in v)) for v in vecs]
+    inv = [0] + [mul[a * q:(a + 1) * q].index(1) for a in range(1, q)]
+    return add, mul, neg, inv
+
+
+# every extension with q <= 256 under its default modulus, then F8 and F9
+# under other moduli: t^3+t^2+1, t^2+t+2 and the non-monic 2t^2+2
+TABLE_FIELDS = [GF(q) for q in (4, 8, 9, 16, 25, 27, 32, 49, 64, 81, 121,
+                                125, 128, 169, 243, 256)] + [
+    GF(8, modulus=(1, 0, 1, 1)), GF(9, modulus=(2, 1, 1)),
+    GF(9, modulus=(2, 0, 2))]
+
+
+@pytest.mark.parametrize("field", TABLE_FIELDS,
+                         ids=lambda f: f"{f!r}:{f.modulus_text()}")
+def test_tables_match_pairwise_products(field):
+    assert (field._add, field._mul, field._neg, field._inv) == \
+        reference_tables(field)
 
 
 def test_builtin_moduli_cover_advertised_range():

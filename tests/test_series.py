@@ -7,7 +7,7 @@ from algseries import (GF, QQ, BiPoly, DiagonalRep, TruncSeries1,
                        parse_poly, series_expand_ratio)
 from algseries.errors import InsufficientPrecision, ZeroConstantTerm
 
-from conftest import F2, F3, F4, F5, F9, binomial, random_bipoly
+from conftest import F2, F3, F4, F5, F8, F9, binomial, random_bipoly
 
 
 def reference_expand(num, den, total_order):
@@ -154,7 +154,10 @@ class TestDiagonal:
             assert d12 == d1 + d2
 
 
-PROPERTY_FIELDS = [F2, F3, F5, F4, F9, QQ]
+# F31 packs two-byte slots reduced by byte tables, F10007 reduces them one
+# slot at a time, and the codes of GF(3^6) are read off two-byte slots
+F31, F10007, F729 = GF(31), GF(10007), GF(3 ** 6)
+PROPERTY_FIELDS = [F2, F3, F5, F4, F8, F9, F31, F10007, F729, QQ]
 MAX_ORDER = 12
 DEN_SHAPES = ["general", "pure X", "pure Y", "constant", "zero constant term"]
 
@@ -210,6 +213,31 @@ def test_box_sweep_matches_triangle_recurrence(case):
             assert S.get(i, j) == want.get((i, j), zero)
     diagonal = diagonal_coeffs(DiagonalRep(num, den), N)
     assert diagonal.coeffs == tuple(want.get((n, n), zero) for n in range(N + 1))
+
+
+SEVEN_TERMS = ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1))
+RECTANGLE_TERMS = tuple((a, b) for a in range(3) for b in range(5))
+
+
+@pytest.mark.parametrize("field, keys, N", [
+    (F2, SEVEN_TERMS, 120), (F8, SEVEN_TERMS, 120), (F31, SEVEN_TERMS, 120),
+    (F10007, SEVEN_TERMS, 120), (F729, SEVEN_TERMS, 120),
+    (GF(25), SEVEN_TERMS, 120), (GF(27), RECTANGLE_TERMS, 40)],
+    ids=lambda v: {SEVEN_TERMS: "7 terms",
+                   RECTANGLE_TERMS: "15 terms"}.get(v, repr(v)))
+def test_dense_denominator(field, keys, N):
+    # every -den[a,b] and numerator value is the code q - 1, whose t-digits
+    # are all p - 1: the largest products the slot width is bounded for.
+    # Over F25 and F27 these cases need wider slots than the products
+    # alone, for the fold of the high t-digits.
+    top = field.order - 1
+    den = BiPoly(field, {key: field.neg(top) if any(key) else field.one
+                         for key in keys})
+    num = BiPoly(field, {(i, j): top for i in range(3) for j in range(3)})
+    want = reference_expand(num, den, 2 * N)
+    S = series_expand_ratio(num, den, N)
+    assert [[S.get(i, j) for j in range(N + 1)] for i in range(N + 1)] == \
+        [[want.get((i, j), 0) for j in range(N + 1)] for i in range(N + 1)]
 
 
 def test_eval_bipoly_at_series():
