@@ -49,6 +49,16 @@ ROOTS_GOLDEN = {
                      "(1+2*t)*Y + X^2 + (2+2*t)*X^3*Y^2"],
 }
 
+# argv of the roots runs with large closures (462 states over F4, 736 over
+# F9) whose stdout, stderr and exit code at -n 64 are in
+# tests/data/roots_large_golden.json
+ROOTS_LARGE_GOLDEN = {
+    "closure_462_f4": ["roots", "--field", "F4", "--poly",
+                       "(1+t)*X^2 + Y^2 + Y^3 + X*Y^3 + X^3*Y^2"],
+    "closure_736_f9": ["roots", "--field", "F9", "--poly",
+                       "Y + 2*t*X^2 + X^2*Y + (2+t)*X^3*Y^2"],
+}
+
 # annihilate inputs and outputs: the branch automata of the automata-Fq
 # benchmark's roots jobs (roots0-4, five) and its kernel automata
 # (kernel0-4) at seed 1, the unminimized 9-state F2 kernel of
@@ -306,6 +316,13 @@ class TestRoots:
         files = {f"{sub}/{fn}": (tmp_path / sub / fn).read_text()
                  for sub in ("json", "dot") for fn in os.listdir(tmp_path / sub)}
         assert files == want["files"]
+
+    @pytest.mark.parametrize("name", sorted(ROOTS_LARGE_GOLDEN))
+    def test_large_closure_outputs(self, capsys, name):
+        with open(os.path.join(DATA, "roots_large_golden.json")) as handle:
+            want = json.load(handle)[name]
+        code, out, err = run(capsys, *ROOTS_LARGE_GOLDEN[name], "-n", "64")
+        assert (code, out, err) == (want["exit"], want["stdout"], want["stderr"])
 
 
 class TestGen:
