@@ -13,15 +13,15 @@ from .algebra import (GF, QQ, BiPoly, Field, FieldElement, RationalFn,
 from .annihilator import (FrobeniusRelation, frobenius_relation,
                           null_left_vector, verify_relation)
 from .automaton import DFAO, export_dot, from_json, to_json
-from .cartier import (KernelAutomaton2D, KernelState, cartier_bi, cartier_uni,
+from .cartier import (KernelAutomaton2D, KernelState, cartier_bi,
                       diagonal_automaton, kernel_output, rational_kernel)
 from .diagrat import DiagonalRep, diagonal_coeffs, furstenberg_rep
 from .exprparse import ExprAst, parse_poly, parse_ratfun, parse_unipoly
 from .extract import (FixedPointProblem, fixed_point_coefficients,
                       fs_coefficients, fs_partial_sum)
-from .roots import (BranchRoot, ModuleElement, RootsOutcome, attach_outputs,
-                    cartier_closure, frobenius_from_poly, hensel_root,
-                    residue_roots, roots_automata)
+from .roots import (BranchRoot, RootsOutcome, attach_outputs, cartier_closure,
+                    frobenius_from_poly, hensel_root, residue_roots,
+                    roots_automata)
 
 __version__ = "0.1.0"
 
@@ -32,11 +32,11 @@ __all__ = [
     "ExprAst",
     "FrobeniusRelation", "frobenius_relation", "null_left_vector",
     "verify_relation", "DFAO", "export_dot", "from_json", "to_json",
-    "KernelAutomaton2D", "KernelState", "cartier_bi", "cartier_uni",
+    "KernelAutomaton2D", "KernelState", "cartier_bi",
     "diagonal_automaton", "kernel_output", "rational_kernel", "DiagonalRep",
     "diagonal_coeffs", "furstenberg_rep", "parse_poly", "parse_ratfun",
     "parse_unipoly", "FixedPointProblem", "fixed_point_coefficients",
-    "fs_coefficients", "fs_partial_sum", "BranchRoot", "ModuleElement",
+    "fs_coefficients", "fs_partial_sum", "BranchRoot",
     "RootsOutcome", "attach_outputs", "cartier_closure",
     "frobenius_from_poly", "hensel_root", "residue_roots", "roots_automata",
     "__version__",

@@ -15,7 +15,7 @@ digit automaton of the diagonal sequence [X^n Y^n](P/Q).
 from dataclasses import dataclass, field as dc_field
 
 from .algebra.fields import FieldElement
-from .algebra.polys import BiPoly, UniPoly
+from .algebra.polys import BiPoly
 from .automaton import DFAO
 from .errors import (DigitOutOfRange, InfiniteField, StateBudgetExceeded,
                      ZeroConstantTerm)
@@ -32,13 +32,6 @@ def _digit_base(field):
 def _check_digit(r, q):
     if not 0 <= r < q:
         raise DigitOutOfRange(f"digit {r} outside 0..{q - 1}")
-
-
-def cartier_uni(A, r):
-    """Univariate digit section of a UniPoly: [X^n]result = [X^(qn+r)]A."""
-    q = _digit_base(A.field)
-    _check_digit(r, q)
-    return UniPoly(A.field, A.coeffs[r::q], A.var)
 
 
 def cartier_bi(A, r, s):

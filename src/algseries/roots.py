@@ -23,22 +23,21 @@ same series, their difference would be a shorter dependency.
 """
 
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
 
-from .algebra.conv import conv
+from .algebra.conv import accumulate, conv
 from .algebra.fields import FieldElement
-from .algebra.polys import RationalFn, UniPoly, derivative_y
-from .algebra.series import TruncSeries1, eval_bipoly_at_series, poly_to_series
+from .algebra.polys import BiPoly, UniPoly, derivative_y
+from .algebra.series import TruncSeries1, eval_bipoly_at_series
 from .annihilator import (FrobeniusRelation, canonical_relation,
                           null_left_vector, primitive_part, verify_relation)
 from .automaton import DFAO
-from .cartier import cartier_uni, close
+from .cartier import cartier_bi, close
 from .errors import (AlgSeriesError, DegenerateReduction, HypothesisViolated,
                      InfiniteField, InsufficientPrecision, NonSimpleRoot,
                      NotSquarefree, ZeroA0)
 
 CLOSURE_BUDGET = 4096
-_OUTPUT_GUARD = 8  # extra X-adic digits when evaluating states on a branch
+CHECK_ORDER = 128  # fewest coefficients compared per (state, digit) pair
 
 
 def residue_roots(P):
@@ -184,36 +183,17 @@ def frobenius_from_poly(P):
     return canonical_relation([c * L ** e for c, e in zip(combo, exponents)], q)
 
 
-@dataclass(frozen=True)
-class ModuleElement:
-    """sum_i coords[i](X) * g^(q^i) for g = f/A_0: Ore coordinates in F_q[X]."""
-
-    coords: tuple
-
-    def key(self):
-        return tuple(c.coeffs for c in self.coords)
-
-    def is_zero(self):
-        return all(c.is_zero() for c in self.coords)
-
-
-def _coeff_times(coeff, j):
-    fpow = "f" if j == 0 else f"f^(q^{j})"
-    if coeff.is_one():
-        return fpow
-    text = coeff.to_text()
-    if " " in text or "*" in text or "/" in text:
-        text = f"({text})"
-    return f"{text}*{fpow}"
-
-
 @dataclass
 class ClosureSkeleton:
-    """Cartier closure of the formal root: states, transitions, no outputs."""
+    """Cartier closure of the formal root: numerators, transitions, no outputs.
+
+    State A stands for A(X, y)/P_Y(X, y) in F_q(X)[Y]/(P); its label is
+    the text of A.
+    """
 
     field: object
     q: int
-    relation: FrobeniusRelation
+    poly: BiPoly
     states: list
     transitions: list
 
@@ -221,50 +201,28 @@ class ClosureSkeleton:
     def n_states(self):
         return len(self.states)
 
-    @cached_property
-    def coordinates(self):
-        """Each state's coordinates on f, f^q, ...: E_i / A_0^(q^i), reduced."""
-        A0 = self.relation.coeffs[0]
-        dens = [A0 ** (self.q ** i) for i in range(len(self.states[0].coords))]
-        return [tuple(RationalFn(e, den) for e, den in zip(state.coords, dens))
-                for state in self.states]
-
-    @cached_property
+    @property
     def labels(self):
-        """Each state's label text: its nonzero rational coordinates."""
-        return [" + ".join(_coeff_times(c, j) for j, c in enumerate(coords)
-                           if not c.is_zero()) or "0"
-                for coords in self.coordinates]
+        return [A.to_text() for A in self.states]
 
 
-def cartier_closure(relation, state_budget=CLOSURE_BUDGET):
-    """Close {f} under Lambda_0..Lambda_{q-1} in Ore coordinates.
+def cartier_closure(P, state_budget=CLOSURE_BUDGET):
+    """Close the root y of P under Lambda_0..Lambda_{q-1} on numerators.
 
-    Digit r sends (E_0, ..., E_{d-1}) to (Lambda_r(E_{i+1} + E_0*C_{i+1}))_i
-    with E_d = 0 and C_i = -A_i*A_0^(q^i-2): g = f/A_0 solved from the
-    relation.  The products E_0*C_i are shared by all q digits.
+    The start numerator is Y*P_Y - deg_Y(P)*P, as y = (Y*P_Y - d*P)/P_Y
+    modulo P, and digit r maps A to Lambda_{r,q-1}(A * P^(q-1)).
     """
-    field = relation.field
-    q = relation.q
-    A0 = relation.coeffs[0]
-    if A0.is_zero():
-        raise ZeroA0("closure needs a relation with A_0 != 0")
-    n = relation.length
-    C = [-(A * A0 ** (q ** i - 2)) for i, A in enumerate(relation.coeffs[1:], 1)]
-    zero = UniPoly.zero(field)
+    field = P.field
+    q = field.order
+    start = BiPoly.y(field) * derivative_y(P) - P.scale(field.from_int(P.deg_y))
+    Pq1 = P ** (q - 1)
 
-    def images(elem):
-        terms = list(elem.coords[1:]) + [zero]
-        E0 = elem.coords[0]
-        if not E0.is_zero():
-            terms = [t + E0 * c for t, c in zip(terms, C)]
-        return [ModuleElement(tuple(cartier_uni(t, r) for t in terms))
-                for r in range(q)]
+    def images(A):
+        AP = A * Pq1
+        return [cartier_bi(AP, r, q - 1) for r in range(q)]
 
-    # a relation "A_0 f = 0" (n = 0) pins f = 0: one absorbing state
-    start = ModuleElement((A0 if n else zero,) + (zero,) * (n - 1))
     states, transitions = close(start, images, state_budget, "Cartier closure")
-    return ClosureSkeleton(field, q, relation, states, transitions)
+    return ClosureSkeleton(field, q, P, states, transitions)
 
 
 @dataclass
@@ -276,70 +234,35 @@ class BranchRoot:
     outputs: dict = dc_field(default_factory=dict)
 
 
-def closure_output_order(skeleton):
-    """Series order that evaluates every state past its coordinates' degrees.
-
-    State values reach v = val(A_0) below the series order; past that they
-    need the largest numerator plus denominator degree of a state's
-    rational coordinates, plus guard digits.
-    """
-    need = max((c.num.degree + c.den.degree
-                for coords in skeleton.coordinates for c in coords
-                if not c.is_zero()), default=0)
-    return skeleton.relation.coeffs[0].valuation() + need + _OUTPUT_GUARD
-
-
-def _state_values(skeleton, series):
-    """Every closure state evaluated on one branch, to order series.order - v.
-
-    With A_0 = X^v*U and U(0) != 0, g^(q^i) = X^(-v*q^i) * w(X^(q^i)) for
-    w = f/U, so coefficients v*q^i .. v*q^i + order of E_i * w(X^(q^i)) are
-    state coefficients 0 .. order; they read w only up to X^(series.order).
-    """
-    field, q = skeleton.field, skeleton.q
-    A0 = skeleton.relation.coeffs[0]
-    v = A0.valuation()
-    order = series.order - v
-    unit = poly_to_series(UniPoly(field, A0.coeffs[v:]), field, series.order)
-    w = (unit.inverse() * series).coeffs
-    spreads = []
-    for i in range(len(skeleton.states[0].coords)):
-        e = q ** i
-        spread = [field.zero] * (v * e + order + 1)
-        spread[::e] = w[:v + order // e + 1]
-        spreads.append((v * e, spread))
-    add = field.add
-    values = []
-    for state in skeleton.states:
-        total = [field.zero] * (order + 1)
-        for E, (shift, spread) in zip(state.coords, spreads):
-            if not E.is_zero():
-                lo = max(0, shift - E.degree)
-                part = conv(field, E.coeffs, spread[lo:], shift - lo + order)
-                total = [add(a, b) for a, b in zip(total, part[shift - lo:])]
-        values.append(TruncSeries1(field, total, order))
-    return values
-
-
 def attach_outputs(skeleton, branch):
     """Fill the branch's output map and return the complete DFAO.
 
-    Every closure state is evaluated once on the branch series;
-    spot_check_closure then checks every transition against those values,
-    and the output of a state is the constant term of its value.
+    With S_b = f^b/P_Y(X, f) for b < deg_Y P (one series inverse, then
+    products by f), state A evaluates on the branch f to
+    sum A_ab X^a S_b, exact to the series order; spot_check_closure then
+    checks every transition against those values.  The output of a state is
+    the constant term of its value, A(0, a0)/P_Y(0, a0).
     """
-    field = skeleton.field
-    need = closure_output_order(skeleton)
-    if branch.series.order < need:
+    field, q, P = skeleton.field, skeleton.q, skeleton.poly
+    series = branch.series
+    order = series.order
+    need = q * CHECK_ORDER + q - 1
+    if order < need:
         raise InsufficientPrecision(
-            f"branch series order {branch.series.order} below required {need}")
-    values = _state_values(skeleton, branch.series)
+            f"branch series order {order} below required {need}")
+    S = [eval_bipoly_at_series(derivative_y(P), series).inverse()]
+    while len(S) < P.deg_y:
+        S.append(S[-1] * series)
+    S = [s.coeffs for s in S]
+    values = [TruncSeries1(field, accumulate(
+        field, [field.zero] * (order + 1),
+        [(a, c, S[b][:order + 1 - a]) for (a, b), c in A.terms.items()]))
+        for A in skeleton.states]
     spot_check_closure(skeleton, values)
     outputs = [value.coeffs[0] for value in values]
     for idx, out in enumerate(outputs):
         branch.outputs[idx] = FieldElement(field, out)
-    return DFAO(skeleton.q, skeleton.field, 0, skeleton.transitions, outputs,
-                skeleton.labels)
+    return DFAO(q, field, 0, skeleton.transitions, outputs, skeleton.labels)
 
 
 def spot_check_closure(skeleton, values):
@@ -385,11 +308,8 @@ def roots_automata(P, order, state_budget=CLOSURE_BUDGET):
     if not simple:
         raise HypothesisViolated("P has no simple residue root")
     relation = frobenius_from_poly(P)
-    skeleton = cartier_closure(relation, state_budget)
-    check_order = 128  # state values long enough for digit sections of order 128
-    v = relation.coeffs[0].valuation()  # state values reach v below the lift
-    need = max(order + v, closure_output_order(skeleton),
-               skeleton.q * check_order + skeleton.q - 1 + v)
+    skeleton = cartier_closure(P, state_budget)
+    need = max(order, skeleton.q * CHECK_ORDER + skeleton.q - 1)
     branches = []
     failures = []
     for a0 in simple:

@@ -1,39 +1,11 @@
 import pytest
 
-from algseries import (QQ, BiPoly, KernelState, UniPoly, cartier_bi,
-                       cartier_uni, diagonal_automaton, kernel_output,
-                       parse_poly, rational_kernel, series_expand_ratio)
+from algseries import (QQ, BiPoly, KernelState, cartier_bi,
+                       diagonal_automaton, kernel_output, parse_poly,
+                       rational_kernel, series_expand_ratio)
 from algseries.errors import DigitOutOfRange, InfiniteField, ZeroConstantTerm
 
-from conftest import F2, F3, F4, binomial, random_bipoly, random_raw
-
-
-def uni(field, text):
-    return parse_poly(text, field).as_unipoly_x()
-
-
-class TestCartierUni:
-    def test_digit_selection(self):
-        x = uni(F2, "X")
-        assert cartier_uni(x, 1) == UniPoly.one(F2)
-        assert cartier_uni(x, 0).is_zero()
-        assert cartier_uni(uni(F2, "X^2"), 0) == uni(F2, "X")
-
-    def test_coefficient_contract(self, rng):
-        for field in (F2, F3, F4):
-            q = field.order
-            for _ in range(20):
-                poly = UniPoly(field, [random_raw(field, rng) for _ in range(12)])
-                r = rng.randrange(q)
-                out = cartier_uni(poly, r)
-                for n in range(5):
-                    assert out[n] == poly[q * n + r]
-
-    def test_errors(self):
-        with pytest.raises(DigitOutOfRange):
-            cartier_uni(uni(F2, "X"), 2)
-        with pytest.raises(InfiniteField):
-            cartier_uni(uni(QQ, "X"), 0)
+from conftest import F2, F3, F4, binomial, random_bipoly
 
 
 class TestCartierBi:
@@ -45,6 +17,29 @@ class TestCartierBi:
         assert cartier_bi(Q, 1, 0) == BiPoly.one(F2)
         assert cartier_bi(Q, 0, 1) == BiPoly.one(F2)
         assert cartier_bi(Q, 1, 1).is_zero()
+        # digit sections in X alone
+        assert cartier_bi(parse_poly("X", F2), 0, 0).is_zero()
+        assert cartier_bi(parse_poly("X^2", F2), 0, 0) == parse_poly("X", F2)
+
+    def test_coefficient_contract(self, rng):
+        for field in (F2, F3, F4):
+            q = field.order
+            for _ in range(20):
+                A = random_bipoly(field, rng, max_deg=9, max_terms=12)
+                r, s = rng.randrange(q), rng.randrange(q)
+                out = cartier_bi(A, r, s)
+                for m in range(4):
+                    for n in range(4):
+                        assert out.coefficient(m, n) == \
+                            A.coefficient(q * m + r, q * n + s)
+
+    def test_errors(self):
+        with pytest.raises(DigitOutOfRange):
+            cartier_bi(parse_poly("X", F2), 2, 0)
+        with pytest.raises(DigitOutOfRange):
+            cartier_bi(parse_poly("X", F2), 0, 2)
+        with pytest.raises(InfiniteField):
+            cartier_bi(parse_poly("X", QQ), 0, 0)
 
     def test_lemma1_identity(self, rng):
         # Lambda_{r,s}(A^q B) = A Lambda_{r,s}(B) over F_2 and F_4

@@ -1,24 +1,29 @@
 import json
 import os
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from algseries import (GF, QQ, BiPoly, RationalFn, TruncSeries1, UniPoly,
-                       attach_outputs,
-                       cartier_closure, eval_bipoly_at_series,
-                       frobenius_from_poly, hensel_root, parse_poly,
-                       residue_roots, roots_automata, verify_relation)
-from algseries.annihilator import (FrobeniusRelation, canonical_relation,
-                                   null_left_vector)
+                       attach_outputs, cartier_closure, derivative_y,
+                       eval_bipoly_at_series, frobenius_from_poly,
+                       hensel_root, parse_poly, residue_roots, roots_automata,
+                       verify_relation)
+from algseries.algebra.conv import conv
+from algseries.algebra.series import poly_to_series
+from algseries.annihilator import canonical_relation, null_left_vector
+from algseries.cartier import close
 from algseries.cli import parse_field_spec
-from algseries.roots import BranchRoot, closure_output_order, spot_check_closure
+from algseries.roots import CHECK_ORDER, BranchRoot, spot_check_closure
 from algseries.errors import (AlgSeriesError, DegenerateReduction,
                               HypothesisViolated, InfiniteField,
                               InsufficientPrecision, NonSimpleRoot,
-                              NotSquarefree, StateBudgetExceeded, ZeroA0)
+                              NotSquarefree, StateBudgetExceeded)
 
-from conftest import F2, F3, F4, F5, thue_morse
+from conftest import F2, F3, F4, F5, F8, F9, thue_morse
+
+F7 = GF(7)
 
 
 def uni(field, text):
@@ -148,48 +153,40 @@ class TestFrobeniusFromPoly:
 
 class TestCartierClosure:
     def test_thue_morse_two_states(self):
-        skel = cartier_closure(frobenius_from_poly(parse_poly(TM_POLY, F2)))
+        skel = cartier_closure(parse_poly(TM_POLY, F2))
         assert skel.n_states == 2
         # Lambda_0(f) = f, Lambda_1(f) = f1, Lambda_0(f1) = f1, Lambda_1(f1) = f
         assert skel.transitions == [[0, 1], [1, 0]]
-        f1 = skel.coordinates[1]
-        # f1 = f^2/X + X f^2 + f/X: coords (1/X, (1+X^2)/X)
-        assert f1[0].num == UniPoly.one(F2)
-        assert f1[0].den == uni(F2, "X")
-        assert f1[1].num == uni(F2, "1+X^2")
-        assert f1[1].den == uni(F2, "X")
-        assert skel.labels[1] == "(1/X)*f + ((1 + X^2)/X)*f^(q^1)"
+        # P_Y = 1 + X^2: f = Y*P_Y/P_Y and f1 = f + 1/(1 + X)
+        assert [A.to_text() for A in skel.states] == ["Y + X^2*Y",
+                                                     "1 + X + Y + X^2*Y"]
+        assert skel.labels == ["Y + X^2*Y", "1 + X + Y + X^2*Y"]
 
     def test_five_state_closure(self):
-        skel = cartier_closure(frobenius_from_poly(parse_poly(FIVE_STATE_POLY, F2)))
+        skel = cartier_closure(parse_poly(FIVE_STATE_POLY, F2))
         assert skel.n_states == 5
         assert skel.transitions == [[1, 1], [2, 3], [1, 4], [3, 3], [4, 4]]
-        # state 2 is f/(1+X); state 4 is the zero element
-        assert skel.coordinates[2][0].den == uni(F2, "1+X")
-        assert skel.coordinates[2][1].is_zero()
+        # P_Y = 1 + X: state 2 is f/(1+X), state 3 the constant 1/(1+X)
+        # and state 4 the zero element
+        assert skel.labels == ["Y + X*Y", "X + Y", "Y", "1", "0"]
         assert skel.states[4].is_zero()
 
-    def test_zero_a0_rejected(self):
-        # frobenius_from_poly never returns A_0 = 0; a hand-built one is refused
-        rel = FrobeniusRelation((UniPoly.zero(F2), UniPoly.one(F2)), 2)
-        with pytest.raises(ZeroA0):
-            cartier_closure(rel)
-
     def test_zero_relation_single_state(self):
-        rel = FrobeniusRelation((UniPoly.one(F2),), 2)
-        skel = cartier_closure(rel)
+        # P = Y pins f = 0: its start numerator Y*P_Y - P is zero
+        skel = cartier_closure(parse_poly("Y", F2))
         assert skel.n_states == 1
         assert skel.transitions == [[0, 0]]
+        assert skel.states[0].is_zero()
 
 
 class TestAttachOutputs:
     def _branch(self, text, a0, skel):
         P = parse_poly(text, F2)
-        need = max(closure_output_order(skel), 64)
+        need = skel.q * CHECK_ORDER + skel.q - 1
         return BranchRoot(a0=F2.element(a0), series=hensel_root(P, a0, need))
 
     def test_thue_morse_outputs(self):
-        skel = cartier_closure(frobenius_from_poly(parse_poly(TM_POLY, F2)))
+        skel = cartier_closure(parse_poly(TM_POLY, F2))
         b0 = self._branch(TM_POLY, 0, skel)
         aut0 = attach_outputs(skel, b0)
         assert [aut0.outputs[i] for i in range(2)] == [0, 1]
@@ -198,7 +195,7 @@ class TestAttachOutputs:
         assert [aut1.outputs[i] for i in range(2)] == [1, 0]
 
     def test_five_state_outputs_including_state_b(self):
-        skel = cartier_closure(frobenius_from_poly(parse_poly(FIVE_STATE_POLY, F2)))
+        skel = cartier_closure(parse_poly(FIVE_STATE_POLY, F2))
         b0 = self._branch(FIVE_STATE_POLY, 0, skel)
         aut0 = attach_outputs(skel, b0)
         # branch outputs: i, a -> 0, c -> 1, sink -> 0; the value at
@@ -209,7 +206,7 @@ class TestAttachOutputs:
         assert [aut1.outputs[i] for i in range(5)] == [1, 1, 1, 1, 0]
 
     def test_insufficient_precision(self):
-        skel = cartier_closure(frobenius_from_poly(parse_poly(TM_POLY, F2)))
+        skel = cartier_closure(parse_poly(TM_POLY, F2))
         short = BranchRoot(a0=F2.element(0),
                            series=TruncSeries1.zeros(F2, 3))
         with pytest.raises(InsufficientPrecision):
@@ -217,7 +214,7 @@ class TestAttachOutputs:
 
     def test_spot_check_passes(self):
         # Thue-Morse branch 0: state 0 is t(n), state 1 = Lambda_1 f is 1 - t(n)
-        skel = cartier_closure(frobenius_from_poly(parse_poly(TM_POLY, F2)))
+        skel = cartier_closure(parse_poly(TM_POLY, F2))
         values = [TruncSeries1(F2, [thue_morse(n) for n in range(64)]),
                   TruncSeries1(F2, [1 - thue_morse(n) for n in range(64)])]
         spot_check_closure(skel, values)
@@ -226,7 +223,7 @@ class TestAttachOutputs:
             spot_check_closure(skel, values)
 
     def test_corrupted_transition_rejected(self):
-        skel = cartier_closure(frobenius_from_poly(parse_poly(FIVE_STATE_POLY, F2)))
+        skel = cartier_closure(parse_poly(FIVE_STATE_POLY, F2))
         assert skel.transitions[1][0] == 2
         skel.transitions[1][0] = 3
         branch = self._branch(FIVE_STATE_POLY, 0, skel)
@@ -302,7 +299,7 @@ class TestRootsAutomata:
 
     def test_deep_f3_closure(self):
         P = parse_poly(DEEP_F3_POLY, F3)
-        skel = cartier_closure(frobenius_from_poly(P))
+        skel = cartier_closure(P)
         depth = [0] + [None] * (skel.n_states - 1)
         for s, row in enumerate(skel.transitions):
             for t in row:
@@ -416,3 +413,126 @@ def test_relation_matches_rational_function_ring(P):
             frobenius_from_poly(P)
         return
     assert frobenius_from_poly(P) == want
+
+
+# -- the closure in Ore's polynomial coordinates that roots ran before its
+# states became numerators over P_Y, kept as a reference --
+
+def reference_cartier_uni(A, r):
+    """Univariate digit section of a UniPoly: [X^n]result = [X^(qn+r)]A."""
+    return UniPoly(A.field, A.coeffs[r::A.field.order], A.var)
+
+
+@dataclass(frozen=True)
+class ModuleElement:
+    """sum_i coords[i](X) * g^(q^i) for g = f/A_0: Ore coordinates in F_q[X]."""
+
+    coords: tuple
+
+    def key(self):
+        return tuple(c.coeffs for c in self.coords)
+
+
+def reference_cartier_closure(relation, state_budget):
+    """(states, transitions) of {f} under Lambda_0..Lambda_{q-1}.
+
+    Digit r sends (E_0, ..., E_{d-1}) to (Lambda_r(E_{i+1} + E_0*C_{i+1}))_i
+    with E_d = 0 and C_i = -A_i*A_0^(q^i-2): g = f/A_0 solved from the
+    relation.
+    """
+    field, q = relation.field, relation.q
+    A0 = relation.coeffs[0]
+    n = relation.length
+    C = [-(A * A0 ** (q ** i - 2)) for i, A in enumerate(relation.coeffs[1:], 1)]
+    zero = UniPoly.zero(field)
+
+    def images(elem):
+        terms = list(elem.coords[1:]) + [zero]
+        E0 = elem.coords[0]
+        if not E0.is_zero():
+            terms = [t + E0 * c for t, c in zip(terms, C)]
+        return [ModuleElement(tuple(reference_cartier_uni(t, r) for t in terms))
+                for r in range(q)]
+
+    start = ModuleElement((A0 if n else zero,) + (zero,) * (n - 1))
+    return close(start, images, state_budget, "Cartier closure")
+
+
+def reference_state_values(relation, states, series):
+    """Every Ore state evaluated on one branch, to order series.order - v.
+
+    With A_0 = X^v*U and U(0) != 0, g^(q^i) = X^(-v*q^i) * w(X^(q^i)) for
+    w = f/U, so coefficients v*q^i .. v*q^i + order of E_i * w(X^(q^i)) are
+    state coefficients 0 .. order.
+    """
+    field, q = series.field, relation.q
+    A0 = relation.coeffs[0]
+    v = A0.valuation()
+    order = series.order - v
+    unit = poly_to_series(UniPoly(field, A0.coeffs[v:]), field, series.order)
+    w = (unit.inverse() * series).coeffs
+    values = []
+    for state in states:
+        total = TruncSeries1.zeros(field, order)
+        for i, E in enumerate(state.coords):
+            e = q ** i
+            spread = [field.zero] * (v * e + order + 1)
+            spread[::e] = w[:v + order // e + 1]
+            part = conv(field, E.coeffs, spread, v * e + order)[v * e:]
+            total = total + TruncSeries1(field, part, order)
+        values.append(total)
+    return values
+
+
+@st.composite
+def closure_polys(draw):
+    """P over F2..F9 with X-degree up to 3 and Y-degree up to 3 (up to 2
+    over F7..F9, where cubics mostly have relations of degree far above
+    120 that take seconds to find); half of them have the simple residue
+    root 0 (no constant term, a term in Y alone)."""
+    field = draw(st.sampled_from([F2, F3, F4, F5, F7, F8, F9]))
+    coeff = st.integers(1, field.order - 1)
+    deg_y = 3 if field.order <= 5 else 2
+    terms = draw(st.dictionaries(st.tuples(st.integers(0, 3),
+                                           st.integers(0, deg_y)),
+                                 coeff, min_size=2, max_size=6))
+    if draw(st.booleans()):
+        terms.pop((0, 0), None)
+        terms[(0, 1)] = draw(coeff)
+    P = BiPoly(field, terms)
+    assume(P.deg_y >= 1)
+    return P
+
+
+@settings(max_examples=60)
+@given(closure_polys())
+def test_closure_matches_ore_closure(P):
+    # same states in the same order as the Ore closure, numerators inside
+    # the box deg_X <= deg_X P, deg_Y < deg_Y P, and each numerator over
+    # P_Y equal, on every simple branch, to the Ore state's series
+    try:
+        relation = frobenius_from_poly(P)
+    except NotSquarefree:
+        assume(False)
+    assume(relation.max_coeff_degree() <= 120)
+    try:
+        ore_states, ore_transitions = reference_cartier_closure(relation, 64)
+    except StateBudgetExceeded:
+        assume(False)
+    skel = cartier_closure(P)
+    assert skel.transitions == ore_transitions
+    assert all(A.deg_x <= P.deg_x and A.deg_y < P.deg_y for A in skel.states)
+    try:
+        roots = residue_roots(P)
+    except DegenerateReduction:
+        roots = []
+    v = relation.coeffs[0].valuation()
+    for a0, simple in roots:
+        if not simple:
+            continue
+        f = hensel_root(P, a0, 48 + v)
+        inverse = eval_bipoly_at_series(derivative_y(P), f).inverse()
+        want = reference_state_values(relation, ore_states, f)
+        for A, ore in zip(skel.states, want):
+            got = eval_bipoly_at_series(A, f) * inverse
+            assert got.coeffs[:ore.order + 1] == ore.coeffs
