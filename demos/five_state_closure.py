@@ -2,15 +2,16 @@
 
 The Cartier closure of the formal root under Lambda_0, Lambda_1 produces
 states i, a, b, c and a zero sink; both series roots share the skeleton and
-differ only in the attached outputs.  The closure works in Ore's
-polynomial coordinates: with A_0 the coefficient of f in the relation, a
-state is E_0(X) g + E_1(X) g^2 for g = f/A_0.  Each state is printed as its
-reduced coordinates on f and f^2; these may have X-power poles, yet every
-state is a power series, and its constant term is its output on a branch.
+differ only in the attached outputs.  Every state is A(X, y)/P_Y(X, y) for
+a numerator A with deg_X A <= 2 and deg_Y A < 2, and digit r maps A to
+Lambda_{r,1}(A * P): the denominator P_Y = 1 + X stays fixed.  Each state is
+printed as its numerator over P_Y; on the branch with residue a0 its output
+is A(0, a0)/P_Y(0, a0), the constant term of its series.
 """
 
-from algseries import (GF, cartier_closure, eval_bipoly_at_series, export_dot,
-                       frobenius_from_poly, parse_poly, roots_automata)
+from algseries import (GF, cartier_closure, derivative_y,
+                       eval_bipoly_at_series, export_dot, frobenius_from_poly,
+                       parse_poly, roots_automata)
 
 F2 = GF(2)
 Q = parse_poly("Y^2+(1+X)*Y+X^2", F2)
@@ -18,11 +19,12 @@ Q = parse_poly("Y^2+(1+X)*Y+X^2", F2)
 relation = frobenius_from_poly(Q)
 print("annihilating relation:", relation.to_text())
 
-skeleton = cartier_closure(relation)
-print(f"\nclosure skeleton ({skeleton.n_states} states):")
+skeleton = cartier_closure(Q)
+print(f"\nclosure skeleton ({skeleton.n_states} states), "
+      f"P_Y = {derivative_y(Q).to_text()}:")
 for i, label in enumerate(skeleton.labels):
     targets = skeleton.transitions[i]
-    print(f"  state {i}: {label}   (0 -> {targets[0]}, 1 -> {targets[1]})")
+    print(f"  state {i}: ({label})/P_Y   (0 -> {targets[0]}, 1 -> {targets[1]})")
 
 outcome = roots_automata(Q, 64)
 for branch, automaton in outcome.branches:

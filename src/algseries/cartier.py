@@ -1,4 +1,4 @@
-"""Cartier (digit-section) operators and the kernel closure for P/Q.
+"""Cartier (digit-section) operators and closures over a fixed denominator.
 
 Over F_q, Lambda_{r,s} maps sum a_{m,n} X^m Y^n to sum a_{mq+r, nq+s} X^m Y^n
 and satisfies Lambda_{r,s}(A^q B) = A * Lambda_{r,s}(B).  For a rational
@@ -10,6 +10,11 @@ so the q-kernel closure only ever tracks numerators, and the numerator
 degree contracts to below deg P + deg Q after one step.  The closure is a
 2-D automaton over digit pairs; restricting to equal pairs (r, r) yields the
 digit automaton of the diagonal sequence [X^n Y^n](P/Q).
+
+Both closures of the package run on ``close``, keyed by numerator: this
+kernel closure, and roots.cartier_closure, which closes a root y of P as
+numerators A of A(X, y)/P_Y(X, y) by the same kind of identity,
+Lambda_r(A/P_Y) = Lambda_{r,q-1}(A P^(q-1))/P_Y.
 """
 
 from dataclasses import dataclass, field as dc_field

@@ -23,7 +23,7 @@ from .diagrat import DiagonalRep, diagonal_coeffs, furstenberg_rep
 from .errors import AlgSeriesError, ParseError
 from .exprparse import parse_poly, parse_unipoly
 from .extract import FixedPointProblem, fixed_point_coefficients, fs_coefficients
-from .roots import roots_automata
+from .roots import CLOSURE_BUDGET, roots_automata
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -243,7 +243,11 @@ def build_parser():
     p.add_argument("--automaton", required=True, help="DFAO JSON file")
     p.set_defaults(func=cmd_annihilate)
 
-    p = sub.add_parser("roots", help="series roots of P as automata")
+    p = sub.add_parser(
+        "roots", help="series roots of P as automata",
+        description="Series roots of P over a finite field, one automaton "
+                    "per simple residue root.  A Cartier closure of more "
+                    f"than CLOSURE_BUDGET = {CLOSURE_BUDGET} states exits 2.")
     add_common(p)
     p.add_argument("--poly", required=True, help="P(X,Y) over a finite field")
     p.add_argument("--dot", help="directory for per-branch DOT files")

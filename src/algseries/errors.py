@@ -62,8 +62,8 @@ class NotSquarefree(AlgSeriesError):
 
 
 class ZeroA0(AlgSeriesError):
-    """A relation lacks the k=0 term; Ore's normalization needs A_0 != 0.
-    frobenius_from_poly never synthesizes one for a squarefree P."""
+    """A relation lacks the k=0 term; frobenius_from_poly never synthesizes
+    one for a squarefree P."""
 
 
 class SchemaError(AlgSeriesError):

@@ -3,23 +3,32 @@
 Pipeline: enumerate residue roots a0 of P(0, Y); Newton-lift each simple one
 to a series root; derive a minimal Frobenius relation
 sum A_k(X) f^(q^k) = 0 by finding the first linear dependency among
-Y^(q^k) mod P over F_q(X); close the formal element f under the Cartier
-operators in Ore's polynomial coordinates; attach per-branch outputs by
-evaluating each closure state once on the lifted series, and check every
-transition against those values.
+Y^(q^k) mod P over F_q(X), printed and checked on a lifted root; close the
+root under the Cartier operators on numerators over P_Y; attach per-branch
+outputs by evaluating each closure state once on the lifted series, and
+check every transition against those values.
 
-Ore's normalization (from the proof of Christol's theorem): as A_0 != 0,
-g = f/A_0 satisfies g = sum_{i>=1} C_i g^(q^i) with
-C_i = -A_i*A_0^(q^i-2) in F_q[X].  A state is h = sum_{i<d} E_i g^(q^i)
-with every E_i in F_q[X], the start state f is (A_0, 0, ..., 0), and
-Lambda_r(a^q b) = a Lambda_r(b) turns each step into polynomial products and
-slices.  With A_0 = X^v*U and U(0) != 0, a state's value on a branch is
-sum_i E_i * X^(-v*q^i) * (f/U)(X^(q^i)): one series inverse per branch.
-Labels show the reduced rational coordinates E_i/A_0^(q^i) on f^(q^i).
+The closure runs in L = F_q(X)[Y]/(P), where P_Y is a unit as P is
+squarefree.  For every A in F_q[X, Y] (Bostan, Caruso, Christol, Dumas,
+ANTS XIII, 2018)
 
-Minimality of the relation makes the coordinate vectors of closure states a
-sound equality key: were two distinct coordinate vectors to evaluate to the
-same series, their difference would be a shorter dependency.
+    Lambda_r(A(X, y)/P_Y(X, y)) = Lambda_{r,q-1}(A * P^(q-1))(X, y) / P_Y(X, y)
+
+with Lambda_{r,s} the bivariate digit section cartier_bi, so the
+denominator stays P_Y and a state is its numerator A, as in
+cartier.rational_kernel.  With h = deg_X P and d = deg_Y P:
+
+  * the start numerator Y*P_Y - d*P stands for y and has Y-degree < d;
+  * if deg_X A <= h and deg_Y A < d, then A * P^(q-1) has bidegree at most
+    (q*h, q*d - 1) and every section at (r, q-1) is back in that box, so
+    no state has more than (h+1)*d terms;
+  * on that box A -> A/P_Y is injective, as 1, y, ..., y^(d-1) is a basis
+    of L over F_q(X), so the numerator is a sound state key.
+
+On a branch f with residue a0, S_b = f^b/P_Y(X, f) for b < d costs one
+series inverse and d-1 products; state A has the value sum A_ab X^a S_b,
+exact to the order of f, and the output A(0, a0)/P_Y(0, a0).  A state's
+label is the text of its numerator.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -128,12 +137,12 @@ def frobenius_from_poly(P):
     relation A_k = c_k * L^(a_k).  P must be squarefree in Y: the check is
     a primitive pseudo-remainder gcd of P and P_Y.
 
-    That dependency has A_0 != 0, as Ore's normalization in cartier_closure
-    needs.  Once gcd(P, P_Y) = 1, A = F_q(X)[Y]/(P) is etale over
-    K = F_q(X), so the map K (x)_{K^q} A^q -> A is an isomorphism and q-th
-    powers of K-linearly independent elements stay K-linearly independent.
-    A first dependency sum_{k>=1} A_k y^(q^k) = 0 without the k = 0 term
-    would make y^q, ..., y^(q^m) dependent, hence y, ..., y^(q^(m-1)), an
+    That dependency has A_0 != 0.  Once gcd(P, P_Y) = 1, A = F_q(X)[Y]/(P)
+    is etale over K = F_q(X), so the map K (x)_{K^q} A^q -> A is an
+    isomorphism and q-th powers of K-linearly independent elements stay
+    K-linearly independent.  A first dependency
+    sum_{k>=1} A_k y^(q^k) = 0 without the k = 0 term would make
+    y^q, ..., y^(q^m) dependent, hence y, ..., y^(q^(m-1)), an
     earlier dependency.  The ZeroA0 raise below guards that argument.
     """
     field = P.field
@@ -213,6 +222,8 @@ def cartier_closure(P, state_budget=CLOSURE_BUDGET):
     modulo P, and digit r maps A to Lambda_{r,q-1}(A * P^(q-1)).
     """
     field = P.field
+    if not field.is_finite:
+        raise InfiniteField("Cartier operators require a finite field")
     q = field.order
     start = BiPoly.y(field) * derivative_y(P) - P.scale(field.from_int(P.deg_y))
     Pq1 = P ** (q - 1)
@@ -253,11 +264,14 @@ def attach_outputs(skeleton, branch):
     S = [eval_bipoly_at_series(derivative_y(P), series).inverse()]
     while len(S) < P.deg_y:
         S.append(S[-1] * series)
-    S = [s.coeffs for s in S]
-    values = [TruncSeries1(field, accumulate(
-        field, [field.zero] * (order + 1),
-        [(a, c, S[b][:order + 1 - a]) for (a, b), c in A.terms.items()]))
-        for A in skeleton.states]
+
+    def value(A):
+        rows = [(a, c, S[b].coeffs[:order + 1 - a])
+                for (a, b), c in A.terms.items()]
+        return TruncSeries1(field, accumulate(field, [field.zero] * (order + 1),
+                                              rows))
+
+    values = [value(A) for A in skeleton.states]
     spot_check_closure(skeleton, values)
     outputs = [value.coeffs[0] for value in values]
     for idx, out in enumerate(outputs):

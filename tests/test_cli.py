@@ -306,7 +306,9 @@ class TestRoots:
 
     @pytest.mark.parametrize("name", sorted(ROOTS_GOLDEN))
     def test_golden_outputs(self, capsys, tmp_path, name):
-        # expected outputs written by the closure on rational coordinates
+        # written by the closure in Ore coordinates, and reproduced by the
+        # closure on numerators over P_Y except for the JSON labels, which
+        # are now the numerator texts
         with open(os.path.join(DATA, "roots_golden.json")) as handle:
             want = json.load(handle)[name]
         code, out, err = run(capsys, *ROOTS_GOLDEN[name], "-n", "64",
@@ -316,6 +318,13 @@ class TestRoots:
         files = {f"{sub}/{fn}": (tmp_path / sub / fn).read_text()
                  for sub in ("json", "dot") for fn in os.listdir(tmp_path / sub)}
         assert files == want["files"]
+
+    def test_help_states_closure_budget(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["roots", "--help"])
+        assert exc.value.code == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "more than CLOSURE_BUDGET = 4096 states exits 2" in help_text
 
     @pytest.mark.parametrize("name", sorted(ROOTS_LARGE_GOLDEN))
     def test_large_closure_outputs(self, capsys, name):

@@ -178,6 +178,10 @@ class TestCartierClosure:
         assert skel.transitions == [[0, 0]]
         assert skel.states[0].is_zero()
 
+    def test_requires_finite_field(self):
+        with pytest.raises(InfiniteField):
+            cartier_closure(parse_poly("Y^2+Y+X", QQ))
+
 
 class TestAttachOutputs:
     def _branch(self, text, a0, skel):
