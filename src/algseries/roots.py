@@ -219,7 +219,8 @@ def cartier_closure(P, state_budget=CLOSURE_BUDGET):
     """Close the root y of P under Lambda_0..Lambda_{q-1} on numerators.
 
     The start numerator is Y*P_Y - deg_Y(P)*P, as y = (Y*P_Y - d*P)/P_Y
-    modulo P, and digit r maps A to Lambda_{r,q-1}(A * P^(q-1)).
+    modulo P, and digit r maps A to Lambda_{r,q-1}(A * P^(q-1)).  P must be
+    squarefree in Y, which frobenius_from_poly checks.
     """
     field = P.field
     if not field.is_finite:
@@ -323,7 +324,10 @@ def roots_automata(P, order, state_budget=CLOSURE_BUDGET):
         raise HypothesisViolated("P has no simple residue root")
     relation = frobenius_from_poly(P)
     skeleton = cartier_closure(P, state_budget)
-    need = max(order, skeleton.q * CHECK_ORDER + skeleton.q - 1)
+    # verify_relation checks the relation through X^order only if the lift
+    # reaches order + max deg A_k
+    need = max(order + relation.max_coeff_degree(),
+               skeleton.q * CHECK_ORDER + skeleton.q - 1)
     branches = []
     failures = []
     for a0 in simple:

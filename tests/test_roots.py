@@ -301,6 +301,17 @@ class TestRootsAutomata:
         for branch, aut in out.branches:
             assert eval_bipoly_at_series(P, aut.generate(64)).is_zero()
 
+    def test_relation_degree_above_check_order(self):
+        # relation coefficients of degree 1944 over F9, above the lift order
+        # q*CHECK_ORDER + q - 1 = 1160 that the 21-state closure needs
+        P = parse_poly("Y + (1+t)*Y^2 + (1+2*t)*X^3 + (1+t)*X^3*Y + 2*X^3*Y^3",
+                       F9)
+        out = roots_automata(P, 64)
+        assert out.relation.max_coeff_degree() == 1944
+        assert len(out.branches) == 2 and not out.failures
+        for branch, aut in out.branches:
+            assert aut.generate(64).coeffs == branch.series.coeffs[:65]
+
     def test_deep_f3_closure(self):
         P = parse_poly(DEEP_F3_POLY, F3)
         skel = cartier_closure(P)
