@@ -87,11 +87,22 @@ class DFAO:
         return FieldElement(self.field, self.run_raw(n))
 
     def generate(self, count):
-        """TruncSeries1 with c_n = run(n) for 0 <= n <= count (arity 1)."""
+        """TruncSeries1 with c_n = run(n) for 0 <= n <= count (arity 1).
+
+        Level by level: level k lists the states after exactly k digits,
+        leading zeros included, for the indices below q^k, so level k + 1
+        is delta[t][d] at d*q^k + r for the state t of r on level k.  An n
+        with q^k <= n < q^(k+1) has k + 1 digits and ends on level k + 1.
+        """
         if self.arity != 1:
             raise AlgSeriesError("generate needs a one-dimensional automaton")
-        return TruncSeries1(self.field,
-                            [self.run_raw(n) for n in range(count + 1)], count)
+        delta, outputs = self.transitions, self.outputs
+        level = [self.initial]
+        values = [outputs[self.initial]]
+        while len(values) <= count:
+            level = [delta[t][d] for d in range(self.q) for t in level]
+            values += [outputs[t] for t in level[len(values):count + 1]]
+        return TruncSeries1(self.field, values, count)
 
     def reroot(self, state):
         """Same automaton started at ``state`` (kernel subsequence view)."""

@@ -22,7 +22,8 @@ from .cartier import diagonal_automaton, rational_kernel
 from .diagrat import DiagonalRep, diagonal_coeffs, furstenberg_rep
 from .errors import AlgSeriesError, ParseError
 from .exprparse import parse_poly, parse_unipoly
-from .extract import FixedPointProblem, fixed_point_coefficients, fs_coefficients
+from .extract import (EXTRACT_ORDER_LIMIT, FixedPointProblem,
+                      fixed_point_coefficients, fs_coefficients)
 from .roots import CLOSURE_BUDGET, roots_automata
 
 EXIT_OK = 0
@@ -210,7 +211,11 @@ def build_parser():
         p.add_argument("-n", "--order", type=int, default=256,
                        help="truncation order / sequence length (default 256)")
 
-    p = sub.add_parser("extract", help="Flajolet-Soria coefficients of Y=P(X,Y)")
+    p = sub.add_parser(
+        "extract", help="Flajolet-Soria coefficients of Y=P(X,Y)",
+        description="Coefficients f_1..f_N of the fixed point f = P(X, f) "
+                    "by the Flajolet-Soria formula.  An order -n above "
+                    f"EXTRACT_ORDER_LIMIT = {EXTRACT_ORDER_LIMIT} exits 2.")
     add_common(p)
     p.add_argument("--poly", required=True, help="P(X,Y) with P(0,0)=P'_Y(0,0)=0")
     p.add_argument("--check", action="store_true",

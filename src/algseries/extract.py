@@ -10,13 +10,16 @@ The sum is finite in disguise: every monomial X^a Y^b of P has 2a + b >= 2
 2i + j >= 2m, and [X^n Y^(m-1)] P^m forces 2n + m - 1 >= 2m, i.e.
 m <= 2n - 1.  fs_coefficients evaluates the sum exactly with that cutoff,
 building only the cells of P^m from which some product of P's monomials
-still reaches an extracted cell (_reach_limits).  Over finite fields the
-Y-slices of P^m are {i: coeff} dicts (_power_rows); over Q they are the
-same cells of (D*P)^m, D the lcm of P's denominators, packed into one
-Python int per slice with signed slots of a proven width (_packed_rows,
-fs_coefficients).  fixed_point_coefficients is the independent oracle
-(Newton lifting of Y - P(X, Y), certified by one exact substitution), and
-fs_partial_sum exposes the per-m partial sums on the dict rows.
+still reaches an extracted cell (_reach_limits).  Over finite fields a cell
+(i, j) of P^m is one entry of a flat dict, keyed by i and s = m - 1 - j:
+the keep rule depends on s alone, so one byte mask over the keys serves
+every power, and a monomial of P is one fixed key offset (_cell_grid,
+_power_cells).  Over Q the same cells of (D*P)^m, D the lcm of P's
+denominators, are packed into one Python int per Y-slice with signed slots
+of a proven width (_packed_rows, fs_coefficients).
+fixed_point_coefficients is the independent oracle (Newton lifting of
+Y - P(X, Y), certified by one exact substitution), and fs_partial_sum
+exposes the per-m partial sums on the flat cells.
 """
 
 from fractions import Fraction
@@ -27,6 +30,10 @@ from .algebra.polys import BiPoly, derivative_y
 from .algebra.series import TruncSeries1, eval_bipoly_at_series
 from .errors import AlgSeriesError, HypothesisViolated
 from .roots import hensel_root
+
+# Largest order fs_coefficients accepts.  The sweep's cells and its mask
+# grow like N^2 per power, and the time over Q about like N^4.
+EXTRACT_ORDER_LIMIT = 1024
 
 
 class FixedPointProblem:
@@ -102,51 +109,76 @@ def _reach_limits(problem, N, wrows):
     return limits
 
 
-def _power_rows(problem, N, wrows):
-    """Y-slices {j: {i: coeff}} of P^m for m = 1, 2, ..., 2N - 1, as (m, rows).
+def _cell_grid(problem, N, wrows):
+    """(S, base, mask, steps) of the flat sweep over the cells of P^m.
 
-    P^m is built incrementally (P^{m+1} = P^m * P) and keeps exactly the
-    cells that can still land on an extracted cell [X^n Y^(m'-1)] W P^m'
-    with n <= N, for the Y-slices wrows of W = 1 - P'_Y: (i, j) stays iff
-    i <= limits[m - 1 - j] (_reach_limits).  A dropped cell feeds only
-    dropped cells, so every kept value is the full coefficient of P^m.
-    Stops early once nothing is left.
+    A cell (i, j) of P^m has s = m - 1 - j and the key (s + base) * S + i,
+    so a term X^a Y^b of P moves it to (s + 1 - b, i + a), a fixed key
+    offset of (1 - b) * S + a; steps lists those offsets with the terms'
+    coefficients.  Only the terms with a <= N enter: the others never reach
+    a kept cell.  The row width S = N + 1 + max a keeps i + a inside its
+    row.  mask[key] is 1 iff i <= limits[s] (_reach_limits), so it is the
+    keep rule of every power at once.  Its rows run from max b + 1 below
+    the least s with a limit to 2 above the largest, which holds every
+    destination of a kept cell and of the start cell (0, 0) of P^0
+    (s = -1; limits[0] = N exists, since W has the term 1), so no key needs
+    a range test.
     """
-    field = problem.field
-    add, mul = field.add, field.mul
-    pterms = list(problem.poly.terms.items())
+    terms = [(a, b, c) for (a, b), c in problem.poly.terms.items() if a <= N]
     limits = _reach_limits(problem, N, wrows)
-    rows = {}
-    for (a, b), c in pterms:
-        if a <= limits.get(-b, -1):
-            rows.setdefault(b, {})[a] = c
-    m_top = 2 * N - 1
-    for m in range(1, m_top + 1):
-        if not rows:
-            return
-        yield m, rows
-        if m == m_top:
-            return
+    S = N + 1 + max((a for a, _, _ in terms), default=0)
+    base = max((b for _, b, _ in terms), default=0) + 1 - min(limits, default=0)
+    mask = bytearray((max(limits, default=0) + base + 2) * S)
+    for s, top in limits.items():
+        start = (s + base) * S
+        mask[start:start + top + 1] = b"\1" * (top + 1)
+    return S, base, mask, [((1 - b) * S + a, c) for a, b, c in terms]
+
+
+def _power_cells(field, grid, N):
+    """Cells {key: coeff} of P^m for m = 1, 2, ..., 2N - 1, as (m, cells).
+
+    P^m is built incrementally (P^{m+1} = P^m * P) on the keys of grid
+    (_cell_grid) and keeps exactly the cells that can still land on an
+    extracted cell [X^n Y^(m'-1)] W P^m' with n <= N, W = 1 - P'_Y: those
+    the mask allows.  A dropped cell feeds only dropped cells, so every
+    kept value is the full coefficient of P^m.  A step is one pass over the
+    cells per term of P, and then drops the zero cells.  Over F_p the
+    products are plain ints, summed and reduced mod p once per cell (over
+    Q they are exact ints and Fractions); over F_{p^k} a term's scalar is
+    its row of the multiplication table.  Stops early once nothing is left.
+    """
+    S, base, mask, steps = grid
+    cells = {(base - 1) * S: field.one}  # P^0: the cell (0, 0), s = -1
+    extension = field.kind == "extension"
+    if extension:
+        q, add, mul = field.order, field._add, field._mul
+        steps = [(off, mul[c * q:(c + 1) * q]) for off, c in steps]
+    p = field.char
+    for m in range(1, 2 * N):
         nxt = {}
-        for j, row in rows.items():
-            for (a, b), c in pterms:
-                jj = j + b
-                top = limits.get(m - jj, -1) - a  # keep i + a <= limit
-                if top < 0:
-                    continue
-                dst = nxt.get(jj)
-                if dst is None:
-                    dst = nxt[jj] = {}
-                for i, v in row.items():
-                    if i > top:
-                        continue
-                    ii = i + a
-                    prev = dst.get(ii)
-                    product = mul(c, v)
-                    dst[ii] = product if prev is None else add(prev, product)
-        rows = {j: {i: v for i, v in row.items() if v}
-                for j, row in nxt.items()}
-        rows = {j: row for j, row in rows.items() if row}
+        get = nxt.get
+        items = cells.items()
+        if extension:
+            for off, row in steps:
+                for k, v in items:
+                    k += off
+                    if mask[k]:
+                        nxt[k] = add[get(k, 0) * q + row[v]]
+            cells = {k: v for k, v in nxt.items() if v}
+        else:
+            for off, c in steps:
+                for k, v in items:
+                    k += off
+                    if mask[k]:
+                        nxt[k] = get(k, 0) + c * v
+            if p:
+                cells = {k: r for k, v in nxt.items() if (r := v % p)}
+            else:
+                cells = {k: v for k, v in nxt.items() if v}
+        if not cells:
+            return
+        yield m, cells
 
 
 def _integer_form(problem, N, wrows):
@@ -168,7 +200,7 @@ def _integer_form(problem, N, wrows):
 def _packed_rows(pz, limits, N, w):
     """Y-slices {j: (lo, x)} of P_Z^m for m = 1, ..., 2N - 1, as (m, rows).
 
-    The cells of _power_rows, times D^m, with slot k of x holding the cell
+    The cells of _power_cells, times D^m, with slot k of x holding the cell
     (lo + k, j) (see fs_coefficients).  Stops early once nothing is left.
     """
     rows = {0: (0, 1)}  # P_Z^0
@@ -242,10 +274,23 @@ def _rational_coefficients(problem, N, wrows):
 def fs_coefficients(problem, order):
     """f_0..f_order of the fixed point, by the formula.
 
-    Over finite fields the sweep keeps the dict rows of _power_rows.  Over
-    Q it keeps the same cells as integers packed into Python ints, so one
-    big-int operation replaces a field call per cell.  With D the lcm of
-    the denominators of P, P_Z = D*P and W_Z = D*W (W = 1 - P'_Y),
+    An order above EXTRACT_ORDER_LIMIT raises AlgSeriesError before any
+    work.
+
+    Over finite fields the sweep runs on the flat cells of _power_cells:
+    the cell (i, j) of P^m has the key (s + base) * S + i with
+    s = m - 1 - j, a term X^a Y^b of P adds the fixed offset
+    (1 - b) * S + a to a key, and one byte mask over the keys keeps the
+    cells with i <= limits[s] for every m.  Products of F_p elements are
+    summed as plain ints and reduced once per cell and step, and a cell
+    (i, b_w) feeds f_{i + a_w} through a map from keys to the terms
+    c_w X^(a_w) Y^(b_w) of W = 1 - P'_Y.  A Y-slice of P^m over F_q holds
+    only 2-3 nonzero cells (Lucas zeros), which is why byte-packed rows
+    lose there.
+
+    Over Q the sweep keeps the same cells as integers packed into Python
+    ints, so one big-int operation replaces a field call per cell.  With D
+    the lcm of the denominators of P, P_Z = D*P and W_Z = D*W,
 
         f_n = sum_m T_m[n] / D^(m+1),   T_m = [Y^(m-1)] W_Z P_Z^m,
 
@@ -271,28 +316,29 @@ def fs_coefficients(problem, order):
         of W_Z, so it is at most |W_Z|_1 |P_Z|_1^m, and a slot of
         A = sum_m T_m D^(M-m), or of any partial sum of it, is at most
         M |W_Z|_1 B^M < 2N |W_Z|_1 B^(2N-1).
-    Finite fields keep dicts because zero cells vanish there (Lucas): an
-    F_q row spans several times as many slots as it has nonzero cells, and
-    the packed sweep over Z ran about 5 times slower than the dict sweep
-    over F_p on the same integer coefficients.
     """
     field = problem.field
     N = order
+    if N > EXTRACT_ORDER_LIMIT:
+        raise AlgSeriesError(f"order {N} is above EXTRACT_ORDER_LIMIT = "
+                             f"{EXTRACT_ORDER_LIMIT}")
     wrows = _correction_rows(problem)
     if field.kind == "rationals":
         return TruncSeries1(field, _rational_coefficients(problem, N, wrows), N)
     add, mul = field.add, field.mul
+    grid = _cell_grid(problem, N, wrows)
+    S, base = grid[0], grid[1]
+    reads = {}  # key of the cell (i, s = b_w): [(i + a_w, c_w), ...]
+    for bw, wterms in wrows.items():
+        for aw, cw in wterms:
+            for i in range(N + 1 - aw):
+                reads.setdefault((bw + base) * S + i, []).append((i + aw, cw))
     f = [field.zero] * (N + 1)
-    for m, rows in _power_rows(problem, N, wrows):
-        for bw, wterms in wrows.items():
-            row = rows.get(m - 1 - bw)
-            if not row:
-                continue
-            for aw, cw in wterms:
-                for i, v in row.items():
-                    n = i + aw
-                    if n <= N:
-                        f[n] = add(f[n], mul(cw, v))
+    for _, cells in _power_cells(field, grid, N):
+        for k in cells.keys() & reads.keys():
+            v = cells[k]
+            for n, cw in reads[k]:
+                f[n] = add(f[n], mul(cw, v))
     f[0] = field.zero  # forced by P(0,0) = 0
     return TruncSeries1(field, f, N)
 
@@ -320,23 +366,23 @@ def fs_partial_sum(problem, n, m_max):
     """sum_{m=1}^{m_max} [X^n Y^(m-1)] (1 - P'_Y) P^m as a FieldElement.
 
     Stabilizes at m_max >= 2n - 1, where it equals f_n: the terms past
-    m = 2n - 1 vanish, and _power_rows stops there.
+    m = 2n - 1 vanish, and _power_cells stops there.
     """
     if m_max < 1:
         raise HypothesisViolated("m_max must be >= 1")
     field = problem.field
     add, mul = field.add, field.mul
     wrows = _correction_rows(problem)
+    grid = _cell_grid(problem, n, wrows)
+    S, base = grid[0], grid[1]
+    reads = [((bw + base) * S + n - aw, cw) for bw, wterms in wrows.items()
+             for aw, cw in wterms if aw <= n]
     total = field.zero
-    for m, rows in _power_rows(problem, n, wrows):
-        for bw, wterms in wrows.items():
-            row = rows.get(m - 1 - bw)
-            if not row:
-                continue
-            for aw, cw in wterms:
-                v = row.get(n - aw)
-                if v:
-                    total = add(total, mul(cw, v))
+    for m, cells in _power_cells(field, grid, n):
+        for key, cw in reads:
+            v = cells.get(key)
+            if v:
+                total = add(total, mul(cw, v))
         if m == m_max:
             break
     return FieldElement(field, total)

@@ -4,12 +4,15 @@ import random
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from algseries import DFAO, GF, QQ, export_dot, from_json, to_json
 from algseries.errors import AlgSeriesError, SchemaError
 
 from conftest import F2, F4, thue_morse
 
+F7 = GF(7)
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
@@ -56,6 +59,21 @@ class TestRun:
         series = a.generate(40)
         for n in range(41):
             assert series.coeffs[n] == a.run_raw(n)
+
+    @given(st.data())
+    def test_generate_matches_run_any_base(self, data):
+        # generate builds all states level by level; run_raw reads the
+        # digits of one n at a time
+        q = data.draw(st.integers(2, 9))
+        n = data.draw(st.integers(1, 6))
+        state = st.integers(0, n - 1)
+        a = DFAO(q, F7, data.draw(state),
+                 data.draw(st.lists(st.lists(state, min_size=q, max_size=q),
+                                    min_size=n, max_size=n)),
+                 data.draw(st.lists(st.integers(0, 6), min_size=n, max_size=n)))
+        count = data.draw(st.integers(0, 300))
+        assert a.generate(count).coeffs == \
+            tuple(a.run_raw(k) for k in range(count + 1))
 
     def test_kernel_identity(self, rng):
         # run(a, q*n + r) == run(a rerooted at delta(initial, r), n)

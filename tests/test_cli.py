@@ -6,8 +6,9 @@ import time
 
 import pytest
 
-from algseries import from_json
+from algseries import extract, from_json
 from algseries.cli import main, parse_field_spec
+from algseries.extract import EXTRACT_ORDER_LIMIT
 from algseries.errors import AlgSeriesError
 
 from conftest import thue_morse
@@ -147,6 +148,24 @@ class TestExtract:
         code, _, err = run(capsys, "extract", "--field", "Q",
                            "--poly", "X+Y^2", "-n", "0")
         assert code == 2 and "order" in err
+
+    def test_order_above_limit_exit_2(self, capsys, monkeypatch):
+        # rejected before the sweep: with the sweep stubbed out to fail,
+        # the limit still answers
+        def no_sweep(*args):
+            raise AssertionError("sweep ran")
+        monkeypatch.setattr(extract, "_reach_limits", no_sweep)
+        code, out, err = run(capsys, "extract", "--field", "F2", "--poly",
+                             "X+Y^2", "-n", str(EXTRACT_ORDER_LIMIT + 1))
+        assert code == 2 and not out
+        assert f"above EXTRACT_ORDER_LIMIT = {EXTRACT_ORDER_LIMIT}" in err
+
+    def test_help_states_order_limit(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["extract", "--help"])
+        assert exc.value.code == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "above EXTRACT_ORDER_LIMIT = 1024 exits 2" in help_text
 
     def test_check_flag(self, capsys):
         code, _, err = run(capsys, "extract", "--field", "F3",

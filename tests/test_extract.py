@@ -11,12 +11,16 @@ from algseries.algebra.conv import conv
 from algseries.algebra.polys import derivative_y
 from algseries.algebra.series import TruncSeries1
 from algseries.errors import HypothesisViolated
-from algseries.extract import (_correction_rows, _integer_form, _packed_rows,
-                               _power_rows, _reach_limits, _unpack)
+from algseries.extract import (_cell_grid, _correction_rows, _integer_form,
+                               _packed_rows, _power_cells, _reach_limits,
+                               _unpack)
 from algseries.roots import hensel_root
 
-from conftest import (F2, F3, F4, F5, F9, catalan_numbers, random_problem,
+from conftest import (F2, F3, F4, F5, F8, F9, catalan_numbers, random_problem,
                       thue_morse)
+
+F7 = GF(7)
+F31 = GF(31)
 
 
 def problem(text, field):
@@ -65,6 +69,12 @@ class TestFsCoefficients:
     def test_zero_polynomial(self):
         f = fs_coefficients(FixedPointProblem(BiPoly.zero(QQ)), 5)
         assert f.is_zero()
+
+    def test_zero_polynomial_finite_field(self):
+        # P = 0 has no terms to step with: the sweep ends before P^1
+        prob = FixedPointProblem(BiPoly.zero(F2))
+        assert fs_coefficients(prob, 1).coeffs == (0, 0)
+        assert fs_partial_sum(prob, 1, 1).raw == 0
 
 
 class TestFixedPointOracle:
@@ -198,7 +208,8 @@ MONOMIALS = st.tuples(st.integers(0, 3), st.integers(0, 4)).filter(
     lambda ab: 2 * ab[0] + ab[1] >= 2)
 
 
-FINITE = {"F2": F2, "F3": F3, "F4": F4, "F5": F5, "F9": F9}
+FINITE = {"F2": F2, "F3": F3, "F4": F4, "F5": F5, "F7": F7, "F8": F8,
+          "F9": F9, "F31": F31}
 
 
 def rationals(bound, denominator):
@@ -208,9 +219,9 @@ def rationals(bound, denominator):
 
 
 @st.composite
-def fixed_point_problems(draw, kinds=("F2", "F3", "F4", "F5", "F9", "Q",
-                                      "Q/", "Qbig")):
-    """(P, N) over F2, F3, F4, F5, F9 or Q, with N up to 24.
+def fixed_point_problems(draw, kinds=("F2", "F3", "F4", "F5", "F7", "F8", "F9",
+                                      "F31", "Q", "Q/", "Qbig")):
+    """(P, N) over F2, F3, F4, F5, F7, F8, F9, F31 or Q, with N up to 24.
 
     Qbig draws coefficients up to 10^6 in size with denominators up to
     10^3, so the packed rows of the Q sweep run near their width bound.
@@ -227,6 +238,19 @@ def fixed_point_problems(draw, kinds=("F2", "F3", "F4", "F5", "F9", "Q",
         coeffs = st.integers(0, field.order - 1)
     terms = draw(st.dictionaries(MONOMIALS, coeffs, min_size=1, max_size=4))
     return FixedPointProblem(BiPoly(field, terms)), draw(st.integers(1, 24))
+
+
+def power_rows(problem, N):
+    """(m, {j: {i: coeff}}) for the cells of _power_cells, decoded from
+    their keys: i = key mod S, j = m - 1 - s."""
+    grid = _cell_grid(problem, N, _correction_rows(problem))
+    S, base = grid[0], grid[1]
+    for m, cells in _power_cells(problem.field, grid, N):
+        rows = {}
+        for key, v in cells.items():
+            row, i = divmod(key, S)
+            rows.setdefault(m - 1 - (row - base), {})[i] = v
+        yield m, rows
 
 
 def reaching_cells(problem, N):
@@ -265,7 +289,7 @@ class TestAgainstEarlierAlgorithms:
         # same values on a subset of the cells, row by row
         prob, N = case
         old = dict(relaxed_power_rows(prob, N))
-        for m, rows in _power_rows(prob, N, _correction_rows(prob)):
+        for m, rows in power_rows(prob, N):
             for j, row in rows.items():
                 for i, v in row.items():
                     assert old.get(m, {}).get(j, {}).get(i) == v
@@ -278,7 +302,7 @@ class TestAgainstEarlierAlgorithms:
         wrows = _correction_rows(prob)
         D, pz, _, w = _integer_form(prob, N, wrows)
         packed = _packed_rows(pz, _reach_limits(prob, N, wrows), N, w)
-        dict_rows = _power_rows(prob, N, wrows)
+        dict_rows = power_rows(prob, N)
         for (m, rows), (m_dict, want) in zip(packed, dict_rows, strict=True):
             assert m == m_dict
             got = {}
@@ -296,7 +320,7 @@ class TestAgainstEarlierAlgorithms:
         prob = FixedPointProblem(BiPoly(QQ, terms))
         need = reaching_cells(prob, N)
         kept = {m: {(i, j) for j, row in rows.items() for i in row}
-                for m, rows in _power_rows(prob, N, _correction_rows(prob))}
+                for m, rows in power_rows(prob, N)}
         for m in range(1, 2 * N):
             assert kept.get(m, set()) == need[m]
 
