@@ -28,10 +28,10 @@ for i, label in enumerate(skeleton.labels):
 
 outcome = roots_automata(Q, 64)
 for branch, automaton in outcome.branches:
-    print(f"\nbranch a0 = {branch.a0!r}:")
+    print(f"\nbranch a0 = {branch.a0}:")
     print("  first coefficients:", branch.series.coeffs[:12])
     print("  outputs per state: ",
-          [branch.outputs[i].raw for i in range(skeleton.n_states)])
+          [branch.outputs[i] for i in range(skeleton.n_states)])
     residue = eval_bipoly_at_series(Q, automaton.generate(64))
     print("  Q(X, generated) == 0:", residue.is_zero())
 

@@ -20,12 +20,13 @@ den = parse_poly("1+X+Y", F2)
 kernel = rational_kernel(num, den)
 print(f"closure has {kernel.n_states} states "
       f"(degree bound {kernel.degree_bound}):")
-for i, state in enumerate(kernel.states):
-    print(f"  state {i}: numerator {state.numerator.to_text()}")
+for i, numerator in enumerate(kernel.states):
+    print(f"  state {i}: numerator {numerator.to_text()}")
 
 # the 2-D automaton indexes arbitrary coefficients
+pairs = kernel.to_dfao()
 S = series_expand_ratio(num, den, 9)
-assert all(kernel.coefficient(m, n).raw == S.get(m, n)
+assert all(pairs.run_raw((m, n)) == S.get(m, n)
            for m in range(10) for n in range(10))
 print("coefficient automaton matches the series expansion on a 10x10 grid")
 

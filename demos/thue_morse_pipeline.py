@@ -40,7 +40,7 @@ assert diagonal_coeffs(rep, N) == lifted
 # route 3: automaton from the Frobenius relation of P
 outcome = roots_automata(P, N)
 print("relation from P:", outcome.relation.to_text())
-branch0 = next(aut for b, aut in outcome.branches if b.a0.raw == 0)
+branch0 = next(aut for b, aut in outcome.branches if b.a0 == 0)
 print("branch automaton:")
 print(export_dot(branch0))
 assert branch0.generate(N) == lifted

@@ -12,12 +12,13 @@ kernels can run tight loops without wrapper overhead:
                   hash/compare equal when numerically equal)
 
 Raw zero is always falsy and raw nonzero always truthy, so ``if v:`` is the
-idiomatic zero test throughout the package.  :class:`FieldElement` wraps a
-raw value with its field for operator-overloaded use at API boundaries.
-No floating point is used anywhere.
+idiomatic zero test throughout the package.  Raw values are also what every
+function takes and returns: a value's field travels beside it, never with
+it.  No floating point is used anywhere.
 """
 
 import functools
+import re
 from fractions import Fraction
 
 from ..errors import AlgSeriesError
@@ -140,18 +141,6 @@ class Field:
     def is_finite(self):
         return self.order is not None
 
-    def element(self, x):
-        """Coerce an int, Fraction or FieldElement into this field."""
-        if isinstance(x, FieldElement):
-            if x.field != self:
-                raise AlgSeriesError(f"element of {x.field} used in {self}")
-            return x
-        if isinstance(x, Fraction) and self.kind == "rationals":
-            return FieldElement(self, x)
-        if isinstance(x, int):
-            return FieldElement(self, self.from_int(x))
-        raise AlgSeriesError(f"cannot coerce {x!r} into {self}")
-
     def pow(self, a, n):
         """Raw a**n by square and multiply; negative n inverts first."""
         if n < 0:
@@ -219,7 +208,10 @@ class PrimeField(Field):
         return str(a)
 
     def from_literal(self, lit):
-        return int(lit) % self.char
+        num, den = _parse_literal(lit)
+        if den != 1:
+            raise AlgSeriesError(f"{self} literal must be an integer")
+        return num % self.char
 
     def __repr__(self):
         return f"F{self.char}"
@@ -244,7 +236,7 @@ class ExtensionField(Field):
         modulus = tuple(c % p for c in modulus)
         if len(modulus) != k + 1 or not modulus[-1]:
             raise AlgSeriesError(f"modulus must have degree {k}")
-        q = _table_size(p, k)
+        q = field_order(p, k)
         if not _irreducible(modulus, p):
             raise AlgSeriesError("modulus is reducible over F_p")
         self.char = p
@@ -347,17 +339,7 @@ class ExtensionField(Field):
         return self._decode(a)
 
     def fmt(self, a):
-        coeffs = self._decode(a)
-        parts = []
-        for i, c in enumerate(coeffs):
-            if not c:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                head = "" if c == 1 else f"{c}*"
-                parts.append(f"{head}t" + (f"^{i}" if i > 1 else ""))
-        return "+".join(parts) if parts else "0"
+        return _t_text(self._decode(a))
 
     def to_literal(self, a):
         return list(self._decode(a))
@@ -371,16 +353,7 @@ class ExtensionField(Field):
         return self._encode(coeffs)
 
     def modulus_text(self):
-        parts = []
-        for i, c in enumerate(self.modulus):
-            if not c:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                head = "" if c == 1 else f"{c}*"
-                parts.append(f"{head}t" + (f"^{i}" if i > 1 else ""))
-        return "+".join(parts)
+        return _t_text(self.modulus)
 
     def __repr__(self):
         return f"F{self.order}"
@@ -439,8 +412,11 @@ class RationalField(Field):
         return str(a)
 
     def from_literal(self, lit):
-        frac = Fraction(lit)
-        return int(frac) if frac.denominator == 1 else frac
+        num, den = _parse_literal(lit)
+        if not den:
+            raise AlgSeriesError("zero denominator in a rational literal")
+        frac = Fraction(num, den)
+        return frac.numerator if frac.denominator == 1 else frac
 
     def __repr__(self):
         return "Q"
@@ -496,12 +472,20 @@ def GF(q, modulus=None):
     """
     if q < 2:
         raise AlgSeriesError("field cardinality must be >= 2")
-    p, k = _prime_power(q)
+    if q > _TABLE_CAP:
+        # only a prime field is this large: _is_prime settles that at once,
+        # where _prime_power would take a root per bit of q
+        if not _is_prime(q):
+            raise AlgSeriesError(
+                f"field size {q} is not prime, and an extension of that size "
+                f"exceeds table cap {_TABLE_CAP}")
+        p, k = q, 1
+    else:
+        p, k = _prime_power(q)
     if k == 1:
         if modulus is not None:
             raise AlgSeriesError("prime fields take no modulus")
         return _cached_field(p, 1, None)
-    _table_size(p, k)
     if modulus is None:
         if q in _BUILTIN_MODULI:
             modulus = _BUILTIN_MODULI[q][1]
@@ -513,14 +497,50 @@ def GF(q, modulus=None):
     return _cached_field(p, k, tuple(modulus))
 
 
-def _table_size(p, k):
-    """p^k, once it is within the table cap: checked before any search for
-    or test of a modulus, whose brute force grows like p^k."""
-    q = p ** k
-    if q > _TABLE_CAP:
+def field_order(p, k):
+    """p^k for the field spec F_{p^k}, once the package can build that field.
+
+    A prime field (k = 1) may be of any size; an extension needs p^k within
+    the table cap, as its tables, modulus search and irreducibility test
+    all grow like p^k.  The cap is checked before p^k is formed, whose
+    digits grow like k: p >= 2 gives p^k >= 2^k.
+    """
+    if p < 2 or k < 1:
+        raise AlgSeriesError(f"{p}^{k} is not a field size")
+    if k > 1 and (p > _TABLE_CAP or k > _TABLE_CAP.bit_length()
+                  or p ** k > _TABLE_CAP):
         raise AlgSeriesError(
-            f"extension of size {q} exceeds table cap {_TABLE_CAP}")
-    return q
+            f"extension of size {p}^{k} exceeds table cap {_TABLE_CAP}")
+    return p ** k
+
+
+def _t_text(coeffs):
+    """c_0 + c_1*t + ... as text such as "1+2*t+t^3"; zero terms are left
+    out, and no terms at all read "0"."""
+    parts = []
+    for i, c in enumerate(coeffs):
+        if not c:
+            continue
+        if i == 0:
+            parts.append(str(c))
+        else:
+            head = "" if c == 1 else f"{c}*"
+            parts.append(f"{head}t" + (f"^{i}" if i > 1 else ""))
+    return "+".join(parts) if parts else "0"
+
+
+_LITERAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _parse_literal(lit):
+    """(a, b) of a literal "a" or "a/b", the forms to_literal writes for F_p
+    and Q; b = 1 for "a".  Anything else raises AlgSeriesError."""
+    match = _LITERAL.fullmatch(lit) if isinstance(lit, str) else None
+    if match is None:
+        raise AlgSeriesError(
+            "expected a literal string such as '-3', or over Q '-3/4'")
+    num, den = match.groups()
+    return int(num), int(den or 1)
 
 
 def _search_modulus(p, k):
@@ -533,85 +553,3 @@ def _search_modulus(p, k):
         if _irreducible(tuple(cand), p):
             return tuple(cand)
     raise AlgSeriesError(f"no irreducible modulus of degree {k} found")  # unreachable
-
-
-class FieldElement:
-    """A raw value paired with its field; supports the usual operators."""
-
-    __slots__ = ("field", "raw")
-
-    def __init__(self, field, raw):
-        self.field = field
-        self.raw = raw
-
-    def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise AlgSeriesError("mixed-field arithmetic")
-            return other.raw
-        if isinstance(other, int):
-            return self.field.from_int(other)
-        if isinstance(other, Fraction) and self.field.kind == "rationals":
-            return other
-        return None
-
-    def __add__(self, other):
-        raw = self._coerce(other)
-        if raw is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.add(self.raw, raw))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        raw = self._coerce(other)
-        if raw is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(self.raw, raw))
-
-    def __rsub__(self, other):
-        raw = self._coerce(other)
-        if raw is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(raw, self.raw))
-
-    def __mul__(self, other):
-        raw = self._coerce(other)
-        if raw is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul(self.raw, raw))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        raw = self._coerce(other)
-        if raw is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.div(self.raw, raw))
-
-    def __rtruediv__(self, other):
-        raw = self._coerce(other)
-        if raw is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.div(raw, self.raw))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.raw))
-
-    def __pow__(self, n):
-        return FieldElement(self.field, self.field.pow(self.raw, n))
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return other.field == self.field and other.raw == self.raw
-        raw = self._coerce(other)
-        return raw is not None and raw == self.raw
-
-    def __hash__(self):
-        return hash((self.field, self.raw))
-
-    def __bool__(self):
-        return bool(self.raw)
-
-    def __repr__(self):
-        return f"{self.field.fmt(self.raw)}"

@@ -4,8 +4,7 @@ UniPoly stores a dense coefficient tuple (no trailing zeros, () is zero);
 BiPoly stores a sparse (i, j) -> coefficient map with deterministic sorted
 iteration so downstream output is byte-stable.  RationalFn keeps univariate
 fractions gcd-reduced with a monic denominator, which makes equality of
-rational functions a structural comparison; bivariate fractions are reduced
-only by their common monomial content (full bivariate gcd is out of scope).
+rational functions a structural comparison.
 """
 
 from ..errors import AlgSeriesError, ZeroDenominator
@@ -454,51 +453,24 @@ def derivative_y(P):
 
 
 class RationalFn:
-    """num/den in canonical form; ``arity`` is 1 or 2.
+    """num/den over one variable with gcd(num, den) = 1 and den monic, so
+    equality is structural."""
 
-    Univariate: gcd(num, den) = 1 and den monic, so equality is structural.
-    Bivariate: only the common monomial content is cancelled and the
-    lex-least denominator coefficient is scaled to 1.
-    """
-
-    __slots__ = ("num", "den", "arity")
+    __slots__ = ("num", "den")
 
     def __init__(self, num, den):
-        if isinstance(num, UniPoly) and isinstance(den, UniPoly):
-            self.arity = 1
-            if den.is_zero():
-                raise ZeroDenominator("denominator is zero")
-            if num.is_zero():
-                num, den = UniPoly.zero(num.field, num.var), UniPoly.one(num.field, num.var)
-            else:
-                g = num.gcd(den)
-                if g.degree > 0:
-                    num, den = num // g, den // g
-                lead = den.lead()
-                if lead != den.field.one:
-                    inv = den.field.inv(lead)
-                    num, den = num.scale(inv), den.scale(inv)
-        elif isinstance(num, BiPoly) and isinstance(den, BiPoly):
-            self.arity = 2
-            if den.is_zero():
-                raise ZeroDenominator("denominator is zero")
-            if num.is_zero():
-                den = BiPoly.one(num.field)
-            else:
-                ni = min(i for i, _ in num.terms)
-                nj = min(j for _, j in num.terms)
-                di = min(i for i, _ in den.terms)
-                dj = min(j for _, j in den.terms)
-                ci, cj = min(ni, di), min(nj, dj)
-                if ci or cj:
-                    num = BiPoly(num.field, {(i - ci, j - cj): v for (i, j), v in num.terms.items()})
-                    den = BiPoly(den.field, {(i - ci, j - cj): v for (i, j), v in den.terms.items()})
-                lead = den.terms[min(den.terms)]
-                if lead != den.field.one:
-                    inv = den.field.inv(lead)
-                    num, den = num.scale(inv), den.scale(inv)
+        if den.is_zero():
+            raise ZeroDenominator("denominator is zero")
+        if num.is_zero():
+            num, den = UniPoly.zero(num.field, num.var), UniPoly.one(num.field, num.var)
         else:
-            raise AlgSeriesError("numerator and denominator kinds must match")
+            g = num.gcd(den)
+            if g.degree > 0:
+                num, den = num // g, den // g
+            lead = den.lead()
+            if lead != den.field.one:
+                inv = den.field.inv(lead)
+                num, den = num.scale(inv), den.scale(inv)
         self.num = num
         self.den = den
 
@@ -508,8 +480,6 @@ class RationalFn:
 
     @classmethod
     def from_poly(cls, poly):
-        if isinstance(poly, BiPoly):
-            return cls(poly, BiPoly.one(poly.field))
         return cls(poly, UniPoly.one(poly.field, poly.var))
 
     @classmethod
@@ -524,8 +494,6 @@ class RationalFn:
         return self.num.is_zero()
 
     def _arith(self, other):
-        if self.arity != 1:
-            raise AlgSeriesError("bivariate rational arithmetic is not supported")
         if isinstance(other, UniPoly):
             other = RationalFn.from_poly(other)
         if not isinstance(other, RationalFn) or other.field != self.field:
@@ -544,7 +512,7 @@ class RationalFn:
 
     def __neg__(self):
         out = RationalFn.__new__(RationalFn)
-        out.num, out.den, out.arity = -self.num, self.den, self.arity
+        out.num, out.den = -self.num, self.den
         return out
 
     def __mul__(self, other):
@@ -563,25 +531,22 @@ class RationalFn:
         return RationalFn(self.den, self.num)
 
     def key(self):
-        if self.arity == 1:
-            return (self.num.coeffs, self.den.coeffs)
-        return (self.num.key(), self.den.key())
+        return (self.num.coeffs, self.den.coeffs)
 
     def __eq__(self, other):
-        return (isinstance(other, RationalFn) and other.arity == self.arity
-                and other.field == self.field and other.key() == self.key())
+        return (isinstance(other, RationalFn) and other.field == self.field
+                and other.key() == self.key())
 
     def __hash__(self):
-        return hash((self.field, self.arity, self.key()))
+        return hash((self.field, self.key()))
 
     def is_one(self):
-        return (self.arity == 1 and self.num.degree == 0
-                and self.num.coeffs[0] == self.field.one and self.den.degree == 0)
+        return (self.num.degree == 0 and self.num.coeffs[0] == self.field.one
+                and self.den.degree == 0)
 
     def to_text(self):
         num = self.num.to_text()
-        if (self.arity == 1 and self.den.degree == 0) or \
-           (self.arity == 2 and self.den == BiPoly.one(self.field)):
+        if self.den.degree == 0:
             return num
         den = self.den.to_text()
         if " " in num or "+" in num:

@@ -5,7 +5,8 @@ A DFAO reads the base-q digits of an index least-significant-digit first
 is the one digit convention used across the toolkit.  ``arity`` 1 gives the
 classic digit automaton; ``arity`` 2 reads digit *pairs* (r, s), encoded as
 the symbol r + q*s, and indexes coefficients of bivariate series.  Outputs
-are field elements so automata compose with the series modules directly.
+are raw values of the automaton's field, so automata compose with the series
+modules directly.
 
 Every automaton this toolkit synthesizes has outputs constant along its
 0-transitions (outputs are constant terms of kernel elements, which the
@@ -19,7 +20,7 @@ deterministic byte-for-byte for a given automaton.
 
 import json
 
-from .algebra.fields import GF, QQ, FieldElement
+from .algebra.fields import GF, QQ, field_order
 from .algebra.series import TruncSeries1
 from .errors import AlgSeriesError, SchemaError
 from .exprparse import parse_unipoly
@@ -82,12 +83,8 @@ class DFAO:
                 state = delta[state][r + self.q * s]
         return self.outputs[state]
 
-    def run(self, n):
-        """Output at index n as a FieldElement."""
-        return FieldElement(self.field, self.run_raw(n))
-
     def generate(self, count):
-        """TruncSeries1 with c_n = run(n) for 0 <= n <= count (arity 1).
+        """TruncSeries1 with c_n = run_raw(n) for 0 <= n <= count (arity 1).
 
         Level by level: level k lists the states after exactly k digits,
         leading zeros included, for the indices below q^k, so level k + 1
@@ -234,20 +231,23 @@ def _field_from_json(obj, path):
     if kind == "prime":
         if not isinstance(obj.get("p"), int):
             raise SchemaError(path + ".p", "prime characteristic required")
-        return GF(obj["p"])
+        try:
+            return GF(obj["p"])
+        except AlgSeriesError as exc:
+            raise SchemaError(path + ".p", str(exc)) from exc
     if kind == "extension":
-        if not isinstance(obj.get("p"), int) or not isinstance(obj.get("k"), int):
+        p, k, modulus = obj.get("p"), obj.get("k"), obj.get("modulus")
+        if not isinstance(p, int) or not isinstance(k, int):
             raise SchemaError(path, "extension needs integer p and k")
-        modulus = obj.get("modulus")
-        if modulus is None:
-            return GF(obj["p"] ** obj["k"])
-        if not isinstance(modulus, str):
+        if modulus is not None and not isinstance(modulus, str):
             raise SchemaError(path + ".modulus", "modulus must be a string")
         try:
-            poly = parse_unipoly(modulus, GF(obj["p"]), var="t")
+            q = field_order(p, k)
+            if modulus is not None:
+                modulus = parse_unipoly(modulus, GF(p), var="t").coeffs
+            return GF(q, modulus=modulus)
         except AlgSeriesError as exc:
-            raise SchemaError(path + ".modulus", str(exc)) from exc
-        return GF(obj["p"] ** obj["k"], modulus=poly.coeffs)
+            raise SchemaError(path, str(exc)) from exc
     raise SchemaError(path + ".kind", f"unknown field kind {kind!r}")
 
 
@@ -271,7 +271,8 @@ def from_json(text):
     """Parse an automaton document; SchemaError carries the JSON path."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and ints past the digit limit
         raise SchemaError("$", f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("$", "top-level object required")
@@ -306,7 +307,8 @@ def from_json(text):
     for i, lit in enumerate(outputs_doc):
         try:
             outputs.append(field.from_literal(lit))
-        except (AlgSeriesError, ValueError, TypeError) as exc:
+        except (AlgSeriesError, ValueError) as exc:
+            # ValueError: an int literal past the digit limit
             raise SchemaError(f"$.outputs[{i}]", str(exc)) from exc
     if not isinstance(doc["initial"], int) or not 0 <= doc["initial"] < nstates:
         raise SchemaError("$.initial", "initial state index out of range")

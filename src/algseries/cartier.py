@@ -17,9 +17,8 @@ numerators A of A(X, y)/P_Y(X, y) by the same kind of identity,
 Lambda_r(A/P_Y) = Lambda_{r,q-1}(A P^(q-1))/P_Y.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
-from .algebra.fields import FieldElement
 from .algebra.polys import BiPoly
 from .automaton import DFAO
 from .errors import (DigitOutOfRange, InfiniteField, StateBudgetExceeded,
@@ -51,23 +50,13 @@ def cartier_bi(A, r, s):
     return BiPoly(A.field, out)
 
 
-@dataclass(frozen=True)
-class KernelState:
-    """Numerator R of a kernel element R/Q (Q fixed by the closure)."""
-
-    numerator: BiPoly
-
-    @property
-    def key(self):
-        return self.numerator.key()
-
-
 @dataclass
 class KernelAutomaton2D:
-    """Closure of P/Q under all q^2 digit sections.
+    """Closure of P/Q under all q^2 digit sections, started at state 0.
 
-    ``transitions[state][r + q*s]`` follows Lambda_{r,s}; every non-initial
-    state has total degree < ``degree_bound`` = deg P + deg Q.
+    State R stands for R/Q: ``states`` holds the numerators R, and
+    ``transitions[state][r + q*s]`` follows Lambda_{r,s}; every state but
+    the first has total degree < ``degree_bound`` = deg P + deg Q.
     """
 
     q: int
@@ -75,12 +64,6 @@ class KernelAutomaton2D:
     states: list
     transitions: list
     degree_bound: int
-    initial: int = 0
-    field: object = dc_field(default=None)
-
-    def __post_init__(self):
-        if self.field is None:
-            self.field = self.den.field
 
     @property
     def n_states(self):
@@ -90,14 +73,11 @@ class KernelAutomaton2D:
         return kernel_output(self.states[index], self.den)
 
     def to_dfao(self):
-        outputs = [self.output(i).raw for i in range(self.n_states)]
-        labels = [st.numerator.to_text() for st in self.states]
-        return DFAO(self.q, self.field, self.initial, self.transitions,
-                    outputs, labels, arity=2)
-
-    def coefficient(self, m, n):
-        """[X^m Y^n](P/Q) by running digit pairs of (m, n)."""
-        return self.to_dfao().run((m, n))
+        """DFAO over digit pairs; state R has label R.to_text()."""
+        outputs = [self.output(i) for i in range(self.n_states)]
+        labels = [R.to_text() for R in self.states]
+        return DFAO(self.q, self.den.field, 0, self.transitions, outputs,
+                    labels, arity=2)
 
 
 def close(start, images, budget, what):
@@ -136,27 +116,24 @@ def rational_kernel(P, Q, state_budget=STATE_BUDGET):
         RQ = R * Qq1
         return [cartier_bi(RQ, sym % q, sym // q) for sym in range(q * q)]
 
-    numerators, transitions = close(P, images, state_budget, "kernel closure")
-    states = [KernelState(R) for R in numerators]
+    states, transitions = close(P, images, state_budget, "kernel closure")
     return KernelAutomaton2D(q=q, den=Q, states=states, transitions=transitions,
                              degree_bound=bound)
 
 
-def kernel_output(state, Q):
-    """Constant coefficient u_{0,0} of the state's series, R(0,0)/Q(0,0)."""
-    R = state.numerator if isinstance(state, KernelState) else state
+def kernel_output(R, Q):
+    """Constant coefficient u_{0,0} of R/Q, R(0,0)/Q(0,0), as a raw value."""
     f = Q.field
     q00 = Q.terms.get((0, 0))
     if not q00:
         raise ZeroConstantTerm("Q(0,0) must be nonzero")
-    r0 = R.terms.get((0, 0), f.zero)
-    return FieldElement(f, f.div(r0, q00))
+    return f.div(R.terms.get((0, 0), f.zero), q00)
 
 
 def diagonal_automaton(aut):
     """Digit automaton of the diagonal sequence [X^n Y^n](P/Q)."""
-    q = aut.q
-    transitions = [[row[r + q * r] for r in range(q)] for row in aut.transitions]
-    outputs = [aut.output(i).raw for i in range(aut.n_states)]
-    labels = [st.numerator.to_text() for st in aut.states]
-    return DFAO(q, aut.field, aut.initial, transitions, outputs, labels, arity=1)
+    pairs = aut.to_dfao()
+    q = pairs.q
+    transitions = [[row[r + q * r] for r in range(q)] for row in pairs.transitions]
+    return DFAO(q, pairs.field, pairs.initial, transitions, pairs.outputs,
+                pairs.labels, arity=1)

@@ -13,9 +13,8 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 
-from .algebra.fields import GF, QQ
+from .algebra.fields import GF, QQ, field_order
 from .annihilator import frobenius_relation, verify_relation
 from .automaton import export_dot, from_json, to_json
 from .cartier import diagonal_automaton, rational_kernel
@@ -32,30 +31,6 @@ EXIT_INPUT = 2
 EXIT_PIPE = 141
 
 
-@dataclass
-class CliConfig:
-    """Validated command configuration shared by the subcommands."""
-
-    field: object = None        # parsed field descriptor, if the command has one
-    order: int = 256
-    fmt: str = "text"
-    dot_path: str = None
-    json_path: str = None
-
-    @classmethod
-    def from_args(cls, args, with_field=True):
-        order = getattr(args, "order", 256)
-        if order < 1:
-            raise AlgSeriesError(f"order must be >= 1, got {order}")
-        return cls(
-            field=parse_field_spec(args.field) if with_field else None,
-            order=order,
-            fmt=getattr(args, "format", "text"),
-            dot_path=getattr(args, "dot", None),
-            json_path=getattr(args, "json", None),
-        )
-
-
 def parse_field_spec(spec):
     """Field descriptor from "Q", "F<q>", "F<p>^<k>" with optional ":modulus"."""
     if spec == "Q":
@@ -66,11 +41,10 @@ def parse_field_spec(spec):
     base, _, power = body.partition("^")
     try:
         q = int(base)
-        k = int(power) if power else None
+        k = int(power) if power else 1
     except ValueError as exc:
         raise AlgSeriesError(f"bad field spec {spec!r}") from exc
-    if k is not None:
-        q = q ** k
+    q = field_order(q, k)
     if modulus_text:
         p = GF(q).char
         modulus = parse_unipoly(modulus_text, GF(p), var="t")
@@ -100,14 +74,13 @@ def _emit_series(values, field, fmt, start=0):
 
 
 def cmd_extract(args):
-    cfg = CliConfig.from_args(args)
-    field = cfg.field
+    field = parse_field_spec(args.field)
     poly = parse_poly(args.poly, field)
     problem = FixedPointProblem(poly)
-    series = fs_coefficients(problem, cfg.order)
-    _emit_series(series.coeffs[1:], field, cfg.fmt, start=1)
+    series = fs_coefficients(problem, args.order)
+    _emit_series(series.coeffs[1:], field, args.format, start=1)
     if args.check:
-        oracle = fixed_point_coefficients(problem, cfg.order)
+        oracle = fixed_point_coefficients(problem, args.order)
         if oracle != series:
             print("check: MISMATCH against fixed-point oracle", file=sys.stderr)
             return EXIT_VERIFY
@@ -116,8 +89,7 @@ def cmd_extract(args):
 
 
 def cmd_diagonal(args):
-    cfg = CliConfig.from_args(args)
-    field = cfg.field
+    field = parse_field_spec(args.field)
     if args.from_poly:
         rep = furstenberg_rep(parse_poly(args.from_poly, field))
         print(f"num = {rep.num.to_text()}")
@@ -127,72 +99,72 @@ def cmd_diagonal(args):
             raise AlgSeriesError("need --num and --den, or --from-poly")
         rep = DiagonalRep(parse_poly(args.num, field),
                           parse_poly(args.den, field))
-    series = diagonal_coeffs(rep, cfg.order)
-    _emit_series(series.coeffs, field, cfg.fmt)
+    series = diagonal_coeffs(rep, args.order)
+    _emit_series(series.coeffs, field, args.format)
     return EXIT_OK
 
 
 def cmd_kernel(args):
-    cfg = CliConfig.from_args(args)
-    num = parse_poly(args.num, cfg.field)
-    den = parse_poly(args.den, cfg.field)
+    field = parse_field_spec(args.field)
+    num = parse_poly(args.num, field)
+    den = parse_poly(args.den, field)
     kernel = rational_kernel(num, den)
     print(f"states: {kernel.n_states}")
     print(f"degree bound: {kernel.degree_bound}")
     automaton = diagonal_automaton(kernel) if args.diagonal else kernel.to_dfao()
-    if cfg.dot_path:
-        _atomic_write(cfg.dot_path, export_dot(automaton))
-    if cfg.json_path:
-        _atomic_write(cfg.json_path, to_json(automaton))
+    if args.dot:
+        _atomic_write(args.dot, export_dot(automaton))
+    if args.json:
+        _atomic_write(args.json, to_json(automaton))
     return EXIT_OK
 
 
 def cmd_annihilate(args):
-    cfg = CliConfig.from_args(args, with_field=False)
+    order = args.order
     with open(args.automaton) as handle:
         automaton = from_json(handle.read())
-    relation = frobenius_relation(automaton, check_order=cfg.order)
+    relation = frobenius_relation(automaton, check_order=order)
     print(relation.to_text())
-    series = automaton.generate(cfg.order + relation.max_coeff_degree())
-    if verify_relation(relation, series, check_order=cfg.order):
-        print(f"verified at order {cfg.order}")
+    series = automaton.generate(order + relation.max_coeff_degree())
+    if verify_relation(relation, series, check_order=order):
+        print(f"verified at order {order}")
         return EXIT_OK
-    print(f"verification FAILED at order {cfg.order}", file=sys.stderr)
+    print(f"verification FAILED at order {order}", file=sys.stderr)
     return EXIT_VERIFY
 
 
 def cmd_roots(args):
-    cfg = CliConfig.from_args(args)
-    field = cfg.field
+    field = parse_field_spec(args.field)
     poly = parse_poly(args.poly, field)
-    outcome = roots_automata(poly, cfg.order)
+    outcome = roots_automata(poly, args.order)
     print(f"relation: {outcome.relation.to_text()}")
     for a0 in outcome.skipped:
-        print(f"warning: residue root {a0!r} is not simple; skipped")
+        print(f"warning: residue root {field.fmt(a0)} is not simple; skipped")
     for idx, (branch, automaton) in enumerate(outcome.branches):
         coeffs = " ".join(field.fmt(c) for c in branch.series.coeffs[:32])
-        print(f"branch {idx}: a0 = {branch.a0!r}, {automaton.n_states} states")
+        print(f"branch {idx}: a0 = {field.fmt(branch.a0)}, "
+              f"{automaton.n_states} states")
         print(f"  coefficients: {coeffs}")
-        if cfg.dot_path:
-            os.makedirs(cfg.dot_path, exist_ok=True)
-            _atomic_write(os.path.join(cfg.dot_path, f"branch{idx}.dot"),
+        if args.dot:
+            os.makedirs(args.dot, exist_ok=True)
+            _atomic_write(os.path.join(args.dot, f"branch{idx}.dot"),
                           export_dot(automaton))
-        if cfg.json_path:
-            os.makedirs(cfg.json_path, exist_ok=True)
-            _atomic_write(os.path.join(cfg.json_path, f"branch{idx}.json"),
+        if args.json:
+            os.makedirs(args.json, exist_ok=True)
+            _atomic_write(os.path.join(args.json, f"branch{idx}.json"),
                           to_json(automaton))
     if outcome.failures:
         print("verification FAILED for: "
-              + ", ".join(repr(x) for x in outcome.failures), file=sys.stderr)
+              + ", ".join(repr(x) if isinstance(x, str) else field.fmt(x)
+                          for x in outcome.failures), file=sys.stderr)
         return EXIT_VERIFY
     return EXIT_OK
 
 
 def cmd_gen(args):
-    cfg = CliConfig.from_args(args, with_field=False)
     with open(args.automaton) as handle:
         automaton = from_json(handle.read())
-    values = automaton.generate(cfg.order).coeffs
+    values = automaton.generate(args.order).coeffs
     print(" ".join(automaton.field.fmt(v) for v in values))
     return EXIT_OK
 
@@ -272,6 +244,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.order < 1:
+            raise AlgSeriesError(f"order must be >= 1, got {args.order}")
         code = args.func(args)
         sys.stdout.flush()
         return code

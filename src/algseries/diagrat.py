@@ -26,7 +26,6 @@ class DiagonalRep:
 
     num: BiPoly
     den: BiPoly
-    note: str = ""
 
     def __post_init__(self):
         if not self.den.terms.get((0, 0)):
@@ -51,7 +50,7 @@ def furstenberg_rep(Q):
     scale = field.inv(den.terms[(0, 0)])
     if scale != field.one:
         num, den = num.scale(scale), den.scale(scale)
-    return DiagonalRep(num, den, note=f"furstenberg({Q.to_text()})")
+    return DiagonalRep(num, den)
 
 
 def diagonal_coeffs(rep, order):

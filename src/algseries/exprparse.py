@@ -1,4 +1,4 @@
-"""Parse textual polynomial and rational-function expressions.
+"""Parse textual polynomial expressions.
 
 Grammar (whitespace ignored, offsets refer to the input string):
 
@@ -11,14 +11,11 @@ Grammar (whitespace ignored, offsets refer to the input string):
 Integer literals reduce into the field (mod p in characteristic p, exact
 rationals over Q), and so do quotients by an integer literal, as in the Q
 coefficient "3/4*X"; over F_{p^k} the symbol t is the field generator, as in
-ExtensionField.fmt.  parse_ratfun additionally splits on a single top-level
-'/' that is not followed by an integer literal.  Printing a parsed
-polynomial with BiPoly.to_text()/UniPoly.to_text(), or a rational function
-with RationalFn.to_text(), and reparsing yields the identical canonical
-object.
+ExtensionField.fmt.  Printing a parsed polynomial with BiPoly.to_text() or
+UniPoly.to_text() and reparsing yields the identical canonical object.
 """
 
-from .algebra.polys import BiPoly, RationalFn, UniPoly
+from .algebra.polys import BiPoly, UniPoly
 from .errors import NegativeExponent, ParseError, UnknownSymbol, ZeroDenominator
 
 _INT = "int"
@@ -205,36 +202,3 @@ def parse_unipoly(text, field, var="X"):
     """Parse a univariate polynomial (used for moduli and relation parts)."""
     poly = parse_poly(text, field, (var,)).as_unipoly_x()
     return UniPoly(field, poly.coeffs, var)
-
-
-def parse_ratfun(text, field, variables=("X", "Y")):
-    """Parse "num/den" (the '/' optional) into a canonical RationalFn.
-
-    A '/' followed by an integer literal divides a coefficient, as in
-    "1/2*X/(1 + X)", and stays with the polynomial it is part of.
-    """
-    depth = 0
-    split = None
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "/" and depth == 0:
-            if text[i + 1:].lstrip()[:1].isdigit():
-                continue  # a coefficient quotient such as 1/2
-            if split is not None:
-                raise ParseError("more than one top-level '/'", i)
-            split = i
-    if split is None:
-        num, den = parse_poly(text, field, variables), BiPoly.one(field)
-    else:
-        num = parse_poly(text[:split], field, variables)
-        try:
-            den = parse_poly(text[split + 1:], field, variables)
-        except ParseError as exc:
-            exc.offset += split + 1  # point into the original string
-            raise
-    if num.deg_y <= 0 and den.deg_y <= 0:
-        return RationalFn(num.as_unipoly_x(), den.as_unipoly_x())
-    return RationalFn(num, den)

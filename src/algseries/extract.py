@@ -25,7 +25,6 @@ exposes the per-m partial sums on the flat cells.
 from fractions import Fraction
 from math import lcm
 
-from .algebra.fields import FieldElement
 from .algebra.polys import BiPoly, derivative_y
 from .algebra.series import TruncSeries1, eval_bipoly_at_series
 from .errors import AlgSeriesError, HypothesisViolated
@@ -364,7 +363,7 @@ def fixed_point_coefficients(problem, order):
 
 
 def fs_partial_sum(problem, n, m_max):
-    """sum_{m=1}^{m_max} [X^n Y^(m-1)] (1 - P'_Y) P^m as a FieldElement.
+    """sum_{m=1}^{m_max} [X^n Y^(m-1)] (1 - P'_Y) P^m as a raw value.
 
     Stabilizes at m_max >= 2n - 1, where it equals f_n: the terms past
     m = 2n - 1 vanish, and _power_cells stops there.
@@ -386,4 +385,4 @@ def fs_partial_sum(problem, n, m_max):
                 total = add(total, mul(cw, v))
         if m == m_max:
             break
-    return FieldElement(field, total)
+    return total

@@ -34,7 +34,6 @@ label is the text of its numerator.
 from dataclasses import dataclass, field as dc_field
 
 from .algebra.conv import accumulate, conv
-from .algebra.fields import FieldElement
 from .algebra.polys import BiPoly, UniPoly, derivative_y
 from .algebra.series import TruncSeries1, eval_bipoly_at_series
 from .annihilator import (FrobeniusRelation, canonical_relation,
@@ -50,7 +49,7 @@ CHECK_ORDER = 128  # fewest coefficients compared per (state, digit) pair
 
 
 def residue_roots(P):
-    """All a in F_q with P(0, a) = 0, each flagged simple/multiple."""
+    """(a, simple) for all raw a in F_q with P(0, a) = 0."""
     field = P.field
     if not field.is_finite:
         raise InfiniteField("residue roots require a finite field")
@@ -61,7 +60,7 @@ def residue_roots(P):
     out = []
     for a in field.elements():
         if not p0.evaluate(a):
-            out.append((FieldElement(field, a), bool(py0.evaluate(a))))
+            out.append((a, bool(py0.evaluate(a))))
     return out
 
 
@@ -78,14 +77,13 @@ def hensel_root(P, a0, order):
     at the final order.
     """
     field = P.field
-    raw = a0.raw if isinstance(a0, FieldElement) else a0
-    if P.eval_x(field.zero).evaluate(raw):
+    if P.eval_x(field.zero).evaluate(a0):
         raise HypothesisViolated("a0 is not a residue root of P")
     PY = derivative_y(P)
-    slope0 = PY.eval_x(field.zero).evaluate(raw)
+    slope0 = PY.eval_x(field.zero).evaluate(a0)
     if not slope0:
         raise NonSimpleRoot("P_Y(0, a0) = 0; Newton lifting does not apply")
-    f = [raw]  # the root mod X^k
+    f = [a0]  # the root mod X^k
     g = [field.inv(slope0)]  # 1/P_Y(X, f) mod X^len(g)
     k = 1
     while k <= order:
@@ -239,9 +237,9 @@ def cartier_closure(P, state_budget=CLOSURE_BUDGET):
 
 @dataclass
 class BranchRoot:
-    """One series root: residue a0, lifted series, per-state output map."""
+    """One series root: raw residue a0, lifted series, per-state outputs."""
 
-    a0: FieldElement
+    a0: object
     series: TruncSeries1
     outputs: dict = dc_field(default_factory=dict)
 
@@ -275,8 +273,7 @@ def attach_outputs(skeleton, branch):
     values = [value(A) for A in skeleton.states]
     spot_check_closure(skeleton, values)
     outputs = [value.coeffs[0] for value in values]
-    for idx, out in enumerate(outputs):
-        branch.outputs[idx] = FieldElement(field, out)
+    branch.outputs.update(enumerate(outputs))
     return DFAO(q, field, 0, skeleton.transitions, outputs, skeleton.labels)
 
 

@@ -1,10 +1,12 @@
+import copy
 import json
 import os
 import random
 import time
+from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algseries import DFAO, GF, QQ, export_dot, from_json, to_json
@@ -206,9 +208,11 @@ class TestJson:
 
     @pytest.mark.parametrize("field", [
         {"kind": "extension", "p": 2, "k": 40},
-        {"kind": "extension", "p": 3, "k": 200, "modulus": "t^200+2*t+1"}])
+        {"kind": "extension", "p": 3, "k": 200, "modulus": "t^200+2*t+1"},
+        {"kind": "extension", "p": 3, "k": 30000000}])
     def test_extension_over_table_cap(self, field):
-        # rejected before any modulus search or irreducibility test
+        # rejected before any modulus search or irreducibility test, and
+        # before p^k is formed
         doc = json.loads(to_json(tm_automaton()))
         doc["field"] = field
         start = time.perf_counter()
@@ -216,8 +220,90 @@ class TestJson:
             from_json(json.dumps(doc))
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("field, output, path", [
+        ({"kind": "rationals"}, "1/0", "$.outputs[0]"),
+        ({"kind": "rationals"}, "1e999999999", "$.outputs[0]"),
+        ({"kind": "rationals"}, 0.5, "$.outputs[0]"),
+        ({"kind": "prime", "p": 2}, "1" * 5000, "$.outputs[0]"),
+        ({"kind": "prime", "p": 6}, "1", "$.field.p"),
+        ({"kind": "extension", "p": 2, "k": 2, "modulus": "t^2+1"}, [1],
+         "$.field"),
+    ])
+    def test_bad_field_or_literal_path(self, field, output, path):
+        doc = json.loads(to_json(tm_automaton()))
+        doc["field"], doc["outputs"] = field, [output, output]
+        start = time.perf_counter()
+        with pytest.raises(SchemaError) as err:
+            from_json(json.dumps(doc))
+        assert err.value.path == path
+        assert time.perf_counter() - start < 1.0
+
+    def test_integer_past_digit_limit(self):
+        # json.loads raises a ValueError that is no JSONDecodeError
+        text = to_json(tm_automaton()).replace('"initial": 0',
+                                               '"initial": ' + "7" * 5000)
+        with pytest.raises(SchemaError) as err:
+            from_json(text)
+        assert err.value.path == "$"
+
     def test_arity2_roundtrip(self):
         a = DFAO(2, F2, 0, [(0, 1, 1, 0), (1, 1, 0, 0)], [0, 1], arity=2)
         back = from_json(to_json(a))
         assert back == a
         assert back.run_raw((2, 1)) == a.run_raw((2, 1))
+
+
+# One valid document each over F_p, F_{p^k} and Q.
+VALID_DOCS = [json.loads(to_json(a)) for a in (
+    tm_automaton(),
+    DFAO(2, F4, 1, [(0, 1), (1, 1)], [2, 3], labels=["a", "b"]),
+    DFAO(2, QQ, 0, [(0, 1, 1, 0), (1, 1, 0, 0)], [Fraction(3, 4), -2],
+         arity=2))]
+
+json_leaves = (
+    st.none() | st.booleans() | st.integers(-2, 40) | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=12)
+    | st.sampled_from(["1/0", "-3/4", "1e999999999", "t^2+t+1", "lsd",
+                       "prime", "extension", "rationals"]))
+json_values = st.recursive(
+    json_leaves,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=8), children,
+                                        max_size=4)),
+    max_leaves=8)
+
+
+def _paths(node, path=()):
+    yield path
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield from _paths(child, path + (key,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("doc, path", [
+    pytest.param(doc, path, id="/".join(map(str, (doc["field"]["kind"],) + path)))
+    for doc in VALID_DOCS for path in _paths(doc)])
+@settings(max_examples=15)
+@given(value=json_values)
+def test_one_node_replaced_loads_or_schema_error(doc, path, value):
+    text = json.dumps(_replaced(doc, path, value))
+    start = time.perf_counter()
+    try:
+        automaton = from_json(text)
+    except SchemaError:
+        pass
+    else:
+        assert isinstance(automaton, DFAO)
+    assert time.perf_counter() - start < 1.0

@@ -111,14 +111,25 @@ class TestFieldSpec:
         assert code == 0 and out.splitlines()[-1] == "4\t5"
         assert time.perf_counter() - start < 1.0
 
+    def test_huge_prime_field_size_exit_2(self, capsys):
+        # no prime factor up to 37, past the exact primality bound: taking a
+        # k-th root for every bit of q first ran for 14 s at 4000 digits
+        start = time.perf_counter()
+        code, _, err = run(capsys, "extract", "--field", f"F{10 ** 4000 + 1}",
+                           "--poly", "X+Y^2")
+        assert code == 2 and "cannot certify" in err
+        assert time.perf_counter() - start < 1.0
+
     def test_pseudoprime_characteristic_exit_2(self, capsys):
         code, _, err = run(capsys, "extract", "--field",
                            "F3317044064679887385961981", "--poly", "X+Y^2")
         assert code == 2 and "cannot certify" in err
 
-    @pytest.mark.parametrize("spec", ["F2^40", "F3^200:t^200+2*t+1", "F3^7"])
+    @pytest.mark.parametrize("spec", ["F2^40", "F3^200:t^200+2*t+1", "F3^7",
+                                      "F2^20000", "F3^100000000"])
     def test_extension_over_table_cap_exit_2(self, capsys, spec):
-        # the cap is checked before any modulus search or irreducibility test
+        # the cap is checked before any modulus search or irreducibility
+        # test, and before p^k is formed
         start = time.perf_counter()
         code, _, err = run(capsys, "extract", "--field", spec, "--poly", "X+Y^2")
         assert code == 2 and "exceeds table cap 1024" in err

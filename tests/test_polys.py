@@ -181,11 +181,3 @@ class TestRationalFn:
         assert s == RationalFn(uni(QQ, "2"), uni(QQ, "X"))
         assert (s - s).is_zero()
         assert s.inverse() == RationalFn(uni(QQ, "X"), uni(QQ, "2"))
-
-    def test_bivariate_monomial_content(self):
-        num = parse_poly("X^2*Y+X^2*Y^2", F2)
-        den = parse_poly("X*Y", F2)
-        r = RationalFn(num, den)
-        assert r.arity == 2
-        assert r.num == parse_poly("X+X*Y", F2)
-        assert r.den == BiPoly.one(F2)
