@@ -42,7 +42,7 @@ _TABLE_CAP = 1024  # largest extension cardinality backed by lookup tables
 _PRIME_TEST_BOUND = 3317044064679887385961981
 
 
-def _is_prime(n):
+def is_prime(n):
     """Deterministic Miller-Rabin on the prime bases 2..37.
 
     Exact below _PRIME_TEST_BOUND; a larger n with no factor among those
@@ -168,7 +168,7 @@ class PrimeField(Field):
     kind = "prime"
 
     def __init__(self, p):
-        if not _is_prime(p):
+        if not is_prime(p):
             raise AlgSeriesError(f"{p} is not prime")
         self.char = p
         self.order = p
@@ -229,7 +229,7 @@ class ExtensionField(Field):
     kind = "extension"
 
     def __init__(self, p, k, modulus):
-        if not _is_prime(p):
+        if not is_prime(p):
             raise AlgSeriesError(f"{p} is not prime")
         if k < 2:
             raise AlgSeriesError("extension degree must be >= 2")
@@ -457,7 +457,7 @@ def _prime_power(q):
         p = _iroot(q, k)
         if p ** k == q:
             break
-    if not _is_prime(p):
+    if not is_prime(p):
         raise AlgSeriesError(f"{q} is not a prime power")
     return p, k
 
@@ -473,9 +473,9 @@ def GF(q, modulus=None):
     if q < 2:
         raise AlgSeriesError("field cardinality must be >= 2")
     if q > _TABLE_CAP:
-        # only a prime field is this large: _is_prime settles that at once,
+        # only a prime field is this large: is_prime settles that at once,
         # where _prime_power would take a root per bit of q
-        if not _is_prime(q):
+        if not is_prime(q):
             raise AlgSeriesError(
                 f"field size {q} is not prime, and an extension of that size "
                 f"exceeds table cap {_TABLE_CAP}")

@@ -186,9 +186,9 @@ def frobenius_relation(automaton, size_cap=KERNEL_SIZE_CAP, check_order=256):
 
     Minimizes the automaton, builds the stacked row matrix B of the
     minimized one and returns the first dependency among its rows in
-    canonical form, once it verifies against the automaton's series
-    truncation; always succeeds when the minimized automaton has
-    d <= size_cap states.
+    canonical form, once it verifies to order ``check_order`` on the series
+    of the automaton as given, so a wrong minimization fails the check too;
+    always succeeds when the minimized automaton has d <= size_cap states.
     """
     field = automaton.field
     if not field.is_finite:
@@ -198,15 +198,15 @@ def frobenius_relation(automaton, size_cap=KERNEL_SIZE_CAP, check_order=256):
     if automaton.q != field.order:
         raise BaseMismatch(
             f"digit base {automaton.q} differs from field cardinality {field.order}")
-    automaton = automaton.minimize()
-    d = automaton.n_states
+    minimized = automaton.minimize()
+    d = minimized.n_states
     if d > size_cap:
         raise DegreeBlowup(f"kernel has {d} states, cap is {size_cap}")
     q = automaton.q
     series = automaton.generate(check_order)
     if series.is_zero():
         return FrobeniusRelation((UniPoly.one(field),), q)
-    combo = null_left_vector(_kernel_rows(automaton))
+    combo = null_left_vector(_kernel_rows(minimized))
     if combo is None:
         raise NoRelation("no dependency among kernel rows; internal error")
     relation = canonical_relation(combo, q)

@@ -20,10 +20,10 @@ deterministic byte-for-byte for a given automaton.
 
 import json
 
-from .algebra.fields import GF, QQ, field_order
+from .algebra.fields import GF, QQ, field_order, is_prime
 from .algebra.series import TruncSeries1
 from .errors import AlgSeriesError, SchemaError
-from .exprparse import parse_unipoly
+from .exprparse import parse_modulus
 
 
 class DFAO:
@@ -222,6 +222,17 @@ def _field_to_json(field):
     return {"kind": "rationals"}
 
 
+def _check_prime(p, path):
+    """SchemaError at ``path``.p unless p is prime: GF alone would also take
+    a prime power such as 4 and build an extension field."""
+    try:
+        prime = is_prime(p)
+    except AlgSeriesError as exc:  # too large to certify
+        raise SchemaError(path + ".p", str(exc)) from exc
+    if not prime:
+        raise SchemaError(path + ".p", f"{p} is not prime")
+
+
 def _field_from_json(obj, path):
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SchemaError(path, "field descriptor object required")
@@ -231,20 +242,19 @@ def _field_from_json(obj, path):
     if kind == "prime":
         if not isinstance(obj.get("p"), int):
             raise SchemaError(path + ".p", "prime characteristic required")
-        try:
-            return GF(obj["p"])
-        except AlgSeriesError as exc:
-            raise SchemaError(path + ".p", str(exc)) from exc
+        _check_prime(obj["p"], path)
+        return GF(obj["p"])
     if kind == "extension":
         p, k, modulus = obj.get("p"), obj.get("k"), obj.get("modulus")
         if not isinstance(p, int) or not isinstance(k, int):
             raise SchemaError(path, "extension needs integer p and k")
         if modulus is not None and not isinstance(modulus, str):
             raise SchemaError(path + ".modulus", "modulus must be a string")
+        _check_prime(p, path)
         try:
             q = field_order(p, k)
             if modulus is not None:
-                modulus = parse_unipoly(modulus, GF(p), var="t").coeffs
+                modulus = parse_modulus(modulus, p, k)
             return GF(q, modulus=modulus)
         except AlgSeriesError as exc:
             raise SchemaError(path, str(exc)) from exc

@@ -9,18 +9,19 @@ atomically (temp file + rename).
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
 import tempfile
 
 from .algebra.fields import GF, QQ, field_order
-from .annihilator import frobenius_relation, verify_relation
+from .annihilator import frobenius_relation
 from .automaton import export_dot, from_json, to_json
 from .cartier import diagonal_automaton, rational_kernel
 from .diagrat import DiagonalRep, diagonal_coeffs, furstenberg_rep
 from .errors import AlgSeriesError, ParseError
-from .exprparse import parse_poly, parse_unipoly
+from .exprparse import parse_modulus, parse_poly
 from .extract import (EXTRACT_ORDER_LIMIT, FixedPointProblem,
                       fixed_point_coefficients, fs_coefficients)
 from .roots import CLOSURE_BUDGET, roots_automata
@@ -44,12 +45,12 @@ def parse_field_spec(spec):
         k = int(power) if power else 1
     except ValueError as exc:
         raise AlgSeriesError(f"bad field spec {spec!r}") from exc
-    q = field_order(q, k)
+    field = GF(field_order(q, k))
     if modulus_text:
-        p = GF(q).char
-        modulus = parse_unipoly(modulus_text, GF(p), var="t")
-        return GF(q, modulus=modulus.coeffs)
-    return GF(q)
+        degree = field.degree if field.kind == "extension" else 1
+        modulus = parse_modulus(modulus_text, field.char, degree)
+        return GF(field.order, modulus=modulus)
+    return field
 
 
 def _atomic_write(path, text):
@@ -120,17 +121,13 @@ def cmd_kernel(args):
 
 
 def cmd_annihilate(args):
-    order = args.order
     with open(args.automaton) as handle:
         automaton = from_json(handle.read())
-    relation = frobenius_relation(automaton, check_order=order)
+    # frobenius_relation checks the relation on this automaton's series
+    relation = frobenius_relation(automaton, check_order=args.order)
     print(relation.to_text())
-    series = automaton.generate(order + relation.max_coeff_degree())
-    if verify_relation(relation, series, check_order=order):
-        print(f"verified at order {order}")
-        return EXIT_OK
-    print(f"verification FAILED at order {order}", file=sys.stderr)
-    return EXIT_VERIFY
+    print(f"verified at order {args.order}")
+    return EXIT_OK
 
 
 def cmd_roots(args):
@@ -169,7 +166,15 @@ def cmd_gen(args):
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built on the first call and shared after it.
+
+    Building it costs more than ten parse_args calls.  parse_args changes
+    neither the parser nor the defaults and help texts fixed here, so
+    in-process callers of main build it once, and not at import.  Every
+    caller gets the same parser: adding to it changes main.
+    """
     parser = argparse.ArgumentParser(
         prog="algseries",
         description="Exact computation with algebraic power series: "
@@ -241,8 +246,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.order < 1:
             raise AlgSeriesError(f"order must be >= 1, got {args.order}")

@@ -15,8 +15,10 @@ ExtensionField.fmt.  Printing a parsed polynomial with BiPoly.to_text() or
 UniPoly.to_text() and reparsing yields the identical canonical object.
 """
 
+from .algebra.fields import GF
 from .algebra.polys import BiPoly, UniPoly
-from .errors import NegativeExponent, ParseError, UnknownSymbol, ZeroDenominator
+from .errors import (AlgSeriesError, NegativeExponent, ParseError,
+                     UnknownSymbol, ZeroDenominator)
 
 _INT = "int"
 _VAR = "var"
@@ -202,3 +204,19 @@ def parse_unipoly(text, field, var="X"):
     """Parse a univariate polynomial (used for moduli and relation parts)."""
     poly = parse_poly(text, field, (var,)).as_unipoly_x()
     return UniPoly(field, poly.coeffs, var)
+
+
+def parse_modulus(text, p, k):
+    """Coefficients over F_p, constant term first, of a modulus text in t
+    for an extension of degree k.
+
+    The degree is read off the sparse parse, so a text such as t^20000000
+    fails at once instead of after a list of all its coefficients is built.
+    A prime field (k = 1) takes no modulus.
+    """
+    poly = parse_poly(text, GF(p), ("t",))
+    if k == 1:
+        raise AlgSeriesError("prime fields take no modulus")
+    if poly.deg_x != k:
+        raise AlgSeriesError(f"modulus must have degree {k}")
+    return poly.as_unipoly_x().coeffs

@@ -7,7 +7,8 @@ from algseries import (DFAO, GF, RationalFn, TruncSeries1, UniPoly,
                        verify_relation)
 from algseries.annihilator import (FrobeniusRelation, _kernel_rows,
                                    canonical_relation)
-from algseries.errors import BaseMismatch, DegreeBlowup, InsufficientPrecision
+from algseries.errors import (BaseMismatch, DegreeBlowup, InsufficientPrecision,
+                              NoRelation)
 
 from conftest import F2, F3, F4, thue_morse
 
@@ -284,6 +285,14 @@ class TestFrobeniusRelation:
                  [i % 2 for i in range(n)])
         with pytest.raises(DegreeBlowup):
             frobenius_relation(a)
+
+    def test_wrong_minimization_fails_the_check(self, monkeypatch):
+        # the relation of the minimized automaton is checked on the series
+        # of the automaton as given: 1/(1+X) does not satisfy Thue-Morse's
+        ones = DFAO(2, F2, 0, [(0, 0)], [1])
+        monkeypatch.setattr(DFAO, "minimize", lambda self: ones)
+        with pytest.raises(NoRelation):
+            frobenius_relation(tm_automaton())
 
     def test_five_state_automaton_relation(self):
         rel = frobenius_relation(FIVE_STATE)

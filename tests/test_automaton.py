@@ -228,6 +228,10 @@ class TestJson:
         ({"kind": "prime", "p": 6}, "1", "$.field.p"),
         ({"kind": "extension", "p": 2, "k": 2, "modulus": "t^2+1"}, [1],
          "$.field"),
+        ({"kind": "prime", "p": 4}, "1", "$.field.p"),
+        ({"kind": "extension", "p": 4, "k": 2}, [1], "$.field.p"),
+        ({"kind": "extension", "p": 2, "k": 2, "modulus": "t^20000000"}, [1],
+         "$.field"),
     ])
     def test_bad_field_or_literal_path(self, field, output, path):
         doc = json.loads(to_json(tm_automaton()))

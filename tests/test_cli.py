@@ -6,8 +6,8 @@ import time
 
 import pytest
 
-from algseries import extract, from_json
-from algseries.cli import main, parse_field_spec
+from algseries import DFAO, GF, extract, from_json
+from algseries.cli import build_parser, main, parse_field_spec
 from algseries.extract import EXTRACT_ORDER_LIMIT
 from algseries.errors import AlgSeriesError
 
@@ -25,6 +25,7 @@ TM_JSON = """{
 """
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 # argv of the diagonal runs whose stdout tests/data/diagonal_golden.json holds
 DIAGONAL_GOLDEN = {
@@ -133,6 +134,15 @@ class TestFieldSpec:
         start = time.perf_counter()
         code, _, err = run(capsys, "extract", "--field", spec, "--poly", "X+Y^2")
         assert code == 2 and "exceeds table cap 1024" in err
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("spec", ["F4:t^20000000", "F3^2:t^20000000+1"])
+    def test_modulus_degree_checked_first_exit_2(self, capsys, spec):
+        # the degree is read off the sparse parse: a dense list of the
+        # coefficients of t^20000000 took 3.5 s to build before the check
+        start = time.perf_counter()
+        code, _, err = run(capsys, "extract", "--field", spec, "--poly", "X+Y^2")
+        assert code == 2 and "error: modulus must have degree 2" in err
         assert time.perf_counter() - start < 1.0
 
 
@@ -290,6 +300,15 @@ class TestAnnihilate:
         assert code == 0
         assert "verified at order 256" in out
 
+    def test_wrong_minimization_exit_2(self, capsys, tm_file, monkeypatch):
+        # the relation is checked on the series of the automaton as read,
+        # not on the minimized one
+        ones = DFAO(2, GF(2), 0, [(0, 0)], [1])
+        monkeypatch.setattr(DFAO, "minimize", lambda self: ones)
+        code, out, err = run(capsys, "annihilate", "--automaton", tm_file)
+        assert code == 2 and not out
+        assert err.startswith("error: ")
+
     def test_malformed_json_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"q": 2}')
@@ -385,11 +404,27 @@ class TestGen:
         assert code == 2 and not out
         assert "one-dimensional" in err
 
+    @pytest.mark.parametrize("field, message", [
+        ({"kind": "prime", "p": 4}, "$.field.p: 4 is not prime"),
+        ({"kind": "extension", "p": 4, "k": 2}, "$.field.p: 4 is not prime"),
+        ({"kind": "extension", "p": 2, "k": 2, "modulus": "t^20000000"},
+         "$.field: modulus must have degree 2")])
+    def test_bad_field_document_exit_2(self, capsys, tmp_path, field, message):
+        doc = json.loads(TM_JSON)
+        doc["field"] = field
+        if field["kind"] == "extension":
+            doc["outputs"] = [[0], [1]]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "gen", "--automaton", str(path))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert time.perf_counter() - start < 1.0
+
     def test_reader_closes_early_exit_141(self, tm_file):
         # 200 KB of output fills the pipe, so the writer is still writing
         # when the reader closes it: exit 141 (128 + SIGPIPE), no message
-        src = os.path.join(os.path.dirname(DATA), os.pardir, "src")
-        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        env = dict(os.environ, PYTHONPATH=SRC)
         proc = subprocess.Popen(
             [sys.executable, "-m", "algseries.cli", "gen", "--automaton",
              tm_file, "-n", "100000"],
@@ -402,3 +437,39 @@ class TestGen:
         finally:
             proc.kill()
             proc.stderr.close()
+
+
+class TestParserReuse:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_calls_match_fresh_processes(self, capsys, monkeypatch, tmp_path):
+        # main reuses one parser, so no default or namespace of one call may
+        # reach the next: each call of this sequence in one process gives
+        # what it gives as the first call of a fresh process
+        monkeypatch.setenv("COLUMNS", "80")  # the help text wraps to it
+        extract_argv = ["extract", "--field", "F3", "--poly", "X+2*Y^2",
+                        "-n", "8"]
+        roots_argv = ["roots", "--field", "F2", "--poly", TM_POLY, "-n", "16"]
+        calls = [extract_argv + ["--format", "json"], extract_argv,
+                 roots_argv + ["--json", "{dir}"], roots_argv,
+                 ["extract", "--help"], ["extract", "--field", "F2"],
+                 extract_argv]
+        env = dict(os.environ, PYTHONPATH=SRC)
+        for i, argv in enumerate(calls):
+            here, fresh = tmp_path / f"here{i}", tmp_path / f"fresh{i}"
+            try:
+                code = main([a.replace("{dir}", str(here)) for a in argv])
+            except SystemExit as exc:  # --help and argparse errors
+                code = exc.code
+            captured = capsys.readouterr()
+            proc = subprocess.run(
+                [sys.executable, "-m", "algseries.cli"]
+                + [a.replace("{dir}", str(fresh)) for a in argv],
+                capture_output=True, text=True, env=env, timeout=60)
+            assert (code, captured.out, captured.err) == \
+                (proc.returncode, proc.stdout, proc.stderr), argv
+            written = [sorted(os.listdir(d)) if d.exists() else None
+                       for d in (here, fresh)]
+            assert written[0] == written[1], argv
+        assert (tmp_path / "here2" / "branch0.json").exists()
