@@ -470,18 +470,7 @@ def GF(q, modulus=None):
     attribute) may be supplied, otherwise a built-in table or a brute-force
     search provides one.
     """
-    if q < 2:
-        raise AlgSeriesError("field cardinality must be >= 2")
-    if q > _TABLE_CAP:
-        # only a prime field is this large: is_prime settles that at once,
-        # where _prime_power would take a root per bit of q
-        if not is_prime(q):
-            raise AlgSeriesError(
-                f"field size {q} is not prime, and an extension of that size "
-                f"exceeds table cap {_TABLE_CAP}")
-        p, k = q, 1
-    else:
-        p, k = _prime_power(q)
+    p, k = field_size(q)
     if k == 1:
         if modulus is not None:
             raise AlgSeriesError("prime fields take no modulus")
@@ -495,6 +484,22 @@ def GF(q, modulus=None):
         coeffs = getattr(modulus, "coeffs", modulus)
         modulus = tuple(int(c) % p for c in coeffs)
     return _cached_field(p, k, tuple(modulus))
+
+
+def field_size(q):
+    """(p, k) of a field of cardinality q = p^k; AlgSeriesError when there
+    is no such field, or when it is an extension over the table cap."""
+    if q < 2:
+        raise AlgSeriesError("field cardinality must be >= 2")
+    if q > _TABLE_CAP:
+        # only a prime field is this large: is_prime settles that at once,
+        # where _prime_power would take a root per bit of q
+        if not is_prime(q):
+            raise AlgSeriesError(
+                f"field size {q} is not prime, and an extension of that size "
+                f"exceeds table cap {_TABLE_CAP}")
+        return q, 1
+    return _prime_power(q)
 
 
 def field_order(p, k):

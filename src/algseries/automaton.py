@@ -251,6 +251,8 @@ def _field_from_json(obj, path):
         if modulus is not None and not isinstance(modulus, str):
             raise SchemaError(path + ".modulus", "modulus must be a string")
         _check_prime(p, path)
+        if k < 2:  # F_p is the prime kind: this would not round-trip
+            raise SchemaError(path + ".k", "an extension needs k >= 2")
         try:
             q = field_order(p, k)
             if modulus is not None:

@@ -15,7 +15,7 @@ import os
 import sys
 import tempfile
 
-from .algebra.fields import GF, QQ, field_order
+from .algebra.fields import GF, QQ, field_order, field_size, is_prime
 from .annihilator import frobenius_relation
 from .automaton import export_dot, from_json, to_json
 from .cartier import diagonal_automaton, rational_kernel
@@ -45,12 +45,14 @@ def parse_field_spec(spec):
         k = int(power) if power else 1
     except ValueError as exc:
         raise AlgSeriesError(f"bad field spec {spec!r}") from exc
-    field = GF(field_order(q, k))
-    if modulus_text:
-        degree = field.degree if field.kind == "extension" else 1
-        modulus = parse_modulus(modulus_text, field.char, degree)
-        return GF(field.order, modulus=modulus)
-    return field
+    if power:  # F<p>^<k>: the table cap first, then p prime
+        p, q = q, field_order(q, k)
+        if not is_prime(p):
+            raise AlgSeriesError(f"{p} is not prime in the field spec {spec!r}")
+    else:
+        p, k = field_size(q)
+    modulus = parse_modulus(modulus_text, p, k) if modulus_text else None
+    return GF(q, modulus=modulus)
 
 
 def _atomic_write(path, text):

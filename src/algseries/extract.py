@@ -5,21 +5,24 @@ f(0) = 0 is unique, and
 
     f_n = sum_{m >= 1} [X^n Y^(m-1)] (1 - P'_Y(X, Y)) P(X, Y)^m.
 
-The sum is finite in disguise: every monomial X^a Y^b of P has 2a + b >= 2
-(that is exactly the hypothesis pair), so every monomial of P^m has
-2i + j >= 2m, and [X^n Y^(m-1)] P^m forces 2n + m - 1 >= 2m, i.e.
-m <= 2n - 1.  fs_coefficients evaluates the sum exactly with that cutoff,
-building only the cells of P^m from which some product of P's monomials
-still reaches an extracted cell (_reach_limits).  Over finite fields a cell
-(i, j) of P^m is one entry of a flat dict, keyed by i and s = m - 1 - j:
-the keep rule depends on s alone, so one byte mask over the keys serves
-every power, and a monomial of P is one fixed key offset (_cell_grid,
-_power_cells).  Over Q the same cells of (D*P)^m, D the lcm of P's
-denominators, are packed into one Python int per Y-slice with signed slots
-of a proven width (_packed_rows, fs_coefficients).
+Key a cell (i, j) of P^m by i and s = m - 1 - j.  A monomial X^a Y^b of P
+then moves every cell of every power by the same key offset, so by
+linearity H = sum_{m >= 1} P^m on those keys solves H = P (1 + H), and
+
+    f_n = sum_w c_w H[s = b_w, i = n - a_w]
+
+over the terms c_w X^(a_w) Y^(b_w) of W = 1 - P'_Y.  The monomial raises
+the weight phi = 2i - s of a key by 2a + b - 1 >= 1 (that is exactly the
+hypothesis pair), so fs_coefficients finds H in one pass over the keys in
+increasing phi: a key is complete before anything reads it, with no
+iteration and no truncation.  A byte mask keeps only the keys from which
+some product of P's monomials still reaches a key that f reads
+(_reach_limits, _cell_grid).  Over Q the same sweep runs on integers, after
+a weight scaling clears the denominators of P (fs_coefficients).
 fixed_point_coefficients is the independent oracle (Newton lifting of
 Y - P(X, Y), certified by one exact substitution), and fs_partial_sum
-exposes the per-m partial sums on the flat cells.
+exposes the per-m partial sums of the formula on the cells of P^m
+(_power_cells).
 """
 
 from fractions import Fraction
@@ -30,9 +33,9 @@ from .algebra.series import TruncSeries1, eval_bipoly_at_series
 from .errors import AlgSeriesError, HypothesisViolated
 from .roots import hensel_root
 
-# Largest order fs_coefficients accepts.  The mask of the F_q sweep takes
-# about 3N^2 bytes, and the time over Q grows about like N^4 (over five
-# minutes at N = 1024 on a 2-core machine).
+# Largest order fs_coefficients accepts.  At N = 1024 the mask takes about
+# 3N^2 bytes, and the sweep over Q took 0.8 s on X + Y^2 + X*Y^3 and up to
+# 3.0 s on 1/3*X - 2/5*X*Y + 3/7*Y^2 (shared 2-core machine, Python 3.11).
 EXTRACT_ORDER_LIMIT = 1024
 
 
@@ -56,18 +59,25 @@ class FixedPointProblem:
         return f"FixedPointProblem({self.poly!r} over {self.field!r})"
 
 
-def _correction_rows(problem):
+def _live_poly(poly, N):
+    """P without the terms X^a Y^b with 2a + b > 2N: from phi >= 1 they
+    land past phi = 2N, the largest phi that f_0..f_N read (_sweep), and
+    their terms in W are read at phi <= 0, where nothing is."""
+    return BiPoly(poly.field, {(a, b): c for (a, b), c in poly.terms.items()
+                               if 2 * a + b <= 2 * N})
+
+
+def _correction_rows(poly):
     """Y-slices of W = 1 - P'_Y as {b: [(a, coeff), ...]}."""
-    field = problem.field
-    w = BiPoly.one(field) - derivative_y(problem.poly)
+    w = BiPoly.one(poly.field) - derivative_y(poly)
     rows = {}
     for (a, b), c in w.items():
         rows.setdefault(b, []).append((a, c))
     return rows
 
 
-def _reach_limits(problem, N, wrows):
-    """{s: largest i kept on the rows j of P^m with m - 1 - j = s}.
+def _reach_limits(poly, N, wrows):
+    """{s: largest i kept on the keys of row s}.
 
     A cell (i, j) of P^m reaches the extracted cells [X^n Y^(m'-1)] W P^m'
     (W = 1 - P'_Y, m' >= m, n <= N) through some multiset of P's monomials
@@ -84,8 +94,8 @@ def _reach_limits(problem, N, wrows):
     first, they keep every partial sum within [-N, max(0, t)].
     """
     steps = {}
-    for a, b in problem.poly.terms:
-        if b != 1 and a <= N:
+    for a, b in poly.terms:
+        if b != 1:
             steps[b - 1] = min(a, steps.get(b - 1, a))
     hi = 2 * N - 2
     cost = {0: 0}
@@ -109,237 +119,138 @@ def _reach_limits(problem, N, wrows):
     return limits
 
 
-def _cell_grid(problem, N, wrows):
-    """(S, base, mask, steps) of the flat sweep over the cells of P^m.
+def _cell_grid(poly, N, wrows):
+    """(S, base, mask, steps) of the keys of the cells of P^m and of H.
 
-    A cell (i, j) of P^m has s = m - 1 - j and the key (s + base) * S + i,
-    so a term X^a Y^b of P moves it to (s + 1 - b, i + a), a fixed key
-    offset of (1 - b) * S + a; steps lists those offsets with the terms'
-    coefficients.  Only the terms with a <= N enter: the others never reach
-    a kept cell.  The row width S = N + 1 + max a keeps i + a inside its
-    row.  mask[key] is 1 iff i <= limits[s] (_reach_limits), so it is the
-    keep rule of every power at once.  Its rows run from max b + 1 below
-    the least s with a limit to 2 above the largest, which holds every
-    destination of a kept cell and of the start cell (0, 0) of P^0
-    (s = -1; limits[0] = N exists, since W has the term 1), so no key needs
-    a range test.
+    poly is P after _live_poly, so its terms have a <= N and b <= 2N.  A
+    cell (i, j) of P^m has s = m - 1 - j and the key (s + base) * S + i,
+    so a term c X^a Y^b of P moves it to (s + 1 - b, i + a): steps lists
+    (offset, rise, c) with the key offset (1 - b) * S + a and the rise
+    2a + b - 1 of phi, in increasing rise.  The row width S = N + 1 +
+    max a keeps i + a inside its row.  mask[key] is 1 iff i <= limits[s]
+    (_reach_limits), so it is the keep rule of every power and of H at
+    once.  Its rows run from max b + 1 below the least s with a limit to 2
+    above the largest, which holds every destination of a kept key and of
+    the start cell (0, 0) of P^0 (s = -1; limits[0] = N exists, since W has
+    the term 1), so no key needs a range test.
     """
-    terms = [(a, b, c) for (a, b), c in problem.poly.terms.items() if a <= N]
-    limits = _reach_limits(problem, N, wrows)
-    S = N + 1 + max((a for a, _, _ in terms), default=0)
-    base = max((b for _, b, _ in terms), default=0) + 1 - min(limits, default=0)
+    limits = _reach_limits(poly, N, wrows)
+    S = N + 1 + max((a for a, _ in poly.terms), default=0)
+    base = max((b for _, b in poly.terms), default=0) + 1 - min(limits, default=0)
     mask = bytearray((max(limits, default=0) + base + 2) * S)
     for s, top in limits.items():
         start = (s + base) * S
         mask[start:start + top + 1] = b"\1" * (top + 1)
-    return S, base, mask, [((1 - b) * S + a, c) for a, b, c in terms]
+    steps = [((1 - b) * S + a, 2 * a + b - 1, c)
+             for (a, b), c in poly.terms.items()]
+    return S, base, mask, sorted(steps, key=lambda step: step[1])
+
+
+def _sweep(poly, N):
+    """f_0..f_N of the fixed point of poly (after _live_poly), as raw values.
+
+    One pass over the keys of _cell_grid in increasing phi = 2i - s, with
+    one dict of keys per phi still to come, from the cell (0, 0) of P^0 at
+    phi = 1.  A key is complete when its bucket comes up, as its sources
+    have smaller phi: its value v goes into each f_n that reads it, and
+    c v into its destination under each term c X^a Y^b of P.  Over F_p
+    these sums are plain ints, reduced once per key; over F_{p^k} a term's
+    scalar is its row of the multiplication table; over Q the coefficients
+    must be ints.
+    """
+    field = poly.field
+    wrows = _correction_rows(poly)
+    S, base, mask, steps = _cell_grid(poly, N, wrows)
+    reads = {}  # phi: [(key of (s = b_w, i = n - a_w), n, c_w), ...]
+    for bw, wterms in wrows.items():
+        for aw, cw in wterms:
+            for i in range(N + 1 - aw):
+                reads.setdefault(2 * i - bw, []).append(
+                    ((bw + base) * S + i, i + aw, cw))
+    extension = field.kind == "extension"
+    if extension:
+        q, add, mul = field.order, field._add, field._mul
+        steps = [(off, rise, mul[c * q:(c + 1) * q]) for off, rise, c in steps]
+    p = field.char if field.kind == "prime" else 0
+    f = [field.zero] * (N + 1)
+    buckets = {1: {(base - 1) * S: field.one}}
+    for phi in range(1, 2 * N + 1):
+        cells = buckets.pop(phi, None)
+        if not cells:
+            continue
+        cells = {k: r for k, v in cells.items() if (r := v % p if p else v)}
+        for key, n, cw in reads.get(phi, ()):
+            if v := cells.get(key):
+                f[n] = field.add(f[n], field.mul(cw, v))
+        items = cells.items()
+        for off, rise, c in steps:
+            if phi + rise > 2 * N:
+                break  # past every read key
+            nxt = buckets.setdefault(phi + rise, {})
+            get = nxt.get
+            if extension:
+                for k, v in items:
+                    k += off
+                    if mask[k]:
+                        nxt[k] = add[get(k, 0) * q + c[v]]
+            else:
+                for k, v in items:
+                    k += off
+                    if mask[k]:
+                        nxt[k] = get(k, 0) + c * v
+    return f
 
 
 def _power_cells(field, grid, N):
     """Cells {key: coeff} of P^m for m = 1, 2, ..., 2N - 1, as (m, cells).
 
     P^m is built incrementally (P^{m+1} = P^m * P) on the keys of grid
-    (_cell_grid) and keeps exactly the cells that can still land on an
-    extracted cell [X^n Y^(m'-1)] W P^m' with n <= N, W = 1 - P'_Y: those
-    the mask allows.  A dropped cell feeds only dropped cells, so every
-    kept value is the full coefficient of P^m.  A step is one pass over the
-    cells per term of P, and then drops the zero cells.  Over F_p the
-    products are plain ints, summed and reduced mod p once per cell (over
-    Q they are exact ints and Fractions); over F_{p^k} a term's scalar is
-    its row of the multiplication table.  Stops early once nothing is left.
+    (_cell_grid), and keeps the cells that the mask allows.  A dropped cell
+    feeds only dropped cells, so every kept value is the full coefficient
+    of P^m.  Stops early once nothing is left.
     """
     S, base, mask, steps = grid
+    add, mul, zero = field.add, field.mul, field.zero
     cells = {(base - 1) * S: field.one}  # P^0: the cell (0, 0), s = -1
-    extension = field.kind == "extension"
-    if extension:
-        q, add, mul = field.order, field._add, field._mul
-        steps = [(off, mul[c * q:(c + 1) * q]) for off, c in steps]
-    p = field.char
     for m in range(1, 2 * N):
         nxt = {}
-        get = nxt.get
-        items = cells.items()
-        if extension:
-            for off, row in steps:
-                for k, v in items:
-                    k += off
-                    if mask[k]:
-                        nxt[k] = add[get(k, 0) * q + row[v]]
-            cells = {k: v for k, v in nxt.items() if v}
-        else:
-            for off, c in steps:
-                for k, v in items:
-                    k += off
-                    if mask[k]:
-                        nxt[k] = get(k, 0) + c * v
-            if p:
-                cells = {k: r for k, v in nxt.items() if (r := v % p)}
-            else:
-                cells = {k: v for k, v in nxt.items() if v}
+        for off, _, c in steps:
+            for k, v in cells.items():
+                k += off
+                if mask[k]:
+                    nxt[k] = add(nxt.get(k, zero), mul(c, v))
+        cells = {k: v for k, v in nxt.items() if v}
         if not cells:
             return
         yield m, cells
 
 
-def _integer_form(problem, N, wrows):
-    """(D, P_Z, W_Z, w) of the packed sweep over Q (see fs_coefficients).
-
-    Only the terms with a <= N enter: the others never reach a kept cell
-    or an extracted coefficient.  P_Z and W_Z are lists of (a, b, c).
-    """
-    terms = [(a, b, c) for (a, b), c in problem.poly.terms.items() if a <= N]
-    D = lcm(*(c.denominator for _, _, c in terms))
-    pz = [(a, b, int(c * D)) for a, b, c in terms]
-    wz = [(a, b, int(c * D)) for b, row in wrows.items()
-          for a, c in row if a <= N]
-    bound = (2 * N * sum(abs(c) for _, _, c in wz)
-             * max(sum(abs(c) for _, _, c in pz), D) ** (2 * N - 1))
-    return D, pz, wz, bound.bit_length() + 2
-
-
-def _packed_rows(pz, limits, N, w):
-    """Y-slices {j: (lo, x)} of P_Z^m for m = 1, ..., 2N - 1, as (m, rows).
-
-    The cells of _power_cells, times D^m, with slot k of x holding the cell
-    (lo + k, j) (see fs_coefficients).  Stops early once nothing is left.
-    """
-    rows = {0: (0, 1)}  # P_Z^0
-    for m in range(2 * N - 1):
-        nxt = {}  # jj: [least lo so far, sum of the sources shifted to it]
-        for j, (lo, x) in rows.items():
-            for a, b, c in pz:
-                jj = j + b
-                s = lo + a
-                if s > limits.get(m - jj, -1):
-                    continue
-                y = x if c == 1 else c * x
-                entry = nxt.get(jj)
-                if entry is None:
-                    nxt[jj] = [s, y]
-                elif s >= entry[0]:
-                    entry[1] += y << w * (s - entry[0])
-                else:
-                    entry[1] = (entry[1] << w * (entry[0] - s)) + y
-                    entry[0] = s
-        rows = {}
-        for jj, (base, acc) in nxt.items():
-            bits = w * (limits[m - jj] - base + 1)
-            if acc.bit_length() >= bits:  # a slot above the limit is nonzero
-                acc &= (1 << bits) - 1
-                if acc >> (bits - 1):
-                    acc -= 1 << bits
-            if acc:
-                rows[jj] = (base, acc)
-        if not rows:
-            return
-        yield m + 1, rows
-
-
-def _unpack(x, count, w):
-    """The first count signed w-bit slots of x, lowest first."""
-    out = []
-    full, half = 1 << w, 1 << (w - 1)
-    mask = full - 1
-    for _ in range(count):
-        v = x & mask
-        if v >= half:
-            v -= full
-        out.append(v)
-        x = (x - v) >> w
-    return out
-
-
-def _rational_coefficients(problem, N, wrows):
-    """f_0..f_N over Q by the packed sweep (see fs_coefficients)."""
-    D, pz, wz, w = _integer_form(problem, N, wrows)
-    A = last = 0
-    for m, rows in _packed_rows(pz, _reach_limits(problem, N, wrows), N, w):
-        T = 0
-        for aw, bw, cw in wz:
-            row = rows.get(m - 1 - bw)
-            if row:
-                lo, x = row
-                T += (x if cw == 1 else cw * x) << w * (lo + aw)
-        A = A + T if D == 1 else A * D + T
-        last = m
-    values = _unpack(A, N + 1, w)
-    values[0] = 0  # forced by P(0,0) = 0
-    if D == 1:
-        return values
-    den = D ** (last + 1)
-    quotients = (Fraction(v, den) for v in values)
-    return [q.numerator if q.denominator == 1 else q for q in quotients]
-
-
 def fs_coefficients(problem, order):
-    """f_0..f_order of the fixed point, by the formula.
+    """f_0..f_order of the fixed point, by the formula summed over m first.
 
     An order above EXTRACT_ORDER_LIMIT raises AlgSeriesError before any
-    work.
+    work.  Over finite fields this is _sweep on P.  Over Q, with D the lcm
+    of the denominators of P, g(X) = f(D^2 X) / D is the fixed point of
 
-    Over finite fields the sweep runs on the flat cells of _power_cells:
-    the cell (i, j) of P^m has the key (s + base) * S + i with
-    s = m - 1 - j, a term X^a Y^b of P adds the fixed offset
-    (1 - b) * S + a to a key, and one byte mask over the keys keeps the
-    cells with i <= limits[s] for every m.  Products of F_p elements are
-    summed as plain ints and reduced once per cell and step, and a cell
-    (i, b_w) feeds f_{i + a_w} through a map from keys to the terms
-    c_w X^(a_w) Y^(b_w) of W = 1 - P'_Y.  A Y-slice of P^m over a small
-    field holds only a few nonzero cells (Lucas zeros), which is why
-    byte-packed rows lose there.
+        P_D = sum c D^(2a+b-1) X^a Y^b    over the terms c X^a Y^b of P,
 
-    Over Q the sweep keeps the same cells as integers packed into Python
-    ints, so one big-int operation replaces a field call per cell.  With D
-    the lcm of the denominators of P, P_Z = D*P and W_Z = D*W,
-
-        f_n = sum_m T_m[n] / D^(m+1),   T_m = [Y^(m-1)] W_Z P_Z^m,
-
-    so the accumulator A <- A*D + T_m over m = 1..M (M the last m with
-    rows left) gives f_n = A[n] / D^(M+1), an int when integral as in QQ.
-    Y-slice j of P_Z^m is a pair (lo, x), x = sum_k v_k 2^(w k), where the
-    signed slot v_k is the cell (lo + k, j).  Row jj of P_Z^(m+1) sums its
-    sources c*x shifted to the least lo + a among them, keeps the slots
-    i <= limits[m - jj] by the symmetric residue mod 2^(w (limit - lo + 1))
-    and is dropped when zero; A collects c_w*x shifted to lo + a_w, and is
-    decoded once, slot by slot with borrows.  The slot width
-
-        w = bit_length(2N |W_Z|_1 B^(2N-1)) + 2,   B = max(|P_Z|_1, D),
-
-    with |.|_1 the sum of absolute coefficients, keeps every slot strictly
-    inside (-2^(w-2), 2^(w-2)), which makes the packing exact.  For
-    m <= 2N - 1:
-      * a cell of P_Z^m is at most |P_Z^m|_1 <= |P_Z|_1^m <= B^(2N-1);
-      * a slot of a row of P_Z^(m+1) before truncation sums c*v over at
-        most one kept cell v of P_Z^m per term c of P_Z, and kept cells
-        are full coefficients, so it is at most |P_Z|_1^(m+1);
-      * a slot of T_m sums c_w*v over at most one kept cell per term c_w
-        of W_Z, so it is at most |W_Z|_1 |P_Z|_1^m, and a slot of
-        A = sum_m T_m D^(M-m), or of any partial sum of it, is at most
-        M |W_Z|_1 B^M < 2N |W_Z|_1 B^(2N-1).
+    whose coefficients are ints, as 2a + b - 1 >= 1 (and <= 2N - 1 after
+    _live_poly).  So _sweep runs on P_D with plain ints, and
+    f_n = g_n / D^(2n-1), an int when integral as in QQ.
     """
     field = problem.field
     N = order
     if N > EXTRACT_ORDER_LIMIT:
         raise AlgSeriesError(f"order {N} is above EXTRACT_ORDER_LIMIT = "
                              f"{EXTRACT_ORDER_LIMIT}")
-    wrows = _correction_rows(problem)
-    if field.kind == "rationals":
-        return TruncSeries1(field, _rational_coefficients(problem, N, wrows), N)
-    add, mul = field.add, field.mul
-    grid = _cell_grid(problem, N, wrows)
-    S, base = grid[0], grid[1]
-    reads = {}  # key of the cell (i, s = b_w): [(i + a_w, c_w), ...]
-    for bw, wterms in wrows.items():
-        for aw, cw in wterms:
-            for i in range(N + 1 - aw):
-                reads.setdefault((bw + base) * S + i, []).append((i + aw, cw))
-    f = [field.zero] * (N + 1)
-    for _, cells in _power_cells(field, grid, N):
-        for k in cells.keys() & reads.keys():
-            v = cells[k]
-            for n, cw in reads[k]:
-                f[n] = add(f[n], mul(cw, v))
-    f[0] = field.zero  # forced by P(0,0) = 0
+    poly = _live_poly(problem.poly, N)
+    if field.kind != "rationals":
+        return TruncSeries1(field, _sweep(poly, N), N)
+    D = lcm(*(c.denominator for c in poly.terms.values()))
+    g = _sweep(BiPoly(field, {(a, b): int(c * D ** (2 * a + b - 1))
+                              for (a, b), c in poly.terms.items()}), N)
+    quotients = (Fraction(g[n], D ** (2 * n - 1)) for n in range(1, N + 1))
+    f = [0] + [q.numerator if q.denominator == 1 else q for q in quotients]
     return TruncSeries1(field, f, N)
 
 
@@ -371,18 +282,17 @@ def fs_partial_sum(problem, n, m_max):
     if m_max < 1:
         raise HypothesisViolated("m_max must be >= 1")
     field = problem.field
-    add, mul = field.add, field.mul
-    wrows = _correction_rows(problem)
-    grid = _cell_grid(problem, n, wrows)
+    poly = _live_poly(problem.poly, n)
+    wrows = _correction_rows(poly)
+    grid = _cell_grid(poly, n, wrows)
     S, base = grid[0], grid[1]
     reads = [((bw + base) * S + n - aw, cw) for bw, wterms in wrows.items()
              for aw, cw in wterms if aw <= n]
     total = field.zero
     for m, cells in _power_cells(field, grid, n):
         for key, cw in reads:
-            v = cells.get(key)
-            if v:
-                total = add(total, mul(cw, v))
+            if v := cells.get(key):
+                total = field.add(total, field.mul(cw, v))
         if m == m_max:
             break
     return total

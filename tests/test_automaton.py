@@ -232,6 +232,7 @@ class TestJson:
         ({"kind": "extension", "p": 4, "k": 2}, [1], "$.field.p"),
         ({"kind": "extension", "p": 2, "k": 2, "modulus": "t^20000000"}, [1],
          "$.field"),
+        ({"kind": "extension", "p": 5, "k": 1}, [1], "$.field.k"),
     ])
     def test_bad_field_or_literal_path(self, field, output, path):
         doc = json.loads(to_json(tm_automaton()))

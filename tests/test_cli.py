@@ -7,6 +7,7 @@ import time
 import pytest
 
 from algseries import DFAO, GF, extract, from_json
+from algseries.algebra import fields
 from algseries.cli import build_parser, main, parse_field_spec
 from algseries.extract import EXTRACT_ORDER_LIMIT
 from algseries.errors import AlgSeriesError
@@ -135,6 +136,24 @@ class TestFieldSpec:
         code, _, err = run(capsys, "extract", "--field", spec, "--poly", "X+Y^2")
         assert code == 2 and "exceeds table cap 1024" in err
         assert time.perf_counter() - start < 1.0
+
+    def test_power_of_prime_power_exit_2(self, capsys):
+        # F<p>^<k> takes a prime p, as a JSON field document does: F4^2
+        # read as F16
+        code, out, err = run(capsys, "extract", "--field", "F4^2", "--poly",
+                             "X+Y^2")
+        assert (code, out) == (2, "")
+        assert err == "error: 4 is not prime in the field spec 'F4^2'\n"
+        assert [parse_field_spec(spec).order
+                for spec in ("F4", "F16", "F2^4")] == [4, 16, 16]
+
+    def test_spec_with_modulus_builds_one_field(self, monkeypatch):
+        # only the field with the given modulus: no default modulus search
+        def no_search(p, k):
+            raise AssertionError("modulus search ran")
+        monkeypatch.setattr(fields, "_search_modulus", no_search)
+        field = parse_field_spec("F3^6:t^6+2*t^4+t^2+2*t+2")
+        assert (field.order, field.modulus) == (729, (2, 2, 1, 0, 2, 0, 1))
 
     @pytest.mark.parametrize("spec", ["F4:t^20000000", "F3^2:t^20000000+1"])
     def test_modulus_degree_checked_first_exit_2(self, capsys, spec):
@@ -408,7 +427,9 @@ class TestGen:
         ({"kind": "prime", "p": 4}, "$.field.p: 4 is not prime"),
         ({"kind": "extension", "p": 4, "k": 2}, "$.field.p: 4 is not prime"),
         ({"kind": "extension", "p": 2, "k": 2, "modulus": "t^20000000"},
-         "$.field: modulus must have degree 2")])
+         "$.field: modulus must have degree 2"),
+        ({"kind": "extension", "p": 5, "k": 1},
+         "$.field.k: an extension needs k >= 2")])
     def test_bad_field_document_exit_2(self, capsys, tmp_path, field, message):
         doc = json.loads(TM_JSON)
         doc["field"] = field

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,9 +9,8 @@ from algseries.algebra.conv import conv
 from algseries.algebra.polys import derivative_y
 from algseries.algebra.series import TruncSeries1
 from algseries.errors import HypothesisViolated
-from algseries.extract import (_cell_grid, _correction_rows, _integer_form,
-                               _packed_rows, _power_cells, _reach_limits,
-                               _unpack)
+from algseries.extract import (_cell_grid, _correction_rows, _live_poly,
+                               _power_cells)
 from algseries.roots import hensel_root
 
 from conftest import (F2, F3, F4, F5, F8, F9, catalan_numbers, random_problem,
@@ -116,6 +113,29 @@ class TestPartialSums:
                     assert early == late
 
 
+class TestLiveTerms:
+    @pytest.mark.parametrize("field", [F2, QQ])
+    def test_unreachable_term_changes_nothing(self, field):
+        # Y^1000000 has 2a + b > 2N: it is dropped before the mask is sized
+        N = 64
+        grids, values = [], []
+        for text in ("X+Y^2", "X+Y^2+Y^1000000"):
+            poly = _live_poly(parse_poly(text, field), N)
+            grids.append(len(_cell_grid(poly, N, _correction_rows(poly))[2]))
+            values.append(fs_coefficients(problem(text, field), N))
+        assert grids[0] == grids[1]
+        assert values[0] == values[1]
+        assert list(values[0].coeffs[1:]) == [
+            c % 2 if field is F2 else c for c in catalan_numbers(N)]
+
+    def test_keeps_terms_up_to_weight_2n(self):
+        # X^N has 2a + b = 2N and stays, X^N Y has 2N + 1 and goes, so the
+        # Q sweep scales by at most D^(2N-1)
+        N = 8
+        poly = _live_poly(parse_poly("X+Y^2+1/2*X^8+1/3*X^8*Y", QQ), N)
+        assert set(poly.terms) == {(1, 0), (0, 2), (8, 0)}
+
+
 class TestOracleAgreement:
     def test_small_corpus_all_fields(self, rng):
         # includes F_4 to exercise the extension path
@@ -191,7 +211,7 @@ def relaxed_power_rows(problem, N):
 
 def relaxed_fs_coefficients(problem, N):
     field = problem.field
-    wrows = _correction_rows(problem)
+    wrows = _correction_rows(problem.poly)
     f = [field.zero] * (N + 1)
     for m, rows in relaxed_power_rows(problem, N):
         for bw, wterms in wrows.items():
@@ -224,7 +244,8 @@ def fixed_point_problems(draw, kinds=("F2", "F3", "F4", "F5", "F7", "F8", "F9",
     """(P, N) over F2, F3, F4, F5, F7, F8, F9, F31 or Q, with N up to 24.
 
     Qbig draws coefficients up to 10^6 in size with denominators up to
-    10^3, so the packed rows of the Q sweep run near their width bound.
+    10^3, so the Q sweep scales P by large powers D^(2a+b-1) of the lcm D
+    of the denominators and divides f_n by D^(2n-1).
     """
     kind = draw(st.sampled_from(kinds))
     if kind == "Q":
@@ -243,7 +264,8 @@ def fixed_point_problems(draw, kinds=("F2", "F3", "F4", "F5", "F7", "F8", "F9",
 def power_rows(problem, N):
     """(m, {j: {i: coeff}}) for the cells of _power_cells, decoded from
     their keys: i = key mod S, j = m - 1 - s."""
-    grid = _cell_grid(problem, N, _correction_rows(problem))
+    poly = _live_poly(problem.poly, N)
+    grid = _cell_grid(poly, N, _correction_rows(poly))
     S, base = grid[0], grid[1]
     for m, cells in _power_cells(problem.field, grid, N):
         rows = {}
@@ -257,7 +279,7 @@ def reaching_cells(problem, N):
     """{m: cells (i, j) of the support of P^m with i <= N from which a chain
     of P's monomials reaches an extracted cell [X^n Y^(m'-1)] W P^m'}."""
     mono = list(problem.poly.terms)
-    wmono = [(a, b) for b, terms in _correction_rows(problem).items()
+    wmono = [(a, b) for b, terms in _correction_rows(problem.poly).items()
              for a, _ in terms]
     support = {1: {(a, b) for a, b in mono if a <= N}}
     for m in range(2, 2 * N):
@@ -294,23 +316,13 @@ class TestAgainstEarlierAlgorithms:
                 for i, v in row.items():
                     assert old.get(m, {}).get(j, {}).get(i) == v
 
-    @given(fixed_point_problems(kinds=("Q", "Q/", "Qbig")))
-    def test_packed_rows_match_dict_rows(self, case):
-        # decoded and divided by D^m, every packed row of P_Z^m is the dict
-        # row of P^m, cell for cell
+    @given(fixed_point_problems())
+    def test_partial_sums_reach_fs_coefficients(self, case):
+        # the per-m sum stops changing at m = 2n - 1, where it is f_n
         prob, N = case
-        wrows = _correction_rows(prob)
-        D, pz, _, w = _integer_form(prob, N, wrows)
-        packed = _packed_rows(pz, _reach_limits(prob, N, wrows), N, w)
-        dict_rows = power_rows(prob, N)
-        for (m, rows), (m_dict, want) in zip(packed, dict_rows, strict=True):
-            assert m == m_dict
-            got = {}
-            for j, (lo, x) in rows.items():
-                slots = _unpack(x, x.bit_length() // w + 1, w)
-                got[j] = {lo + k: Fraction(v, D ** m)
-                          for k, v in enumerate(slots) if v}
-            assert got == want
+        f = fs_coefficients(prob, N).coeffs
+        for n in range(1, min(N, 8) + 1):
+            assert fs_partial_sum(prob, n, 2 * n - 1) == f[n]
 
     @given(st.dictionaries(MONOMIALS, st.integers(1, 5), min_size=1,
                            max_size=4), st.integers(1, 12))
