@@ -6,8 +6,8 @@ automata with output, Frobenius annihilating relations, and series roots of
 polynomials over finite fields — all in exact arithmetic.
 """
 
-from .algebra import (GF, QQ, BiPoly, Field, RationalFn, TruncSeries1,
-                      TruncSeries2, UniPoly, derivative_y, diagonal_series,
+from .algebra import (GF, QQ, BiPoly, Field, TruncSeries1, TruncSeries2,
+                      UniPoly, derivative_y, diagonal_series,
                       eval_bipoly_at_series, series_expand_ratio, substitute_xy)
 from .annihilator import (FrobeniusRelation, frobenius_relation,
                           null_left_vector, verify_relation)
@@ -15,7 +15,7 @@ from .automaton import DFAO, export_dot, from_json, to_json
 from .cartier import (KernelAutomaton2D, cartier_bi, diagonal_automaton,
                       kernel_output, rational_kernel)
 from .diagrat import DiagonalRep, diagonal_coeffs, furstenberg_rep
-from .exprparse import ExprAst, parse_poly, parse_unipoly
+from .exprparse import parse_poly
 from .extract import (FixedPointProblem, fixed_point_coefficients,
                       fs_coefficients, fs_partial_sum)
 from .roots import (BranchRoot, RootsOutcome, attach_outputs, cartier_closure,
@@ -25,15 +25,14 @@ from .roots import (BranchRoot, RootsOutcome, attach_outputs, cartier_closure,
 __version__ = "0.1.0"
 
 __all__ = [
-    "GF", "QQ", "BiPoly", "RationalFn", "TruncSeries1", "TruncSeries2",
+    "GF", "QQ", "BiPoly", "TruncSeries1", "TruncSeries2",
     "UniPoly", "derivative_y", "diagonal_series",
     "eval_bipoly_at_series", "series_expand_ratio", "substitute_xy", "Field",
-    "ExprAst",
     "FrobeniusRelation", "frobenius_relation", "null_left_vector",
     "verify_relation", "DFAO", "export_dot", "from_json", "to_json",
     "KernelAutomaton2D", "cartier_bi", "diagonal_automaton", "kernel_output",
     "rational_kernel", "DiagonalRep", "diagonal_coeffs", "furstenberg_rep",
-    "parse_poly", "parse_unipoly", "FixedPointProblem",
+    "parse_poly", "FixedPointProblem",
     "fixed_point_coefficients", "fs_coefficients", "fs_partial_sum", "BranchRoot",
     "RootsOutcome", "attach_outputs", "cartier_closure",
     "frobenius_from_poly", "hensel_root", "residue_roots", "roots_automata",

@@ -1,13 +1,11 @@
-"""Sparse exact polynomials and gcd-canonical rational functions.
+"""Sparse exact polynomials.
 
 UniPoly stores a dense coefficient tuple (no trailing zeros, () is zero);
 BiPoly stores a sparse (i, j) -> coefficient map with deterministic sorted
-iteration so downstream output is byte-stable.  RationalFn keeps univariate
-fractions gcd-reduced with a monic denominator, which makes equality of
-rational functions a structural comparison.
+iteration so downstream output is byte-stable.
 """
 
-from ..errors import AlgSeriesError, ZeroDenominator
+from ..errors import AlgSeriesError
 from .conv import accumulate, conv
 
 
@@ -48,10 +46,6 @@ class UniPoly:
     @classmethod
     def one(cls, field, var="X"):
         return cls(field, (field.one,), var)
-
-    @classmethod
-    def constant(cls, field, c, var="X"):
-        return cls(field, (c,), var)
 
     @property
     def degree(self):
@@ -161,13 +155,6 @@ class UniPoly:
             a, b = b, a % b
         return a.monic()
 
-    def derivative(self):
-        f = self.field
-        out = []
-        for n, c in enumerate(self.coeffs[1:], start=1):
-            out.append(f.mul(f.from_int(n), c))
-        return UniPoly(f, out, self.var)
-
     def evaluate(self, x):
         """Horner evaluation at a raw field value."""
         f = self.field
@@ -184,13 +171,6 @@ class UniPoly:
         for n, c in enumerate(self.coeffs):
             out[n * e] = c
         return UniPoly(self.field, out, self.var)
-
-    def valuation(self):
-        """Index of the lowest nonzero coefficient (None for zero)."""
-        for n, c in enumerate(self.coeffs):
-            if c:
-                return n
-        return None
 
     def __eq__(self, other):
         return (isinstance(other, UniPoly) and other.field == self.field
@@ -259,32 +239,14 @@ class BiPoly:
         return cls.constant(field, field.one)
 
     @classmethod
-    def x(cls, field):
-        return cls(field, {(1, 0): field.one})
-
-    @classmethod
     def y(cls, field):
         return cls(field, {(0, 1): field.one})
-
-    @classmethod
-    def from_terms(cls, field, pairs):
-        """Accumulate ((i, j), coeff) pairs (coeffs may be ints)."""
-        acc = {}
-        for (i, j), c in pairs:
-            if isinstance(c, int):
-                c = field.from_int(c)
-            key = (i, j)
-            acc[key] = field.add(acc.get(key, field.zero), c)
-        return cls(field, acc)
 
     def items(self):
         return sorted(self.terms.items())
 
     def is_zero(self):
         return not self.terms
-
-    def coefficient(self, i, j):
-        return self.terms.get((i, j), self.field.zero)
 
     @property
     def deg_x(self):
@@ -366,22 +328,6 @@ class BiPoly:
             coeffs[j] = c
         return UniPoly(f, coeffs, "Y")
 
-    def eval_y(self, y):
-        """Partial substitution Y := y, giving a UniPoly in X."""
-        f = self.field
-        out = {}
-        for (i, j), v in self.terms.items():
-            c = f.mul(v, f.pow(y, j)) if j else v
-            if c:
-                out[i] = f.add(out.get(i, f.zero), c)
-        coeffs = [f.zero] * (max(out, default=-1) + 1)
-        for i, c in out.items():
-            coeffs[i] = c
-        return UniPoly(f, coeffs, "X")
-
-    def evaluate(self, x, y):
-        return self.eval_y(y).evaluate(x)
-
     def y_slices(self):
         """Map j -> UniPoly in X with [X^i] = [X^i Y^j] self."""
         f = self.field
@@ -450,110 +396,3 @@ def derivative_y(P):
             if v:
                 out[(a, b - 1)] = v
     return BiPoly(f, out)
-
-
-class RationalFn:
-    """num/den over one variable with gcd(num, den) = 1 and den monic, so
-    equality is structural."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den):
-        if den.is_zero():
-            raise ZeroDenominator("denominator is zero")
-        if num.is_zero():
-            num, den = UniPoly.zero(num.field, num.var), UniPoly.one(num.field, num.var)
-        else:
-            g = num.gcd(den)
-            if g.degree > 0:
-                num, den = num // g, den // g
-            lead = den.lead()
-            if lead != den.field.one:
-                inv = den.field.inv(lead)
-                num, den = num.scale(inv), den.scale(inv)
-        self.num = num
-        self.den = den
-
-    @property
-    def field(self):
-        return self.num.field
-
-    @classmethod
-    def from_poly(cls, poly):
-        return cls(poly, UniPoly.one(poly.field, poly.var))
-
-    @classmethod
-    def zero(cls, field, var="X"):
-        return cls(UniPoly.zero(field, var), UniPoly.one(field, var))
-
-    @classmethod
-    def one(cls, field, var="X"):
-        return cls(UniPoly.one(field, var), UniPoly.one(field, var))
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def _arith(self, other):
-        if isinstance(other, UniPoly):
-            other = RationalFn.from_poly(other)
-        if not isinstance(other, RationalFn) or other.field != self.field:
-            raise AlgSeriesError("rational arithmetic needs matching fields")
-        return other
-
-    def __add__(self, other):
-        other = self._arith(other)
-        return RationalFn(self.num * other.den + other.num * self.den,
-                          self.den * other.den)
-
-    def __sub__(self, other):
-        other = self._arith(other)
-        return RationalFn(self.num * other.den - other.num * self.den,
-                          self.den * other.den)
-
-    def __neg__(self):
-        out = RationalFn.__new__(RationalFn)
-        out.num, out.den = -self.num, self.den
-        return out
-
-    def __mul__(self, other):
-        other = self._arith(other)
-        return RationalFn(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other):
-        other = self._arith(other)
-        if other.is_zero():
-            raise ZeroDenominator("division by the zero rational function")
-        return RationalFn(self.num * other.den, self.den * other.num)
-
-    def inverse(self):
-        if self.is_zero():
-            raise ZeroDenominator("inverse of the zero rational function")
-        return RationalFn(self.den, self.num)
-
-    def key(self):
-        return (self.num.coeffs, self.den.coeffs)
-
-    def __eq__(self, other):
-        return (isinstance(other, RationalFn) and other.field == self.field
-                and other.key() == self.key())
-
-    def __hash__(self):
-        return hash((self.field, self.key()))
-
-    def is_one(self):
-        return (self.num.degree == 0 and self.num.coeffs[0] == self.field.one
-                and self.den.degree == 0)
-
-    def to_text(self):
-        num = self.num.to_text()
-        if self.den.degree == 0:
-            return num
-        den = self.den.to_text()
-        if " " in num or "+" in num:
-            num = f"({num})"
-        if " " in den or "+" in den or "*" in den or "^" in den:
-            den = f"({den})"
-        return f"{num}/{den}"
-
-    def __repr__(self):
-        return self.to_text()

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from .algebra.conv import accumulate
 from .algebra.polys import UniPoly
 from .algebra.series import TruncSeries1
+from .automaton import DFAO
+from .cartier import close
 from .errors import (BaseMismatch, DegreeBlowup, InfiniteField,
                      InsufficientPrecision, NoRelation)
 
@@ -47,10 +49,6 @@ class FrobeniusRelation:
     @property
     def field(self):
         return self.coeffs[0].field
-
-    @property
-    def length(self):
-        return len(self.coeffs) - 1
 
     def max_coeff_degree(self):
         return max(c.degree for c in self.coeffs)
@@ -103,6 +101,41 @@ def canonical_relation(polys, q):
         inv = polys[0].field.inv(lead)
         polys = [p.scale(inv) for p in polys]
     return FrobeniusRelation(tuple(polys), q)
+
+
+class _Pair(tuple):
+    """A state pair (s, t) of _zero_stable, keyed by itself in close."""
+
+    __slots__ = ()
+
+    def key(self):
+        return self
+
+
+def _zero_stable(automaton):
+    """An automaton of the same series whose outputs do not change along
+    0-transitions.
+
+    The kernel rows read u_(qn) off the state delta(initial, 0) for n = 0
+    too, so they need out(delta(s, 0)) = out(s).  A state here is a pair
+    (s, t): s the state reached, t the state before the current run of
+    0-digits.  Digit 0 moves s only, any other digit sets both, and the
+    pair outputs out(t).  The digits of an index end on a nonzero digit,
+    so every index ends on a pair (s, s) and keeps its value.
+    """
+    delta = automaton.transitions
+
+    def images(pair):
+        s, t = pair
+        return [_Pair((u, t) if r == 0 else (u, u))
+                for r, u in enumerate(delta[s])]
+
+    start = _Pair((automaton.initial, automaton.initial))
+    # d states make at most d^2 pairs, so the budget never binds
+    pairs, transitions = close(start, images, automaton.n_states ** 2,
+                               "zero-stable pairs")
+    return DFAO(automaton.q, automaton.field, 0, transitions,
+                [automaton.outputs[t] for _, t in pairs])
 
 
 def _kernel_rows(automaton):
@@ -181,14 +214,16 @@ def _leading(work, start):
                 None)
 
 
-def frobenius_relation(automaton, size_cap=KERNEL_SIZE_CAP, check_order=256):
+def frobenius_relation(automaton, check_order=256):
     """Annihilating relation for the series generated by the automaton.
 
-    Minimizes the automaton, builds the stacked row matrix B of the
-    minimized one and returns the first dependency among its rows in
+    Makes the outputs constant along 0-transitions (_zero_stable),
+    minimizes, builds the stacked row matrix B of the minimized automaton
+    and returns the first dependency among its rows in
     canonical form, once it verifies to order ``check_order`` on the series
     of the automaton as given, so a wrong minimization fails the check too;
-    always succeeds when the minimized automaton has d <= size_cap states.
+    always succeeds when the minimized automaton has d <= KERNEL_SIZE_CAP
+    states.
     """
     field = automaton.field
     if not field.is_finite:
@@ -198,10 +233,10 @@ def frobenius_relation(automaton, size_cap=KERNEL_SIZE_CAP, check_order=256):
     if automaton.q != field.order:
         raise BaseMismatch(
             f"digit base {automaton.q} differs from field cardinality {field.order}")
-    minimized = automaton.minimize()
+    minimized = _zero_stable(automaton).minimize()
     d = minimized.n_states
-    if d > size_cap:
-        raise DegreeBlowup(f"kernel has {d} states, cap is {size_cap}")
+    if d > KERNEL_SIZE_CAP:
+        raise DegreeBlowup(f"kernel has {d} states, cap is {KERNEL_SIZE_CAP}")
     q = automaton.q
     series = automaton.generate(check_order)
     if series.is_zero():

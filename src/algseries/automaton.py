@@ -12,7 +12,8 @@ Every automaton this toolkit synthesizes has outputs constant along its
 0-transitions (outputs are constant terms of kernel elements, which the
 digit-0 section preserves), so padding an index with leading zeros cannot
 change the result and the kernel identity u_{qn+r} = (run from the r-image
-of the initial state)(n) holds for every n including 0.
+of the initial state)(n) holds for every n including 0.  annihilate takes
+any other automaton to such a one first (annihilator._zero_stable).
 
 Persistence is a JSON document, rendering is Graphviz DOT; both are
 deterministic byte-for-byte for a given automaton.
@@ -100,11 +101,6 @@ class DFAO:
             level = [delta[t][d] for d in range(self.q) for t in level]
             values += [outputs[t] for t in level[len(values):count + 1]]
         return TruncSeries1(self.field, values, count)
-
-    def reroot(self, state):
-        """Same automaton started at ``state`` (kernel subsequence view)."""
-        return DFAO(self.q, self.field, state, self.transitions, self.outputs,
-                    self.labels, self.arity)
 
     def minimize(self):
         """Moore partition refinement; outputs form the initial partition.

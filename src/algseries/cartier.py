@@ -14,7 +14,8 @@ digit automaton of the diagonal sequence [X^n Y^n](P/Q).
 Both closures of the package run on ``close``, keyed by numerator: this
 kernel closure, and roots.cartier_closure, which closes a root y of P as
 numerators A of A(X, y)/P_Y(X, y) by the same kind of identity,
-Lambda_r(A/P_Y) = Lambda_{r,q-1}(A P^(q-1))/P_Y.
+Lambda_r(A/P_Y) = Lambda_{r,q-1}(A P^(q-1))/P_Y.  annihilator._zero_stable
+runs on it too, on pairs of automaton states.
 """
 
 from dataclasses import dataclass
@@ -104,8 +105,11 @@ def close(start, images, budget, what):
     return states, transitions
 
 
-def rational_kernel(P, Q, state_budget=STATE_BUDGET):
-    """Kernel closure of P/Q over F_q; requires Q(0,0) != 0."""
+def rational_kernel(P, Q):
+    """Kernel closure of P/Q over F_q; requires Q(0,0) != 0.
+
+    More than STATE_BUDGET states raise StateBudgetExceeded.
+    """
     q = _digit_base(Q.field)
     if not Q.terms.get((0, 0)):
         raise ZeroConstantTerm("Q(0,0) must be nonzero")
@@ -116,7 +120,7 @@ def rational_kernel(P, Q, state_budget=STATE_BUDGET):
         RQ = R * Qq1
         return [cartier_bi(RQ, sym % q, sym // q) for sym in range(q * q)]
 
-    states, transitions = close(P, images, state_budget, "kernel closure")
+    states, transitions = close(P, images, STATE_BUDGET, "kernel closure")
     return KernelAutomaton2D(q=q, den=Q, states=states, transitions=transitions,
                              degree_bound=bound)
 

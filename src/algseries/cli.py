@@ -19,7 +19,8 @@ from .algebra.fields import GF, QQ, field_order, field_size, is_prime
 from .annihilator import frobenius_relation
 from .automaton import export_dot, from_json, to_json
 from .cartier import diagonal_automaton, rational_kernel
-from .diagrat import DiagonalRep, diagonal_coeffs, furstenberg_rep
+from .diagrat import (DIAGONAL_ORDER_LIMIT, DiagonalRep, diagonal_coeffs,
+                      furstenberg_rep)
 from .errors import AlgSeriesError, ParseError
 from .exprparse import parse_modulus, parse_poly
 from .extract import (EXTRACT_ORDER_LIMIT, FixedPointProblem,
@@ -95,14 +96,15 @@ def cmd_diagonal(args):
     field = parse_field_spec(args.field)
     if args.from_poly:
         rep = furstenberg_rep(parse_poly(args.from_poly, field))
-        print(f"num = {rep.num.to_text()}")
-        print(f"den = {rep.den.to_text()}")
     else:
         if not args.num or not args.den:
             raise AlgSeriesError("need --num and --den, or --from-poly")
         rep = DiagonalRep(parse_poly(args.num, field),
                           parse_poly(args.den, field))
     series = diagonal_coeffs(rep, args.order)
+    if args.from_poly:
+        print(f"num = {rep.num.to_text()}")
+        print(f"den = {rep.den.to_text()}")
     _emit_series(series.coeffs, field, args.format)
     return EXIT_OK
 
@@ -202,7 +204,11 @@ def build_parser():
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("diagonal", help="diagonal coefficients of num/den")
+    p = sub.add_parser(
+        "diagonal", help="diagonal coefficients of num/den",
+        description="Coefficients c_0..c_N of the diagonal of num/den.  An "
+                    f"order -n above DIAGONAL_ORDER_LIMIT = "
+                    f"{DIAGONAL_ORDER_LIMIT} exits 2.")
     add_common(p)
     p.add_argument("--num", help="numerator polynomial")
     p.add_argument("--den", help="denominator polynomial (den(0,0) != 0)")

@@ -10,7 +10,8 @@ class AlgSeriesError(Exception):
 
 
 class ZeroDenominator(AlgSeriesError):
-    """A rational function was built with a zero denominator."""
+    """A polynomial expression divides by an integer that is zero in the
+    field, such as X/3 over F_3."""
 
 
 class ZeroConstantTerm(AlgSeriesError):

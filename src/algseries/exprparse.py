@@ -16,7 +16,7 @@ UniPoly.to_text() and reparsing yields the identical canonical object.
 """
 
 from .algebra.fields import GF
-from .algebra.polys import BiPoly, UniPoly
+from .algebra.polys import BiPoly
 from .errors import (AlgSeriesError, NegativeExponent, ParseError,
                      UnknownSymbol, ZeroDenominator)
 
@@ -198,12 +198,6 @@ def parse_poly(text, field, variables=("X", "Y")):
         varmap["t"] = BiPoly.constant(field, field.from_literal([0, 1]))
     node = parse_expr_ast(text, tuple(varmap))
     return _eval_ast(node, field, varmap)
-
-
-def parse_unipoly(text, field, var="X"):
-    """Parse a univariate polynomial (used for moduli and relation parts)."""
-    poly = parse_poly(text, field, (var,)).as_unipoly_x()
-    return UniPoly(field, poly.coeffs, var)
 
 
 def parse_modulus(text, p, k):

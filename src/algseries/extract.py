@@ -260,14 +260,16 @@ def fixed_point_coefficients(problem, order):
     (Y - P)'_Y(0, 0) = 1, so the residue root 0 is simple and hensel_root
     doubles the X-adic precision per step.  A last exact substitution must
     give the lift back, P(X, f) = f mod X^(order+1), which certifies it as
-    the unique fixed point.
+    the unique fixed point.  Both run on P without its terms X^a Y^b with
+    a + b > order: as f(0) = 0, X^a f^b = 0 mod X^(order+1).
     """
     field = problem.field
-    terms = {(a, b): field.neg(c) for (a, b), c in problem.poly.terms.items()
-             if a <= order}
+    poly = BiPoly(field, {(a, b): c for (a, b), c in problem.poly.terms.items()
+                          if a + b <= order})
+    terms = {key: field.neg(c) for key, c in poly.terms.items()}
     terms[(0, 1)] = field.one  # P'_Y(0, 0) = 0: no Y term to add it to
     f = hensel_root(BiPoly(field, terms), field.zero, order)
-    if eval_bipoly_at_series(problem.poly, f) != f:
+    if eval_bipoly_at_series(poly, f) != f:
         raise AlgSeriesError(
             f"Newton lift is not a fixed point at order {order}")
     return f

@@ -213,12 +213,13 @@ class ClosureSkeleton:
         return [A.to_text() for A in self.states]
 
 
-def cartier_closure(P, state_budget=CLOSURE_BUDGET):
+def cartier_closure(P):
     """Close the root y of P under Lambda_0..Lambda_{q-1} on numerators.
 
     The start numerator is Y*P_Y - deg_Y(P)*P, as y = (Y*P_Y - d*P)/P_Y
     modulo P, and digit r maps A to Lambda_{r,q-1}(A * P^(q-1)).  P must be
-    squarefree in Y, which frobenius_from_poly checks.
+    squarefree in Y, which frobenius_from_poly checks.  More than
+    CLOSURE_BUDGET states raise StateBudgetExceeded.
     """
     field = P.field
     if not field.is_finite:
@@ -231,7 +232,8 @@ def cartier_closure(P, state_budget=CLOSURE_BUDGET):
         AP = A * Pq1
         return [cartier_bi(AP, r, q - 1) for r in range(q)]
 
-    states, transitions = close(start, images, state_budget, "Cartier closure")
+    states, transitions = close(start, images, CLOSURE_BUDGET,
+                                "Cartier closure")
     return ClosureSkeleton(field, q, P, states, transitions)
 
 
@@ -304,7 +306,7 @@ class RootsOutcome:
     failures: list  # a0 values whose verification failed (expected empty)
 
 
-def roots_automata(P, order, state_budget=CLOSURE_BUDGET):
+def roots_automata(P, order):
     """One minimized DFAO per simple residue root of P.
 
     Each branch satisfies generate(DFAO, order) == hensel series and
@@ -320,7 +322,7 @@ def roots_automata(P, order, state_budget=CLOSURE_BUDGET):
     if not simple:
         raise HypothesisViolated("P has no simple residue root")
     relation = frobenius_from_poly(P)
-    skeleton = cartier_closure(P, state_budget)
+    skeleton = cartier_closure(P)
     # verify_relation checks the relation through X^order only if the lift
     # reaches order + max deg A_k
     need = max(order + relation.max_coeff_degree(),

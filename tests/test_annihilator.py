@@ -1,16 +1,16 @@
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from algseries import (DFAO, GF, RationalFn, TruncSeries1, UniPoly,
-                       frobenius_relation, null_left_vector, parse_poly,
-                       verify_relation)
+from algseries import (DFAO, GF, TruncSeries1, UniPoly, frobenius_relation,
+                       null_left_vector, parse_poly, verify_relation)
 from algseries.annihilator import (FrobeniusRelation, _kernel_rows,
-                                   canonical_relation)
+                                   _zero_stable, canonical_relation)
 from algseries.errors import (BaseMismatch, DegreeBlowup, InsufficientPrecision,
                               NoRelation)
 
 from conftest import F2, F3, F4, thue_morse
+from ratfn import RationalFn
 
 
 def uni(field, text):
@@ -74,7 +74,8 @@ class TestKernelMatrix:
         # sum_j B_k[j] * G_j(X^(q^(d+1))) = G_1(X)^(q^k) mod X^129
         for a in (tm_automaton(), FIVE_STATE, F3_CYCLE):
             order, d = 128, a.n_states
-            G = [a.reroot(i).generate(order) for i in range(d)]
+            G = [DFAO(a.q, a.field, i, a.transitions, a.outputs).generate(order)
+                 for i in range(d)]
             for k, row in enumerate(_kernel_rows(a)):
                 acc = TruncSeries1.zeros(a.field, order)
                 for j, entry in enumerate(row):
@@ -131,6 +132,20 @@ def digit_automata(draw):
 def test_kernel_rows_match_matrix_products(automaton):
     assert rows_coeffs(_kernel_rows(automaton)) == \
         rows_coeffs(reference_kernel_rows(automaton))
+
+
+@settings(max_examples=60)
+@given(digit_automata())
+def test_relation_for_any_automaton(automaton):
+    # outputs may change along 0-transitions: the zero-stable automaton has
+    # the same series and a relation that holds on it
+    stable = _zero_stable(automaton)
+    assert stable.generate(100) == automaton.generate(100)
+    assert all(stable.outputs[t] == stable.outputs[s]
+               for s, row in enumerate(stable.transitions) for t in row[:1])
+    assume(stable.minimize().n_states <= (6 if automaton.q == 2 else 3))
+    rel = frobenius_relation(automaton)
+    assert verify_relation(rel, automaton.generate(256 + rel.max_coeff_degree()))
 
 
 def combine(combo, rows, col):
@@ -276,7 +291,7 @@ class TestFrobeniusRelation:
         # u_n = 1 for all n: f = 1/(1+X) over F_2 satisfies f + f^2 * (1+X) = 0
         ones = DFAO(2, F2, 0, [(0, 0)], [1])
         rel = frobenius_relation(ones)
-        assert rel.length == 1
+        assert len(rel.coeffs) == 2
         assert verify_relation(rel, ones.generate(256))
 
     def test_degree_cap(self):
@@ -293,6 +308,17 @@ class TestFrobeniusRelation:
         monkeypatch.setattr(DFAO, "minimize", lambda self: ones)
         with pytest.raises(NoRelation):
             frobenius_relation(tm_automaton())
+
+    def test_outputs_change_along_zero_transition(self):
+        # out(delta(0, 0)) != out(0): u_0 = 1 is read off state 0, but the
+        # kernel row of digit 0 at n = 0 would read state 1
+        a = DFAO(2, F2, 0, [(1, 0), (1, 1)], [1, 0])
+        rel = frobenius_relation(a)
+        assert verify_relation(rel, a.generate(256 + rel.max_coeff_degree()))
+
+    def test_zero_stable_automata_minimize_alike(self):
+        for a in (tm_automaton(), FIVE_STATE, F3_CYCLE):
+            assert _zero_stable(a).minimize() == a.minimize()
 
     def test_five_state_automaton_relation(self):
         rel = frobenius_relation(FIVE_STATE)

@@ -78,13 +78,14 @@ class TestRun:
             tuple(a.run_raw(k) for k in range(count + 1))
 
     def test_kernel_identity(self, rng):
-        # run(a, q*n + r) == run(a rerooted at delta(initial, r), n)
+        # run(a, q*n + r) == run(a started at delta(initial, r), n)
         for field in (F2, GF(3)):
             for _ in range(8):
                 a = random_dfao(field, rng, zero_stable=True)
                 q = a.q
                 for r in range(q):
-                    sub = a.reroot(a.transitions[a.initial][r])
+                    sub = DFAO(a.q, a.field, a.transitions[a.initial][r],
+                               a.transitions, a.outputs)
                     for n in range(0, 201, 7):
                         assert a.run_raw(q * n + r) == sub.run_raw(n)
 
@@ -312,3 +313,35 @@ def test_one_node_replaced_loads_or_schema_error(doc, path, value):
     else:
         assert isinstance(automaton, DFAO)
     assert time.perf_counter() - start < 1.0
+
+
+# Values of every JSON type but bool and int, none of which a node of a
+# valid document accepts in place of a value of another type (bools and
+# ints are left out: JSON true is an int to Python, and an int can be a
+# valid literal where a string stood).
+WRONG_TYPE = [None, 0.5, -2.5, "?", [["?"]], {"?": 1}]
+
+
+def _json_path(path):
+    return "$" + "".join(f"[{key}]" if isinstance(key, int) else f".{key}"
+                         for key in path)
+
+
+@pytest.mark.parametrize("doc, path", [
+    pytest.param(doc, path, id="/".join(map(str, (doc["field"]["kind"],) + path)))
+    for doc in VALID_DOCS for path in _paths(doc)])
+@given(data=st.data())
+def test_one_node_wrong_type_error_path(doc, path, data):
+    # the error names the replaced node, or its parent when the parent's
+    # check owns it (a label, an extension field's p or k, a coefficient
+    # of an extension literal)
+    node = doc
+    for key in path:
+        node = node[key]
+    optional = path in (("labels",), ("field", "modulus"))
+    value = data.draw(st.sampled_from(
+        [v for v in WRONG_TYPE if type(v) is not type(node)
+         and not (v is None and optional)]))
+    with pytest.raises(SchemaError) as err:
+        from_json(json.dumps(_replaced(doc, path, value)))
+    assert err.value.path in (_json_path(path), _json_path(path[:-1]))

@@ -35,8 +35,8 @@ class TestCartierBi:
                 out = cartier_bi(A, r, s)
                 for m in range(4):
                     for n in range(4):
-                        assert out.coefficient(m, n) == \
-                            A.coefficient(q * m + r, q * n + s)
+                        assert out.terms.get((m, n)) == \
+                            A.terms.get((q * m + r, q * n + s))
 
     def test_errors(self):
         with pytest.raises(DigitOutOfRange):

@@ -6,9 +6,10 @@ import time
 
 import pytest
 
-from algseries import DFAO, GF, extract, from_json
+from algseries import DFAO, GF, diagrat, extract, from_json
 from algseries.algebra import fields
 from algseries.cli import build_parser, main, parse_field_spec
+from algseries.diagrat import DIAGONAL_ORDER_LIMIT
 from algseries.extract import EXTRACT_ORDER_LIMIT
 from algseries.errors import AlgSeriesError
 
@@ -256,6 +257,26 @@ class TestDiagonal:
                            "--from-poly", "X+Y^2")
         assert code == 2 and "Q_Y" in err
 
+    @pytest.mark.parametrize("source", [["--num", "1", "--den", "1+X+Y"],
+                                        ["--from-poly", "X+Y^2-Y"]])
+    def test_order_above_limit_exit_2(self, capsys, monkeypatch, source):
+        # rejected before the expansion and before any output: with the
+        # expansion stubbed out to fail, the limit still answers
+        def no_expansion(*args):
+            raise AssertionError("expansion ran")
+        monkeypatch.setattr(diagrat, "series_expand_ratio", no_expansion)
+        code, out, err = run(capsys, "diagonal", "--field", "F2", *source,
+                             "-n", str(DIAGONAL_ORDER_LIMIT + 1))
+        assert code == 2 and not out
+        assert f"above DIAGONAL_ORDER_LIMIT = {DIAGONAL_ORDER_LIMIT}" in err
+
+    def test_help_states_order_limit(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["diagonal", "--help"])
+        assert exc.value.code == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "above DIAGONAL_ORDER_LIMIT = 2048 exits 2" in help_text
+
     @pytest.mark.parametrize("name", sorted(DIAGONAL_GOLDEN))
     def test_golden_json(self, capsys, name):
         # expected stdout written by the cell-by-cell triangle expansion
@@ -317,6 +338,18 @@ class TestAnnihilate:
         assert code == 0 and "states: 9" in out
         code, out, _ = run(capsys, "annihilate", "--automaton", path)
         assert code == 0
+        assert "verified at order 256" in out
+
+    def test_outputs_change_along_zero_transition(self, capsys, tmp_path):
+        # gen takes this document, so annihilate must too: u_0 = 1 is the
+        # output of state 0, but its 0-transition leads to output 0
+        path = tmp_path / "a.json"
+        path.write_text('{"q": 2, "field": {"kind": "prime", "p": 2}, '
+                        '"initial": 0, "transitions": [[1, 0], [1, 1]], '
+                        '"outputs": ["1", "0"]}')
+        code, out, _ = run(capsys, "annihilate", "--automaton", str(path))
+        assert code == 0
+        assert out.splitlines()[0].endswith("= 0")
         assert "verified at order 256" in out
 
     def test_wrong_minimization_exit_2(self, capsys, tm_file, monkeypatch):

@@ -4,19 +4,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from algseries import GF, QQ, BiPoly, RationalFn, parse_poly, parse_unipoly
+from algseries import GF, QQ, BiPoly, parse_poly
 from algseries.errors import (NegativeExponent, ParseError, UnknownSymbol,
                               ZeroDenominator)
 
 from conftest import F2, F3, F4, F5, F8, F9, random_bipoly
+from ratfn import RationalFn
 
 
 def test_example1_polynomial():
     P = parse_poly("(1+X)^3*Y^2+(1+X)^2*Y+X", F2)
-    expected = BiPoly.from_terms(F2, [
-        ((1, 0), 1), ((0, 1), 1), ((2, 1), 1),
-        ((0, 2), 1), ((1, 2), 1), ((2, 2), 1), ((3, 2), 1),
-    ])
+    expected = BiPoly(F2, {
+        (1, 0): 1, (0, 1): 1, (2, 1): 1,
+        (0, 2): 1, (1, 2): 1, (2, 2): 1, (3, 2): 1,
+    })
     assert P == expected
 
 
@@ -65,11 +66,10 @@ def test_unknown_symbol():
 
 
 def test_parse_unipoly_variable():
-    m = parse_unipoly("t^2+t+1", F2, var="t")
-    assert m.coeffs == (1, 1, 1)
-    assert m.var == "t"
+    m = parse_poly("t^2+t+1", F2, ("t",))
+    assert m.as_unipoly_x().coeffs == (1, 1, 1)
     with pytest.raises(UnknownSymbol):
-        parse_unipoly("X^2", F2, var="t")
+        parse_poly("X^2", F2, ("t",))
 
 
 def test_print_parse_roundtrip(rng):
@@ -133,7 +133,7 @@ def test_ratfun_coefficient_quotients():
                    parse_poly("1+X", QQ).as_unipoly_x())
     assert r.to_text() == "1/2*X/(1 + X)"
     # the numerator's text reads back through the quotient by a literal
-    assert parse_unipoly("1/2*X", QQ) == r.num
+    assert parse_poly("1/2*X", QQ).as_unipoly_x() == r.num
 
 
 def test_division_by_integer_literal():

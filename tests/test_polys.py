@@ -2,11 +2,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from algseries import (GF, QQ, BiPoly, RationalFn, UniPoly, derivative_y,
-                       parse_poly, substitute_xy)
+from algseries import (GF, QQ, BiPoly, UniPoly, derivative_y, parse_poly,
+                       substitute_xy)
 from algseries.errors import ZeroDenominator
 
 from conftest import ALL_FIELDS, F2, F3, F4, F5, F9, random_bipoly, random_raw
+from ratfn import RationalFn
 
 
 def uni(field, text):
@@ -44,8 +45,9 @@ class TestUniPoly:
     def test_evaluate_and_derivative(self):
         p = uni(QQ, "X^3+2*X")
         assert p.evaluate(3) == 33
-        assert p.derivative() == uni(QQ, "3*X^2+2")
-        assert uni(F2, "X^2").derivative().is_zero()
+        # p' = 3*X^2 + 2, as derivative_y of the same polynomial in Y
+        slope = derivative_y(parse_poly("Y^3+2*Y", QQ)).eval_x(QQ.zero)
+        assert slope.evaluate(3) == 29
 
     def test_subst_power(self):
         p = uni(F2, "1+X+X^3")
@@ -98,12 +100,12 @@ def test_divmod_matches_reference(pair):
 class TestBiPoly:
     def test_substitute_xy_examples(self):
         # X -> XY
-        assert substitute_xy(BiPoly.x(QQ)) == parse_poly("X*Y", QQ)
+        assert substitute_xy(BiPoly(QQ, {(1, 0): 1})) == parse_poly("X*Y", QQ)
         # X + Y^2 -> XY + Y^2
         assert substitute_xy(parse_poly("X+Y^2", QQ)) == parse_poly("X*Y+Y^2", QQ)
         # (1+X)^2 * Y over F_2 -> Y + X^2 Y^3, via the brute-force monomial map
         P = parse_poly("(1+X)^2*Y", F2)
-        expected = BiPoly.from_terms(F2, (((a, a + b), c) for (a, b), c in P.terms.items()))
+        expected = BiPoly(F2, {(a, a + b): c for (a, b), c in P.terms.items()})
         assert substitute_xy(P) == expected == parse_poly("Y+X^2*Y^3", F2)
 
     def test_substitute_preserves_x_degree(self, rng):
@@ -127,13 +129,11 @@ class TestBiPoly:
                 for (i, j), c in P.terms.items():
                     if j:
                         expect = field.mul(field.from_int(j), c)
-                        assert D.coefficient(i, j - 1) == expect
+                        assert D.terms.get((i, j - 1), field.zero) == expect
 
     def test_eval_slices(self):
         P = parse_poly("X^2*Y+3*Y^2+X", QQ)
         assert P.eval_x(QQ.zero) == UniPoly(QQ, [0, 0, 3], "Y")
-        assert P.eval_y(QQ.one) == UniPoly(QQ, [3, 1, 1], "X")
-        assert P.evaluate(2, 1) == 3 + 2 + 4
         slices = P.y_slices()
         assert slices[0] == UniPoly(QQ, [0, 1])
         assert slices[1] == UniPoly(QQ, [0, 0, 1])

@@ -1,15 +1,16 @@
 import json
 import os
 from dataclasses import dataclass
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from algseries import (GF, QQ, BiPoly, RationalFn, TruncSeries1, UniPoly,
-                       attach_outputs, cartier_closure, derivative_y,
-                       eval_bipoly_at_series, frobenius_from_poly,
-                       hensel_root, parse_poly, residue_roots, roots_automata,
-                       verify_relation)
+import algseries.roots
+from algseries import (GF, QQ, BiPoly, TruncSeries1, UniPoly, attach_outputs,
+                       cartier_closure, derivative_y, eval_bipoly_at_series,
+                       frobenius_from_poly, hensel_root, parse_poly,
+                       residue_roots, roots_automata, verify_relation)
 from algseries.algebra.conv import conv
 from algseries.algebra.series import poly_to_series
 from algseries.annihilator import canonical_relation, null_left_vector
@@ -22,6 +23,7 @@ from algseries.errors import (AlgSeriesError, DegenerateReduction,
                               NotSquarefree, StateBudgetExceeded)
 
 from conftest import F2, F3, F4, F5, F8, F9, thue_morse
+from ratfn import RationalFn
 
 F7 = GF(7)
 
@@ -339,7 +341,8 @@ def small_polys(draw):
 @given(small_polys())
 def test_roots_property(P):
     try:
-        out = roots_automata(P, 32, state_budget=64)
+        with mock.patch.object(algseries.roots, "CLOSURE_BUDGET", 64):
+            out = roots_automata(P, 32)
     except (DegenerateReduction, HypothesisViolated, NotSquarefree,
             StateBudgetExceeded):
         assume(False)
@@ -378,7 +381,7 @@ def reference_frobenius_from_poly(P):
     pcoeffs = [RationalFn.from_poly(slices.get(j, UniPoly.zero(field)))
                for j in range(D + 1)]
     a = pcoeffs
-    b = trim([c * RationalFn.from_poly(UniPoly.constant(field, field.from_int(j)))
+    b = trim([c * RationalFn.from_poly(UniPoly(field, (field.from_int(j),)))
               for j, c in enumerate(pcoeffs)][1:])
     while b:
         a, b = b, mod(a, b)
@@ -457,7 +460,7 @@ def reference_cartier_closure(relation, state_budget):
     """
     field, q = relation.field, relation.q
     A0 = relation.coeffs[0]
-    n = relation.length
+    n = len(relation.coeffs) - 1
     C = [-(A * A0 ** (q ** i - 2)) for i, A in enumerate(relation.coeffs[1:], 1)]
     zero = UniPoly.zero(field)
 
@@ -473,6 +476,11 @@ def reference_cartier_closure(relation, state_budget):
     return close(start, images, state_budget, "Cartier closure")
 
 
+def valuation(poly):
+    """Index of the lowest nonzero coefficient of a nonzero UniPoly."""
+    return next(n for n, c in enumerate(poly.coeffs) if c)
+
+
 def reference_state_values(relation, states, series):
     """Every Ore state evaluated on one branch, to order series.order - v.
 
@@ -482,7 +490,7 @@ def reference_state_values(relation, states, series):
     """
     field, q = series.field, relation.q
     A0 = relation.coeffs[0]
-    v = A0.valuation()
+    v = valuation(A0)
     order = series.order - v
     unit = poly_to_series(UniPoly(field, A0.coeffs[v:]), field, series.order)
     w = (unit.inverse() * series).coeffs
@@ -541,7 +549,7 @@ def test_closure_matches_ore_closure(P):
         roots = residue_roots(P)
     except DegenerateReduction:
         roots = []
-    v = relation.coeffs[0].valuation()
+    v = valuation(relation.coeffs[0])
     for a0, simple in roots:
         if not simple:
             continue
