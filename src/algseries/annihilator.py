@@ -22,11 +22,11 @@ from .algebra.conv import accumulate
 from .algebra.polys import UniPoly
 from .algebra.series import TruncSeries1
 from .automaton import DFAO
-from .cartier import close
 from .errors import (BaseMismatch, DegreeBlowup, InfiniteField,
                      InsufficientPrecision, NoRelation)
 
 KERNEL_SIZE_CAP = 8  # elimination degrees grow like q^d
+ZERO_STABLE_LIMIT = 4096  # pair states of _zero_stable, at most q * d
 
 
 @dataclass(frozen=True)
@@ -103,39 +103,36 @@ def canonical_relation(polys, q):
     return FrobeniusRelation(tuple(polys), q)
 
 
-class _Pair(tuple):
-    """A state pair (s, t) of _zero_stable, keyed by itself in close."""
-
-    __slots__ = ()
-
-    def key(self):
-        return self
-
-
 def _zero_stable(automaton):
     """An automaton of the same series whose outputs do not change along
     0-transitions.
 
     The kernel rows read u_(qn) off the state delta(initial, 0) for n = 0
     too, so they need out(delta(s, 0)) = out(s).  A state here is a pair
-    (s, t): s the state reached, t the state before the current run of
-    0-digits.  Digit 0 moves s only, any other digit sets both, and the
-    pair outputs out(t).  The digits of an index end on a nonzero digit,
-    so every index ends on a pair (s, s) and keeps its value.
+    (s, v): s the state reached, v the output of the state before the
+    current run of 0-digits.  Digit 0 moves s only, any other digit u sets
+    both to (u, out(u)), and the pair outputs v.  The digits of an index
+    end on a nonzero digit, so every index ends on a pair (s, out(s)) and
+    keeps its value.  There are at most d * (number of outputs) pairs;
+    more than ZERO_STABLE_LIMIT of them raise DegreeBlowup.
     """
-    delta = automaton.transitions
-
-    def images(pair):
-        s, t = pair
-        return [_Pair((u, t) if r == 0 else (u, u))
-                for r, u in enumerate(delta[s])]
-
-    start = _Pair((automaton.initial, automaton.initial))
-    # d states make at most d^2 pairs, so the budget never binds
-    pairs, transitions = close(start, images, automaton.n_states ** 2,
-                               "zero-stable pairs")
+    delta, out = automaton.transitions, automaton.outputs
+    start = (automaton.initial, out[automaton.initial])
+    pairs, index, transitions = [start], {start: 0}, []
+    for s, v in pairs:  # the list grows while it is walked
+        row = []
+        for r, u in enumerate(delta[s]):
+            pair = (u, v) if r == 0 else (u, out[u])
+            if pair not in index:
+                if len(pairs) >= ZERO_STABLE_LIMIT:
+                    raise DegreeBlowup(
+                        f"zero-stable automaton exceeds {ZERO_STABLE_LIMIT} states")
+                index[pair] = len(pairs)
+                pairs.append(pair)
+            row.append(index[pair])
+        transitions.append(row)
     return DFAO(automaton.q, automaton.field, 0, transitions,
-                [automaton.outputs[t] for _, t in pairs])
+                [v for _, v in pairs])
 
 
 def _kernel_rows(automaton):
@@ -217,10 +214,11 @@ def _leading(work, start):
 def frobenius_relation(automaton, check_order=256):
     """Annihilating relation for the series generated by the automaton.
 
-    Makes the outputs constant along 0-transitions (_zero_stable),
-    minimizes, builds the stacked row matrix B of the minimized automaton
-    and returns the first dependency among its rows in
-    canonical form, once it verifies to order ``check_order`` on the series
+    Minimizes, makes the outputs constant along 0-transitions
+    (_zero_stable, whose result depends only on the series, so pairing the
+    minimized automaton keeps the pairs few), minimizes again, builds the
+    stacked row matrix B of the result and returns the first dependency
+    among its rows in canonical form, once it verifies to order ``check_order`` on the series
     of the automaton as given, so a wrong minimization fails the check too;
     always succeeds when the minimized automaton has d <= KERNEL_SIZE_CAP
     states.
@@ -233,7 +231,7 @@ def frobenius_relation(automaton, check_order=256):
     if automaton.q != field.order:
         raise BaseMismatch(
             f"digit base {automaton.q} differs from field cardinality {field.order}")
-    minimized = _zero_stable(automaton).minimize()
+    minimized = _zero_stable(automaton.minimize()).minimize()
     d = minimized.n_states
     if d > KERNEL_SIZE_CAP:
         raise DegreeBlowup(f"kernel has {d} states, cap is {KERNEL_SIZE_CAP}")

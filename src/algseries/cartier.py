@@ -14,8 +14,7 @@ digit automaton of the diagonal sequence [X^n Y^n](P/Q).
 Both closures of the package run on ``close``, keyed by numerator: this
 kernel closure, and roots.cartier_closure, which closes a root y of P as
 numerators A of A(X, y)/P_Y(X, y) by the same kind of identity,
-Lambda_r(A/P_Y) = Lambda_{r,q-1}(A P^(q-1))/P_Y.  annihilator._zero_stable
-runs on it too, on pairs of automaton states.
+Lambda_r(A/P_Y) = Lambda_{r,q-1}(A P^(q-1))/P_Y.
 """
 
 from dataclasses import dataclass

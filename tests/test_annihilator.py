@@ -316,6 +316,15 @@ class TestFrobeniusRelation:
         rel = frobenius_relation(a)
         assert verify_relation(rel, a.generate(256 + rel.max_coeff_degree()))
 
+    def test_long_zero_cycle_is_paired_after_minimizing(self):
+        # 3000 states that all output 1 minimize to the one state of
+        # 1/(1+X); pairing them first would walk 9 million state pairs
+        n = 3000
+        a = DFAO(2, F2, 0, [((s + 1) % n, (s + 1) % n) for s in range(n)],
+                 [1] * n)
+        ones = DFAO(2, F2, 0, [(0, 0)], [1])
+        assert frobenius_relation(a) == frobenius_relation(ones)
+
     def test_zero_stable_automata_minimize_alike(self):
         for a in (tm_automaton(), FIVE_STATE, F3_CYCLE):
             assert _zero_stable(a).minimize() == a.minimize()

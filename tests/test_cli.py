@@ -1,12 +1,13 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
 
 import pytest
 
-from algseries import DFAO, GF, diagrat, extract, from_json
+from algseries import DFAO, GF, diagrat, extract, from_json, to_json
 from algseries.algebra import fields
 from algseries.cli import build_parser, main, parse_field_spec
 from algseries.diagrat import DIAGONAL_ORDER_LIMIT
@@ -351,6 +352,21 @@ class TestAnnihilate:
         assert code == 0
         assert out.splitlines()[0].endswith("= 0")
         assert "verified at order 256" in out
+
+    def test_zero_stable_limit_exit_2(self, capsys, tmp_path):
+        # a 3000-cycle with aperiodic outputs stays 3000 states when
+        # minimized, and every state meets both outputs: 6000 state-output
+        # pairs, over the limit of 4096
+        n = 3000
+        rng = random.Random(1)
+        automaton = DFAO(2, GF(2), 0, [((s + 1) % n,) * 2 for s in range(n)],
+                         [rng.randrange(2) for _ in range(n)])
+        assert automaton.minimize().n_states == n
+        path = tmp_path / "a.json"
+        path.write_text(to_json(automaton))
+        code, out, err = run(capsys, "annihilate", "--automaton", str(path))
+        assert code == 2 and not out
+        assert err == "error: zero-stable automaton exceeds 4096 states\n"
 
     def test_wrong_minimization_exit_2(self, capsys, tm_file, monkeypatch):
         # the relation is checked on the series of the automaton as read,
