@@ -1,121 +1,311 @@
-"""Dense truncated convolution of raw coefficient lists over a field.
+"""Dense arithmetic on raw coefficient lists: the one kernel of the package.
 
-conv(field, a, b, limit) returns c_0..c_limit of (sum a_i X^i)(sum b_j X^j)
-as raw values of ``field``.  Two paths, chosen by operand length and field
-kind only:
+Coefficient lists hold raw values of a field, constant term first.
 
-  * schoolbook -- over Q, and when either operand (trailing zeros dropped)
-    has fewer than KRONECKER_MIN terms.  Its row step, accumulate, adds
-    scaled rows into a list; over F_p it sums plain int products and
-    reduces mod p once per coefficient, over F_{p^k} it runs on the field's
-    lookup tables.  series_expand_ratio runs on the same step over Q.
-  * Kronecker substitution -- over F_p and F_{p^k} otherwise.  Each operand
-    is packed into one Python int, one slot per coefficient (per t-digit of
-    a coefficient over F_{p^k}), the two ints are multiplied once by
-    CPython's subquadratic big-int product, and the slots are read back and
-    reduced by reduce_slots.  A slot is wide enough for the largest
-    coefficient of the integer product, so no carry crosses slots.
+  * conv(field, a, b, limit, add) -- c_0..c_limit of add + a*b;
+  * divide(field, a, b, order) and inverse(field, a, order) -- series
+    quotients and inverses, by Newton iteration on conv;
+  * accumulate(field, out, rows) -- out + sum of x * X^i * row;
+  * combine(field, a, x, b) -- a + x*b, entry by entry;
+  * scale(field, c, values) -- c * values.
 
-Over F_{p^k} each X-coefficient takes 2k-1 slots, one per power t^0..t^(2k-2)
-of its t-polynomial product; the low k reduced digits form an element code
-directly and the high k-1 digits h are folded back with a table of
-t^k * h mod m(t).  The per-field tables are built on first use.
+Over Q they loop, one field operation per term.  Over F_p and F_{p^k}
+every operand is packed into one Python int (Kronecker substitution),
+and no Python loop runs per coefficient, but for the expansion and
+scaling of the codes of a field with more than 256 elements.  Products
+of at most SCHOOLBOOK_MAX term pairs, sums of at most SCHOOLBOOK_MAX
+terms and quotients of fewer than NEWTON_MIN terms loop instead: for so
+few terms the loop is faster than the packing (README.md has the
+figures).
 
-pack_bytes, unpack and reduce_slots are the slot format and its reduction
-mod p; series_expand_ratio packs anti-diagonals with them over F_q.
+SlotFormat is the packing: a coefficient takes one slot of ``width``
+bytes over F_p and 2k-1 slots over F_{p^k}, its k t-digits and then k-1
+zero slots for the digits of t^k..t^(2k-2) that products make.  The
+product of two packed ints, by CPython's subquadratic big-int product,
+is the packed product of the lists, and a sum of packed ints shifted by
+whole cells is the sum of the lists.  SlotFormat.width makes every slot
+wide enough for its sum, so no carry crosses slots.  A result is read
+back in three steps, each on whole ints or bytes: the high t-digits are
+folded into the low ones, every slot is taken mod p (reduce_slots), and
+over F_{p^k} each cell's k digits become its element code
+(SlotFormat.digits and SlotFormat.codes).  Codes of a field with at
+most 256 elements expand to digit slots by one bytes.translate per
+t-digit, and scale is one translate by the table of x -> c*x.
+series_expand_ratio packs anti-diagonals with the same format.
 """
 
 import functools
 import sys
 from array import array
+from itertools import compress
 
-KRONECKER_MIN = 24  # shorter operands take the schoolbook loop
+NEWTON_MIN = 8  # quotients of fewer terms come from a recurrence
+SCHOOLBOOK_MAX = 8  # F_q products of at most this many term pairs loop
 
 # an unsigned array typecode for each slot size in bytes
 _TYPECODES = {array(code).itemsize: code for code in "BHILQ"}
 
 
-def conv(field, a, b, limit):
-    """c_0..c_limit of the product of the coefficient sequences a and b."""
-    a = _trim(a[:limit + 1])
-    b = _trim(b[:limit + 1])
-    if not a or not b:
-        return [field.zero] * (limit + 1)
-    if field.kind == "rationals" or min(len(a), len(b)) < KRONECKER_MIN:
-        out = _schoolbook(field, a, b, limit)
+def conv(field, a, b, limit, add=()):
+    """c_0..c_limit of add + a*b for coefficient sequences a, b and add."""
+    n = limit + 1
+    a, b, add = a[:n], b[:n], add[:n]
+    if field.kind == "rationals":
+        a, b = trim(a), trim(b)
+    elif len(a) * len(b) <= SCHOOLBOOK_MAX:
+        out = list(add) + [field.zero] * (n - len(add))
+        plus, times = field.add, field.mul
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b[:n - i], i):
+                    out[j] = plus(out[j], times(x, y))
+        return out
+    count = max(len(add), min(len(a) + len(b) - 1, n) if a and b else 0)
+    if field.kind == "rationals":
+        out = accumulate(field, list(add) + [field.zero] * (count - len(add)),
+                         [(i, x, b[:count - i]) for i, x in enumerate(a) if x])
     else:
-        out = _kronecker(field, a, b, limit)
-    return out + [field.zero] * (limit + 1 - len(out))
+        fmt = field.slots
+        width = fmt.width(min(len(a), len(b)))
+        total = fmt.pack(a, width) * fmt.pack(b, width)
+        if add:
+            total += fmt.pack(add, width)
+        out = fmt.codes(fmt.digits(total, count, width), count)
+    return out + [field.zero] * (n - count)
 
 
-def _trim(values):
-    n = len(values)
-    while n and not values[n - 1]:
-        n -= 1
-    return values[:n]
+def divide(field, a, b, order):
+    """c_0..c_order of (sum a_i X^i) / (sum b_j X^j); b_0 must be nonzero.
+
+    Below order NEWTON_MIN the quotient comes from the recurrence
+    c_n = (a_n - sum_{j >= 1} b_j c_{n-j}) / b_0, one field operation per
+    term; from there on it is a times inverse(b).
+    """
+    b = trim(b[:order + 1])
+    if len(b) == 1:
+        return scale(field, field.inv(b[0]), a[:order + 1]) + \
+            [field.zero] * (order + 1 - len(a))
+    if order >= NEWTON_MIN:
+        return conv(field, a, inverse(field, b, order), order)
+    inv, mul, sub = field.inv(b[0]), field.mul, field.sub
+    out = []
+    for n in range(order + 1):
+        c = a[n] if n < len(a) else field.zero
+        for j in range(1, min(n, len(b) - 1) + 1):
+            c = sub(c, mul(b[j], out[n - j]))
+        out.append(mul(c, inv))
+    return out
 
 
-def _schoolbook(field, a, b, limit):
-    size = min(len(a) + len(b) - 1, limit + 1)
-    return accumulate(field, [field.zero] * size,
-                      [(i, x, b[:size - i]) for i, x in enumerate(a) if x])
+def inverse(field, a, order):
+    """g_0..g_order of 1/(sum a_i X^i); a_0 must be nonzero.
+
+    The first NEWTON_MIN terms come from divide's recurrence, the rest
+    from the Newton iteration g <- g - g*(a*g - 1), which doubles the
+    number of correct terms per step; so the cost is a constant times one
+    product at the full order.
+    """
+    g = divide(field, [field.one], a, min(order, NEWTON_MIN - 1))
+    minus = field.neg(field.one)
+    while len(g) <= order:
+        m = len(g)
+        prec = min(2 * m, order + 1)
+        # a*g = 1 + X^m * r mod X^prec, so g*(a*g - 1) = X^m * g*r
+        r = conv(field, a, g, prec - 1)[m:]
+        g += scale(field, minus, conv(field, g, r, prec - 1 - m))
+    return g
 
 
 def accumulate(field, out, rows):
     """out[i:i+len(row)] += x*row for each (i, x, row); returns the result.
 
-    ``out`` is updated in place over Q and F_{p^k}.  Over F_p the sums stay
-    plain ints and are reduced mod p once, into a new list, at the end, so
-    the entries of ``out`` and of every row must be residues.
+    Every row must fit in ``out``.  Over Q ``out`` is updated in place;
+    over F_q the result is a new list, and the entries of ``out`` and of
+    every row must be residues or codes.
     """
-    if field.kind == "extension":
-        q, add, mul = field.order, field._add, field._mul
+    if field.kind == "rationals":
         for i, x, row in rows:
-            xq = x * q
             end = i + len(row)
-            out[i:end] = [add[u * q + mul[xq + v]]
-                          for u, v in zip(out[i:end], row)]
+            out[i:end] = [u + x * v for u, v in zip(out[i:end], row)]
         return out
+    if sum(len(row) for _, _, row in rows) <= SCHOOLBOOK_MAX:
+        add, mul = field.add, field.mul
+        out = list(out)
+        for i, x, row in rows:
+            for j, v in enumerate(row, i):
+                out[j] = add(out[j], mul(x, v))
+        return out
+    fmt = field.slots
+    width = fmt.width(len(rows))
+    bits = 8 * width * fmt.per
+    total = fmt.pack(out, width)
     for i, x, row in rows:
-        end = i + len(row)
-        out[i:end] = [u + x * v for u, v in zip(out[i:end], row)]
-    if field.kind == "prime":
+        total += fmt.scalar(x, width) * fmt.pack(row, width) << i * bits
+    return fmt.codes(fmt.digits(total, len(out), width), len(out))
+
+
+def combine(field, a, x, b):
+    """a + x*b entry by entry, as long as the longer of a and b."""
+    out = list(a) + [field.zero] * (len(b) - len(a))
+    return accumulate(field, out, [(0, x, b)])
+
+
+def scale(field, c, values):
+    """c * values entry by entry."""
+    if field.kind == "rationals" or field.order > 256:
+        return [field.mul(c, v) for v in values]
+    return list(bytes(values).translate(field.slots.scale_table(c)))
+
+
+def trim(values):
+    """``values`` without its trailing zeros."""
+    for n in compress(range(len(values), 0, -1), reversed(values)):
+        return values[:n]
+    return values[:0]
+
+
+class SlotFormat:
+    """The packing of coefficient lists over one finite field; a field
+    builds its own on first use, as ``field.slots``.
+
+    ``per`` slots make the cell of one coefficient: 1 over F_p, 2k-1 over
+    F_{p^k}.
+    """
+
+    def __init__(self, field):
         p = field.char
-        return [c % p for c in out]
-    return out
+        k = field.degree if field.kind == "extension" else 1
+        self.field, self.p, self.k, self.per = field, p, k, 2 * k - 1
+        self._scalars = {}  # width -> [packed int of each code]
+        self._folds = {}  # width -> packed sum r_d t^d - t^k
+        self._masks = {}  # width -> ones in slot 0 of enough cells
+        self._scale = {}  # c -> translate table of x -> c*x
+        if k > 1:
+            q = field.order
+            self.tk = field.pow(p, k)  # the code p is t
+            self.code_size = 1 if q <= 256 else 2  # bytes per code in codes()
+            self.encoder = sum(p ** e << 8 * self.code_size * (k - 1 - e)
+                               for e in range(k))
+            vectors = [field.coeff_vector(c) for c in field.elements()]
+            if q <= 256:
+                self.tables = [bytes(v[e] for v in vectors) + bytes(256 - q)
+                               for e in range(k)]
+            else:
+                self.slot_table = [v + (0,) * (k - 1) for v in vectors]
+        self.slope, self.base = self._bound()
+
+    def _bound(self):
+        """(slope, base): slope*terms + base bounds every slot of a sum of
+        one list and ``terms`` products of lists per coefficient.
+
+        Before the fold, slot e of a cell holds at most terms * (p-1)^2 *
+        min(e+1, 2k-1-e) from the products, each of two t-polynomials of
+        degree < k, and p - 1 from the list (e < k).  The fold adds r_d
+        times each high slot, highest first, to slot e-k+d, for
+        t^k = sum r_d t^d mod m(t).  README.md ("Diagonals") has the proof.
+        """
+        p, k, per = self.p, self.k, self.per
+        top = [((p - 1) ** 2 * min(e + 1, per - e), (p - 1) * (e < k))
+               for e in range(per)]
+        fold = self.field.coeff_vector(self.tk) if k > 1 else ()
+        for e in range(per - 1, k - 1, -1):
+            for d, r in enumerate(fold):
+                slope, base = top[e - k + d]
+                top[e - k + d] = (slope + r * top[e][0], base + r * top[e][1])
+        return max(s for s, _ in top), max(b for _, b in top)
+
+    def width(self, terms):
+        """Bytes per slot for one list plus ``terms`` products per cell."""
+        return ((terms * self.slope + self.base).bit_length() + 7) // 8
+
+    def pack(self, values, width):
+        """One int holding the slots of the coefficients ``values``."""
+        if self.k == 1:
+            raw = bytes(values) if width == 1 else pack_bytes(values, width)
+        elif self.field.order > 256:
+            slots = self.slot_table
+            raw = pack_bytes([d for c in values for d in slots[c]], width)
+        else:
+            codes = bytes(values)
+            cell = self.per * width
+            raw = bytearray(len(codes) * cell)
+            for e, table in enumerate(self.tables):
+                raw[e * width::cell] = codes.translate(table)
+        return int.from_bytes(raw, "little")
+
+    def scalar(self, x, width):
+        """The packed int of the one coefficient x."""
+        if self.k == 1:
+            return x
+        if width not in self._scalars:
+            bits = 8 * width
+            self._scalars[width] = [
+                sum(d << bits * e for e, d in enumerate(self.field.coeff_vector(c)))
+                for c in self.field.elements()]
+        return self._scalars[width][x]
+
+    def digits(self, total, count, width):
+        """The slots of the first ``count`` cells of a packed int, mod p.
+
+        Over F_{p^k} the slots of t^k..t^(2k-2) are folded first, highest
+        first: slot e times sum r_d t^d - t^k, added back e - k slots up,
+        clears slot e and adds its digits mod m(t) to the slots below.
+        Returns reduce_slots' bytes or list, ``per`` digits per cell.
+        """
+        size = count * self.per * width
+        if total.bit_length() > 8 * size:
+            total &= (1 << 8 * size) - 1
+        k = self.k
+        if k > 1:
+            bits = 8 * width
+            mask = self._mask(width, count)
+            fold = self._folds.get(width)
+            if fold is None:
+                fold = self._folds[width] = self.scalar(self.tk, width) - (1 << k * bits)
+            for e in range(self.per - 1, k - 1, -1):
+                total += ((total >> e * bits) & mask) * fold << (e - k) * bits
+        return reduce_slots(total.to_bytes(size, "little"), width, self.p)
+
+    def _mask(self, width, count):
+        """Ones in slot 0 of at least ``count`` cells; an & with it keeps
+        slot 0 of every cell of a shorter int."""
+        mask = self._masks.get(width, 0)
+        if mask.bit_length() <= 8 * width * self.per * (count - 1):
+            cell = b"\xff" * width + bytes((self.per - 1) * width)
+            mask = self._masks[width] = int.from_bytes(cell * 2 * count, "little")
+        return mask
+
+    def codes(self, digits, count):
+        """The coefficients of ``count`` cells of reduced digits.
+
+        Over F_{p^k} the digits d_e of a cell, times sum p^e Z^(k-1-e) in
+        slots of code_size bytes, leave its code sum d_e p^e in slot k-1;
+        every other slot of the product is a partial sum, also below q.
+        """
+        if self.k == 1:
+            return list(digits)
+        size = self.code_size
+        total = int.from_bytes(pack_bytes(digits, size), "little") * self.encoder
+        raw = total.to_bytes(count * self.per * size, "little")
+        if size == 1:
+            return list(raw[self.k - 1::self.per])
+        return list(unpack(raw, size)[self.k - 1::self.per])
+
+    def scale_table(self, c):
+        """The translate table x -> c*x; the field has at most 256 elements."""
+        if c not in self._scale:
+            field = self.field
+            self._scale[c] = (bytes(field.mul(c, x) for x in field.elements())
+                              + bytes(256 - field.order))
+        return self._scale[c]
 
 
-def _kronecker(field, a, b, limit):
-    p = field.char
-    n = min(len(a), len(b))
-    full = len(a) + len(b) - 1
-    count = min(full, limit + 1)
-    if field.kind == "prime":
-        per, bound = 1, n * (p - 1) ** 2
-    else:
-        k = field.degree
-        per, bound = 2 * k - 1, n * k * (p - 1) ** 2
-        slots = _slot_table(field)
-        a = [d for c in a for d in slots[c]]
-        b = [d for c in b for d in slots[c]]
-    width = (bound.bit_length() + 7) // 8
-    product = _pack(a, width) * _pack(b, width)
-    raw = product.to_bytes(full * per * width, "little")[:count * per * width]
-    digits = reduce_slots(raw, width, p)
-    if field.kind == "prime":
-        return list(digits)
-    return _fold(field, digits)
-
-
-def _pack(values, width):
-    """One int holding ``values`` in little-endian slots of ``width`` bytes."""
-    return int.from_bytes(pack_bytes(values, width), "little")
-
+# -- bytes of slots ---------------------------------------------------------
 
 def pack_bytes(values, width):
     """The little-endian bytes of ``values``, ``width`` bytes each.
 
-    ``values`` is a list of ints, or bytes with one value per byte.
+    ``values`` is a sequence of ints, or bytes with one value per byte.
     """
     if isinstance(values, bytes):
         if width == 1:
@@ -182,32 +372,3 @@ def reduce_slots(raw, width, p):
 def _plane_tables(p, width):
     """For each byte plane e < width, the translate table b -> b*256^e mod p."""
     return [bytes(b * 256 ** e % p for b in range(256)) for e in range(width)]
-
-
-@functools.lru_cache(maxsize=None)
-def _slot_table(field):
-    """Element code -> its k t-digits followed by k-1 zero slots."""
-    pad = (0,) * (field.degree - 1)
-    return [field.coeff_vector(c) + pad for c in field.elements()]
-
-
-@functools.lru_cache(maxsize=None)
-def _fold_table(field):
-    """Code of h (degree < k-1) -> code of t^k * h mod m(t)."""
-    p, k = field.char, field.degree
-    tk = field.pow(p, k)  # the code p is t
-    return [field.mul(tk, h) for h in range(p ** (k - 1))]
-
-
-def _fold(field, digits):
-    """Element codes from 2k-1 reduced t-digits per coefficient."""
-    p, k, q = field.char, field.degree, field.order
-    per = 2 * k - 1
-    low = digits[k - 1::per]
-    for i in range(k - 2, -1, -1):
-        low = [u * p + v for u, v in zip(low, digits[i::per])]
-    high = digits[per - 1::per]
-    for i in range(per - 2, k - 1, -1):
-        high = [u * p + v for u, v in zip(high, digits[i::per])]
-    add, fold = field._add, _fold_table(field)
-    return [add[x * q + fold[h]] for x, h in zip(low, high)]

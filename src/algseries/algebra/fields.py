@@ -22,6 +22,7 @@ import re
 from fractions import Fraction
 
 from ..errors import AlgSeriesError
+from .conv import SlotFormat
 
 # Irreducible moduli (coefficient tuples, constant first) for the built-in
 # extension cardinalities.  Each is verified again at construction time.
@@ -140,6 +141,11 @@ class Field:
     @property
     def is_finite(self):
         return self.order is not None
+
+    @functools.cached_property
+    def slots(self):
+        """The packing of this finite field's coefficient lists (conv.py)."""
+        return SlotFormat(self)
 
     def pow(self, a, n):
         """Raw a**n by square and multiply; negative n inverts first."""

@@ -6,7 +6,7 @@ iteration so downstream output is byte-stable.
 """
 
 from ..errors import AlgSeriesError
-from .conv import accumulate, conv
+from .conv import combine, conv, divide, scale, trim
 
 
 def _term_text(field, coeff, mono):
@@ -32,11 +32,8 @@ class UniPoly:
     __slots__ = ("field", "coeffs", "var")
 
     def __init__(self, field, coeffs, var="X"):
-        coeffs = list(coeffs)
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
         self.field = field
-        self.coeffs = tuple(coeffs)
+        self.coeffs = trim(tuple(coeffs))
         self.var = var
 
     @classmethod
@@ -72,27 +69,16 @@ class UniPoly:
     def __add__(self, other):
         other = self._same(other)
         f = self.field
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = f.add(out[i], c)
-        return UniPoly(f, out, self.var)
+        return UniPoly(f, combine(f, self.coeffs, f.one, other.coeffs), self.var)
 
     def __sub__(self, other):
         other = self._same(other)
         f = self.field
-        out = [f.zero] * max(len(self.coeffs), len(other.coeffs))
-        for i, c in enumerate(self.coeffs):
-            out[i] = c
-        for i, c in enumerate(other.coeffs):
-            out[i] = f.sub(out[i], c)
-        return UniPoly(f, out, self.var)
+        return UniPoly(f, combine(f, self.coeffs, f.neg(f.one), other.coeffs),
+                       self.var)
 
     def __neg__(self):
-        f = self.field
-        return UniPoly(f, [f.neg(c) for c in self.coeffs], self.var)
+        return self.scale(self.field.neg(self.field.one))
 
     def __mul__(self, other):
         other = self._same(other)
@@ -104,7 +90,7 @@ class UniPoly:
         f = self.field
         if not c:
             return UniPoly.zero(f, self.var)
-        return UniPoly(f, [f.mul(c, x) for x in self.coeffs], self.var)
+        return UniPoly(f, scale(f, c, self.coeffs), self.var)
 
     def __pow__(self, n):
         result = UniPoly.one(self.field, self.var)
@@ -117,25 +103,21 @@ class UniPoly:
         return result
 
     def divmod(self, other):
+        """(quotient, remainder).  The quotient reversed is the reversed
+        dividend over the reversed divisor mod X^(dq+1), so it takes only
+        their top dq+1 coefficients; the remainder is then a - quot*b, one
+        multiply-add below the divisor's degree."""
         other = self._same(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         f = self.field
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
+        a, b = self.coeffs, other.coeffs
+        dq = len(a) - len(b)
         if dq < 0:
             return UniPoly.zero(f, self.var), self
-        quot = [f.zero] * (dq + 1)
-        inv_lead = f.inv(other.lead())
-        size = len(other.coeffs)
-        for k in range(dq, -1, -1):
-            top = rem[k + other.degree]
-            if top:
-                c = f.mul(top, inv_lead)
-                quot[k] = c
-                rem[k:k + size] = accumulate(f, rem[k:k + size],
-                                             [(0, f.neg(c), other.coeffs)])
-        return UniPoly(f, quot, self.var), UniPoly(f, rem[:other.degree], self.var)
+        quot = divide(f, a[::-1][:dq + 1], b[::-1], dq)[::-1]
+        rem = conv(f, scale(f, f.neg(f.one), quot), b, len(b) - 2, a[:len(b) - 1])
+        return UniPoly(f, quot, self.var), UniPoly(f, rem, self.var)
 
     def __floordiv__(self, other):
         return self.divmod(other)[0]

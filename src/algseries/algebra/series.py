@@ -14,7 +14,7 @@ diagonal_series reads the diagonal off such an expansion.
 """
 
 from ..errors import AlgSeriesError, InsufficientPrecision, ZeroConstantTerm
-from .conv import accumulate, conv, pack_bytes, reduce_slots, unpack
+from .conv import accumulate, combine, conv, inverse, pack_bytes, scale
 
 
 class TruncSeries1:
@@ -51,22 +51,22 @@ class TruncSeries1:
         return other
 
     def __add__(self, other):
-        other = self._same(other)
-        f = self.field
-        n = min(self.order, other.order)
-        return TruncSeries1(
-            f, [f.add(a, b) for a, b in zip(self.coeffs, other.coeffs)], n)
+        return self._combine(other, self.field.one)
 
     def __sub__(self, other):
+        return self._combine(other, self.field.neg(self.field.one))
+
+    def _combine(self, other, x):
+        """self + x*other, to the lower of the two orders."""
         other = self._same(other)
         f = self.field
         n = min(self.order, other.order)
         return TruncSeries1(
-            f, [f.sub(a, b) for a, b in zip(self.coeffs, other.coeffs)], n)
+            f, combine(f, self.coeffs[:n + 1], x, other.coeffs[:n + 1]), n)
 
     def __neg__(self):
         f = self.field
-        return TruncSeries1(f, [f.neg(c) for c in self.coeffs], self.order)
+        return TruncSeries1(f, scale(f, f.neg(f.one), self.coeffs), self.order)
 
     def __mul__(self, other):
         other = self._same(other)
@@ -75,24 +75,13 @@ class TruncSeries1:
                             conv(self.field, self.coeffs, other.coeffs, n), n)
 
     def inverse(self):
-        """Multiplicative inverse; needs an invertible constant term.
-
-        Newton iteration g <- g - g*(a*g - 1), doubling the number of correct
-        coefficients per step, so the cost is a constant times one product
-        at the full order.
-        """
-        f = self.field
-        a = self.coeffs
-        if not a[0]:
+        """Multiplicative inverse by conv.inverse, a Newton iteration; needs
+        an invertible constant term."""
+        if not self.coeffs[0]:
             raise ZeroConstantTerm("series has no invertible constant term")
-        g = [f.inv(a[0])]
-        while len(g) <= self.order:
-            m = len(g)
-            prec = min(2 * m, self.order + 1)
-            # a*g = 1 + X^m * r mod X^prec, so g*(a*g - 1) = X^m * g*r
-            r = conv(f, a, g, prec - 1)[m:]
-            g += [f.neg(c) for c in conv(f, g, r, prec - 1 - m)]
-        return TruncSeries1(f, g, self.order)
+        return TruncSeries1(self.field,
+                            inverse(self.field, self.coeffs, self.order),
+                            self.order)
 
     def spread(self, e):
         """Substitute X -> X^e, truncated to the same order."""
@@ -211,39 +200,22 @@ def _accumulate_sweep(f, num_cells, steps, N):
 def _packed_sweep(f, num_cells, steps, N):
     """The anti-diagonals over F_p or F_{p^k}, each built as one packed int.
 
-    A cell takes 2k-1 slots of ``width`` bytes, one per t-digit of its
-    t-polynomial (k = 1 over F_p).  An anti-diagonal is its numerator cells
-    plus, per step, a byte slice of an earlier packed anti-diagonal times
-    the step's packed multiplier, shifted to the cells that read it.  Over
-    F_{p^k} the digits of t^k..t^(2k-2) are then folded down through
-    t^k = sum r_d t^d (mod m(t)), highest first, each by one periodic mask
-    that picks that slot of every cell.  One reduce_slots call per
-    anti-diagonal takes the slots mod p; _slot_width bounds every slot
-    value on the way, so no carry crosses slots.
+    A cell takes the slots of conv.SlotFormat: one per t-digit of its
+    t-polynomial product.  An anti-diagonal is its numerator cells plus,
+    per step, a byte slice of an earlier packed anti-diagonal times the
+    step's packed multiplier, shifted to the cells that read it; the
+    format's width for len(steps) products per cell keeps every slot in
+    bounds.  SlotFormat.digits folds the high t-digits and takes the slots
+    mod p, once per anti-diagonal, and SlotFormat.codes reads the cells'
+    codes off them.
     """
-    p = f.char
-    k = 1 if f.kind == "prime" else f.degree
-    per = 2 * k - 1
-    width = _slot_width(f, k, len(steps))
-    bits = 8 * width
-    cell = per * width  # bytes per cell
-
-    def packed(c):
-        if k == 1:
-            return c
-        return sum(d << e * bits for e, d in enumerate(f.coeff_vector(c)))
-
-    steps = [(a, b, packed(x)) for a, b, x in steps]
-    num_cells = {t: sum(packed(c) << 8 * cell * (i - max(0, t - N))
+    fmt = f.slots
+    width = fmt.width(len(steps))
+    cell = width * fmt.per
+    steps = [(a, b, fmt.scalar(x, width)) for a, b, x in steps]
+    num_cells = {t: sum(fmt.scalar(c, width) << 8 * cell * (i - max(0, t - N))
                         for i, c in cells)
                  for t, cells in num_cells.items()}
-    if k > 1:
-        mask = int.from_bytes((b"\xff" * width + bytes(cell - width)) * (N + 1),
-                              "little")
-        fold = packed(f.pow(p, k)) - (1 << k * bits)  # the code p is t
-        # code of a cell = sum of its digits d_e * p^e, read off slot k - 1
-        # of the cell times sum p^e * t^(k-1-e)
-        encode = sum(p ** e << (k - 1 - e) * bits for e in range(k))
     # anti-diagonal s is read last by s + depth; later it is dropped
     depth = max((a + b for a, b, _ in steps), default=0)
     store, diagonals = [], []
@@ -254,37 +226,12 @@ def _packed_sweep(f, num_cells, steps, N):
             row = int.from_bytes(store[s][start * cell:(start + count) * cell],
                                  "little")
             acc += x * row << 8 * cell * at
-        for e in range(per - 1, k - 1, -1):
-            acc += ((acc >> e * bits) & mask) * fold << (e - k) * bits
-        digits = reduce_slots(acc.to_bytes(cells * cell, "little"), width, p)
-        raw = pack_bytes(digits, width)
-        store.append(raw)
+        digits = fmt.digits(acc, cells, width)
+        store.append(pack_bytes(digits, width))
         if t >= depth:
             store[t - depth] = None
-        if k > 1:
-            product = int.from_bytes(raw, "little") * encode
-            digits = unpack(product.to_bytes(cells * cell, "little"),
-                             width)[k - 1::per]
-        diagonals.append(list(digits))
+        diagonals.append(fmt.codes(digits, cells))
     return diagonals
-
-
-def _slot_width(f, k, terms):
-    """Bytes per slot of _packed_sweep over F_{p^k} with ``terms`` steps.
-
-    Bounds slot e of a cell by the step products and the numerator digit,
-    then through the fold of the high digits, highest first; the width
-    holds the largest bound and q - 1, for the codes read off the slots.
-    README.md ("Diagonals") has the proof.
-    """
-    p = f.char
-    per = 2 * k - 1
-    top = [terms * (p - 1) ** 2 * min(e + 1, per - e) + (p - 1) * (e < k)
-           for e in range(per)]
-    for e in range(per - 1, k - 1, -1):
-        for d, r in enumerate(f.coeff_vector(f.pow(p, k))):
-            top[e - k + d] += r * top[e]
-    return (max(top + [f.order - 1]).bit_length() + 7) // 8
 
 
 def diagonal_series(series2, order):
@@ -300,8 +247,7 @@ def diagonal_series(series2, order):
 def eval_bipoly_at_series(poly, series):
     """P(X, f) for a BiPoly P and TruncSeries1 f, by Horner in Y.
 
-    Each step is one series product; the next Y-slice's few coefficients
-    are then added into the product's coefficient list.
+    Each step is one conv call: the product with f plus the next Y-slice.
     """
     f = series.field
     N = series.order
@@ -311,13 +257,8 @@ def eval_bipoly_at_series(poly, series):
     degy = max(slices)
     acc = poly_to_series(slices[degy], f, N)
     for j in range(degy - 1, -1, -1):
-        acc = acc * series
-        if j in slices:
-            coeffs = list(acc.coeffs)
-            for i, c in enumerate(slices[j].coeffs[:N + 1]):
-                if c:
-                    coeffs[i] = f.add(coeffs[i], c)
-            acc = TruncSeries1(f, coeffs, N)
+        row = slices[j].coeffs if j in slices else ()
+        acc = TruncSeries1(f, conv(f, acc.coeffs, series.coeffs, N, row), N)
     return acc
 
 

@@ -21,7 +21,7 @@ from .automaton import export_dot, from_json, to_json
 from .cartier import diagonal_automaton, rational_kernel
 from .diagrat import (DIAGONAL_ORDER_LIMIT, DiagonalRep, diagonal_coeffs,
                       furstenberg_rep)
-from .errors import AlgSeriesError, ParseError
+from .errors import AlgSeriesError
 from .exprparse import parse_modulus, parse_poly
 from .extract import (EXTRACT_ORDER_LIMIT, FixedPointProblem,
                       fixed_point_coefficients, fs_coefficients)
@@ -268,13 +268,7 @@ def main(argv=None):
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_PIPE
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except AlgSeriesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (AlgSeriesError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

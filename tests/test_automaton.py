@@ -1,7 +1,6 @@
 import copy
 import json
 import os
-import random
 import time
 from fractions import Fraction
 
@@ -12,7 +11,7 @@ from hypothesis import strategies as st
 from algseries import DFAO, GF, QQ, export_dot, from_json, to_json
 from algseries.errors import AlgSeriesError, SchemaError
 
-from conftest import F2, F4, thue_morse
+from conftest import F2, F4
 
 F7 = GF(7)
 DATA = os.path.join(os.path.dirname(__file__), "data")

@@ -1,9 +1,14 @@
-"""conv and the Newton series inverse against the schoolbook loops they replace.
+"""The packed kernel of conv.py against loops of one field operation per term.
 
 The references below are the hand-written loops of TruncSeries1.__mul__ and
-TruncSeries1.inverse before both went through conv; lengths reach past
-KRONECKER_MIN so both paths of conv are compared with them.  reduce_slots is
-compared with one % p per unpacked slot.
+TruncSeries1.inverse before both went through conv, and per-term loops for
+accumulate and for the sums of UniPoly and TruncSeries1.  Lengths reach past
+SCHOOLBOOK_MAX and NEWTON_MIN, so the loops and the packed paths are both
+compared with them.  The fields cover F_p with one-byte slots, F_257 and
+F_(2^31+11), whose slots reduce one % p at a time, the extensions with at
+most 256 elements, whose codes expand by bytes.translate, and GF(3^6), whose
+codes expand through a list.  reduce_slots is compared with one % p per
+unpacked slot.
 """
 
 import random
@@ -13,16 +18,18 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from algseries import GF, QQ, TruncSeries1
-from algseries.algebra.conv import KRONECKER_MIN, conv, reduce_slots, unpack
+from algseries import GF, QQ, TruncSeries1, UniPoly
+from algseries.algebra.conv import (SCHOOLBOOK_MAX, accumulate, conv,
+                                    reduce_slots, unpack)
+from algseries.algebra.fields import ExtensionField
 from algseries.errors import ZeroConstantTerm
 
 from conftest import F2, F3, F4, F5, F8, F9
 
 BIG_PRIME = 2 ** 31 + 11
-FIELDS = [F2, F3, F5, F4, F8, F9, GF(25), GF(BIG_PRIME), QQ]
+FIELDS = [F2, F3, F5, F4, F8, F9, GF(25), GF(3 ** 6), GF(257), GF(BIG_PRIME), QQ]
 MAX_LEN = 300
-MAX_LEN_Q = 60  # Q always takes the schoolbook path; long Fraction lists only add time
+MAX_LEN_Q = 60  # Q always takes the list path; long Fraction lists only add time
 
 # Shrinking 300-term lists against the quadratic references takes many
 # minutes, so a failure is reported with its first falsifying example.
@@ -91,7 +98,7 @@ def test_conv_matches_schoolbook(case):
 def test_conv_long_dense_operands(field):
     # both operands well past the cut-off, every coefficient at its largest
     top = field.order - 1 if field.is_finite else Fraction(-7, 3)
-    n = 4 * KRONECKER_MIN
+    n = 96
     a = [top] * n
     b = [top] * (n + 3)
     for limit in (n // 2, 2 * n + 1, 3 * n):
@@ -135,3 +142,62 @@ def test_reduce_slots_matches_per_slot_mod(p, width):
         for data in (raw, b"\xff" * len(raw), bytes(len(raw))):
             want = [v % p for v in unpack(data, width)]
             assert list(reduce_slots(data, width, p)) == want
+
+
+def reference_accumulate(field, out, rows):
+    out = list(out)
+    for i, x, row in rows:
+        for j, v in enumerate(row):
+            out[i + j] = field.add(out[i + j], field.mul(x, v))
+    return out
+
+
+@st.composite
+def row_sums(draw):
+    field = draw(st.sampled_from(FIELDS))
+    out = draw(operand(field))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        i = draw(st.integers(0, len(out)))
+        row = draw(operand(field))[:len(out) - i]
+        rows.append((i, draw(coefficients(field)), row))
+    return field, out, rows
+
+
+@no_shrink
+@given(row_sums())
+def test_accumulate_matches_per_term(case):
+    field, out, rows = case
+    want = reference_accumulate(field, out, rows)
+    assert accumulate(field, list(out), rows) == want
+
+
+@pytest.mark.parametrize("rows", [9, 40])
+def test_short_first_sum_of_a_fresh_field(rows):
+    # the first packed sum of a field builds its masks; a first sum of one
+    # cell must build them too (a field object not yet used by any test)
+    field = ExtensionField(3, 2, (1, 0, 1))
+    case = [(0, 8, [7])] * rows
+    assert accumulate(field, [5], case) == reference_accumulate(field, [5], case)
+
+
+@no_shrink
+@given(st.sampled_from(FIELDS), st.data())
+def test_sums_match_per_coefficient(field, data):
+    a, b = data.draw(operand(field)), data.draw(operand(field))
+    c = data.draw(coefficients(field))
+    n = max(len(a), len(b))
+    pa, pb = a + [field.zero] * (n - len(a)), b + [field.zero] * (n - len(b))
+    add = [field.add(x, y) for x, y in zip(pa, pb)]
+    sub = [field.sub(x, y) for x, y in zip(pa, pb)]
+    ua, ub = UniPoly(field, a), UniPoly(field, b)
+    assert ua + ub == UniPoly(field, add)
+    assert ua - ub == UniPoly(field, sub)
+    assert -ua == UniPoly(field, [field.neg(x) for x in a])
+    assert ua.scale(c) == UniPoly(field, [field.mul(c, x) for x in a])
+    if a and b:
+        order = min(len(a), len(b)) - 1
+        sa, sb = TruncSeries1(field, a), TruncSeries1(field, b)
+        assert (sa + sb).coeffs == tuple(add[:order + 1])
+        assert (sa - sb).coeffs == tuple(sub[:order + 1])
+        assert (-sa).coeffs == tuple(field.neg(x) for x in a)

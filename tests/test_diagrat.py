@@ -1,8 +1,7 @@
 import pytest
 
-from algseries import (QQ, BiPoly, DiagonalRep, FixedPointProblem, UniPoly,
-                       diagonal_coeffs, fixed_point_coefficients,
-                       furstenberg_rep, parse_poly)
+from algseries import (QQ, BiPoly, DiagonalRep, diagonal_coeffs,
+                       fixed_point_coefficients, furstenberg_rep, parse_poly)
 from algseries.errors import HypothesisViolated
 
 from conftest import F2, F5, binomial, random_problem, thue_morse

@@ -5,7 +5,7 @@ from algseries import GF, QQ
 from algseries.algebra.fields import _pmod, _pmul, _prime_power, _ptrim
 from algseries.errors import AlgSeriesError
 
-from conftest import ALL_FIELDS, FINITE_FIELDS, F2, F4, F9, random_raw
+from conftest import ALL_FIELDS, F2, F4, F9, random_raw
 
 
 def test_prime_field_basics():

@@ -75,14 +75,17 @@ def reference_divmod(a, b):
 
 @st.composite
 def division_pairs(draw):
-    field = draw(st.sampled_from([F2, F3, F5, F4, F9, QQ]))
+    # quotients past conv.NEWTON_MIN and products past conv.SCHOOLBOOK_MAX
+    # reach the Newton and packed paths of divmod; trailing zeros are dropped
+    # by UniPoly
+    field = draw(st.sampled_from([F2, F3, F5, F4, F9, GF(3 ** 6), GF(257), QQ]))
     if field.is_finite:
         coeff = st.integers(0, field.order - 1)
     else:
         coeff = st.fractions(-9, 9, max_denominator=6).map(
             lambda c: c.numerator if c.denominator == 1 else c)
-    a = UniPoly(field, draw(st.lists(coeff, max_size=40)))
-    b = UniPoly(field, draw(st.lists(coeff, min_size=1, max_size=20)))
+    a = UniPoly(field, draw(st.lists(coeff, max_size=120)))
+    b = UniPoly(field, draw(st.lists(coeff, min_size=1, max_size=40)))
     if b.is_zero():
         b = UniPoly.one(field)
     return a, b
