@@ -115,7 +115,8 @@ class UniPoly:
         dq = len(a) - len(b)
         if dq < 0:
             return UniPoly.zero(f, self.var), self
-        quot = divide(f, a[::-1][:dq + 1], b[::-1], dq)[::-1]
+        top = slice(-1, -dq - 2, -1)  # the top dq + 1 coefficients, reversed
+        quot = divide(f, a[top], b[top], dq)[::-1]
         rem = conv(f, scale(f, f.neg(f.one), quot), b, len(b) - 2, a[:len(b) - 1])
         return UniPoly(f, quot, self.var), UniPoly(f, rem, self.var)
 

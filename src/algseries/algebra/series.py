@@ -247,7 +247,8 @@ def diagonal_series(series2, order):
 def eval_bipoly_at_series(poly, series):
     """P(X, f) for a BiPoly P and TruncSeries1 f, by Horner in Y.
 
-    Each step is one conv call: the product with f plus the next Y-slice.
+    Each step is one series product; the next Y-slice's few coefficients
+    are then added to it.
     """
     f = series.field
     N = series.order
@@ -257,8 +258,10 @@ def eval_bipoly_at_series(poly, series):
     degy = max(slices)
     acc = poly_to_series(slices[degy], f, N)
     for j in range(degy - 1, -1, -1):
-        row = slices[j].coeffs if j in slices else ()
-        acc = TruncSeries1(f, conv(f, acc.coeffs, series.coeffs, N, row), N)
+        acc = acc * series
+        if j in slices:
+            acc = TruncSeries1(
+                f, combine(f, acc.coeffs, f.one, slices[j].coeffs[:N + 1]), N)
     return acc
 
 
