@@ -177,7 +177,6 @@ class SlotFormat:
         k = field.degree if field.kind == "extension" else 1
         self.field, self.p, self.k, self.per = field, p, k, 2 * k - 1
         self._scalars = {}  # width -> [packed int of each code]
-        self._folds = {}  # width -> packed sum r_d t^d - t^k
         self._masks = {}  # width -> ones in slot 0 of enough cells
         self._scale = {}  # c -> translate table of x -> c*x
         if k > 1:
@@ -259,9 +258,7 @@ class SlotFormat:
         if k > 1:
             bits = 8 * width
             mask = self._mask(width, count)
-            fold = self._folds.get(width)
-            if fold is None:
-                fold = self._folds[width] = self.scalar(self.tk, width) - (1 << k * bits)
+            fold = self.scalar(self.tk, width) - (1 << k * bits)
             for e in range(self.per - 1, k - 1, -1):
                 total += ((total >> e * bits) & mask) * fold << (e - k) * bits
         return reduce_slots(total.to_bytes(size, "little"), width, self.p)
@@ -287,8 +284,6 @@ class SlotFormat:
         size = self.code_size
         total = int.from_bytes(pack_bytes(digits, size), "little") * self.encoder
         raw = total.to_bytes(count * self.per * size, "little")
-        if size == 1:
-            return list(raw[self.k - 1::self.per])
         return list(unpack(raw, size)[self.k - 1::self.per])
 
     def scale_table(self, c):
