@@ -12,7 +12,8 @@ Coefficient lists hold raw values of a field, constant term first.
 Over Q they loop, one field operation per term.  Over F_p and F_{p^k}
 every operand is packed into one Python int (Kronecker substitution),
 and no Python loop runs per coefficient, but for the expansion and
-scaling of the codes of a field with more than 256 elements.  Products
+scaling of the elements of a field with more than 256 of them, and for
+reduce_slots when p * width > 256.  Products
 of at most SCHOOLBOOK_MAX term pairs, sums of at most SCHOOLBOOK_MAX
 terms and quotients of fewer than NEWTON_MIN terms loop instead: for so
 few terms the loop is faster than the packing (README.md has the
