@@ -13,11 +13,13 @@ Over Q they loop, one field operation per term.  Over F_p and F_{p^k}
 every operand is packed into one Python int (Kronecker substitution),
 and no Python loop runs per coefficient, but for the expansion and
 scaling of the elements of a field with more than 256 of them, and for
-reduce_slots when p * width > 256.  Products
-of at most SCHOOLBOOK_MAX term pairs, sums of at most SCHOOLBOOK_MAX
-terms and quotients of fewer than NEWTON_MIN terms loop instead: for so
-few terms the loop is faster than the packing (README.md has the
-figures).
+reduce_slots when p * width > 256.  Three short cases loop instead,
+because on the calls of the automata-Fq and series-Fq benchmarks the loop
+was measured faster than the packing (README.md, "Design notes", has the
+figures): row sums of at most SCHOOLBOOK_MAX terms, products of at most
+SCHOOLBOOK_MAX term pairs (through the same loop of accumulate), and
+quotients of fewer than NEWTON_MIN terms, which also seed the Newton
+iteration of inverse.
 
 SlotFormat is the packing: a coefficient takes one slot of ``width``
 bytes over F_p and 2k-1 slots over F_{p^k}, its k t-digits and then k-1
@@ -53,16 +55,10 @@ def conv(field, a, b, limit, add=()):
     a, b, add = a[:n], b[:n], add[:n]
     if field.kind == "rationals":
         a, b = trim(a), trim(b)
-    elif len(a) * len(b) <= SCHOOLBOOK_MAX:
-        out = list(add) + [field.zero] * (n - len(add))
-        plus, times = field.add, field.mul
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b[:n - i], i):
-                    out[j] = plus(out[j], times(x, y))
-        return out
     count = max(len(add), min(len(a) + len(b) - 1, n) if a and b else 0)
-    if field.kind == "rationals":
+    if field.kind == "rationals" or len(a) * len(b) <= SCHOOLBOOK_MAX:
+        # over F_q the rows hold at most len(a) * len(b) terms, so
+        # accumulate loops on them
         out = accumulate(field, list(add) + [field.zero] * (count - len(add)),
                          [(i, x, b[:count - i]) for i, x in enumerate(a) if x])
     else:

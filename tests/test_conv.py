@@ -19,8 +19,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from algseries import GF, QQ, TruncSeries1, UniPoly
-from algseries.algebra.conv import (SCHOOLBOOK_MAX, accumulate, conv,
-                                    reduce_slots, unpack)
+from algseries.algebra.conv import accumulate, conv, reduce_slots, unpack
 from algseries.algebra.fields import ExtensionField
 from algseries.errors import ZeroConstantTerm
 
