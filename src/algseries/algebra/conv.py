@@ -4,7 +4,7 @@ Coefficient lists hold raw values of a field, constant term first.
 
   * conv(field, a, b, limit, add) -- c_0..c_limit of add + a*b;
   * divide(field, a, b, order) and inverse(field, a, order) -- series
-    quotients and inverses, by Newton iteration on conv;
+    quotients and inverses, by Newton iteration on conv (newton_step);
   * accumulate(field, out, rows) -- out + sum of x * X^i * row;
   * combine(field, a, x, b) -- a + x*b, entry by entry;
   * scale(field, c, values) -- c * values.
@@ -103,14 +103,21 @@ def inverse(field, a, order):
     product at the full order.
     """
     g = divide(field, [field.one], a, min(order, NEWTON_MIN - 1))
-    minus = field.neg(field.one)
     while len(g) <= order:
-        m = len(g)
-        prec = min(2 * m, order + 1)
-        # a*g = 1 + X^m * r mod X^prec, so g*(a*g - 1) = X^m * g*r
-        r = conv(field, a, g, prec - 1)[m:]
-        g += scale(field, minus, conv(field, g, r, prec - 1 - m))
+        g = newton_step(field, a, g, min(2 * len(g), order + 1))
     return g
+
+
+def newton_step(field, a, g, prec):
+    """g_0..g_(prec-1) of 1/(sum a_i X^i) from its first m = len(g) terms.
+
+    One step g <- g - g*(a*g - 1) of the Newton iteration; needs
+    m < prec <= 2m.  a*g = 1 + X^m * r mod X^prec, so g*(a*g - 1) is
+    X^m * g*r, and only the terms of g*r below prec - m are formed.
+    """
+    m = len(g)
+    r = conv(field, a, g, prec - 1)[m:]
+    return g + scale(field, field.neg(field.one), conv(field, g, r, prec - 1 - m))
 
 
 def accumulate(field, out, rows):

@@ -344,8 +344,13 @@ class ExtensionField(Field):
         """Coefficient tuple (c_0, ..., c_{k-1}) of the code ``a``."""
         return self._decode(a)
 
+    @functools.cached_property
+    def _texts(self):
+        """The text of every code, built on first use."""
+        return [_t_text(self._decode(a)) for a in range(self.order)]
+
     def fmt(self, a):
-        return _t_text(self._decode(a))
+        return self._texts[a]
 
     def to_literal(self, a):
         return list(self._decode(a))

@@ -21,6 +21,20 @@ def _term_text(field, coeff, mono):
     return f"{cs}*{mono}"
 
 
+def _power(one, base, n):
+    """base ** n by square and multiply, from the polynomial ``one``."""
+    if n < 0:
+        raise AlgSeriesError(f"negative polynomial exponent {n}")
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
 class UniPoly:
     """Univariate polynomial with exact coefficients over a field.
 
@@ -93,14 +107,7 @@ class UniPoly:
         return UniPoly(f, scale(f, c, self.coeffs), self.var)
 
     def __pow__(self, n):
-        result = UniPoly.one(self.field, self.var)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(UniPoly.one(self.field, self.var), self, n)
 
     def divmod(self, other):
         """(quotient, remainder).  The quotient reversed is the reversed
@@ -289,14 +296,7 @@ class BiPoly:
         return BiPoly(self.field, {(i + a, j + b): v for (i, j), v in self.terms.items()})
 
     def __pow__(self, n):
-        result = BiPoly.one(self.field)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(BiPoly.one(self.field), self, n)
 
     def eval_x(self, x):
         """Partial substitution X := x, giving a UniPoly in Y."""
@@ -334,16 +334,12 @@ class BiPoly:
             coeffs[i] = v
         return UniPoly(f, coeffs, "X")
 
-    def key(self):
-        """Canonical hashable identity (used for kernel-state dedup)."""
-        return tuple((i, j, v) for (i, j), v in self.items())
-
     def __eq__(self, other):
         return (isinstance(other, BiPoly) and other.field == self.field
                 and other.terms == self.terms)
 
     def __hash__(self):
-        return hash((self.field, self.key()))
+        return hash(frozenset(self.terms.items()))
 
     def to_text(self):
         if not self.terms:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .algebra.conv import accumulate
 from .algebra.polys import UniPoly
 from .algebra.series import TruncSeries1
-from .automaton import DFAO
+from .automaton import DFAO, close
 from .errors import (BaseMismatch, DegreeBlowup, InfiniteField,
                      InsufficientPrecision, NoRelation)
 
@@ -114,23 +114,18 @@ def _zero_stable(automaton):
     both to (u, out(u)), and the pair outputs v.  The digits of an index
     end on a nonzero digit, so every index ends on a pair (s, out(s)) and
     keeps its value.  There are at most d * (number of outputs) pairs;
-    more than ZERO_STABLE_LIMIT of them raise DegreeBlowup.
+    ``close`` numbers them, and more than ZERO_STABLE_LIMIT of them raise
+    StateBudgetExceeded.
     """
     delta, out = automaton.transitions, automaton.outputs
+
+    def images(pair):
+        row = delta[pair[0]]
+        return [(row[0], pair[1])] + [(u, out[u]) for u in row[1:]]
+
     start = (automaton.initial, out[automaton.initial])
-    pairs, index, transitions = [start], {start: 0}, []
-    for s, v in pairs:  # the list grows while it is walked
-        row = []
-        for r, u in enumerate(delta[s]):
-            pair = (u, v) if r == 0 else (u, out[u])
-            if pair not in index:
-                if len(pairs) >= ZERO_STABLE_LIMIT:
-                    raise DegreeBlowup(
-                        f"zero-stable automaton exceeds {ZERO_STABLE_LIMIT} states")
-                index[pair] = len(pairs)
-                pairs.append(pair)
-            row.append(index[pair])
-        transitions.append(row)
+    pairs, transitions = close(start, images, ZERO_STABLE_LIMIT,
+                               "zero-stable automaton")
     return DFAO(automaton.q, automaton.field, 0, transitions,
                 [v for _, v in pairs])
 

@@ -15,6 +15,11 @@ change the result and the kernel identity u_{qn+r} = (run from the r-image
 of the initial state)(n) holds for every n including 0.  annihilate takes
 any other automaton to such a one first (annihilator._zero_stable).
 
+``close`` is the one keyed breadth-first closure of the package: it
+numbers the states of every automaton the package builds, the Cartier
+closures of cartier.rational_kernel and roots.cartier_closure, the
+zero-stable pairs of annihilate, and the blocks of DFAO.minimize.
+
 Persistence is a JSON document, rendering is Graphviz DOT; both are
 deterministic byte-for-byte for a given automaton.
 """
@@ -23,7 +28,7 @@ import json
 
 from .algebra.fields import GF, QQ, field_order, is_prime
 from .algebra.series import TruncSeries1
-from .errors import AlgSeriesError, SchemaError
+from .errors import AlgSeriesError, SchemaError, StateBudgetExceeded
 from .exprparse import parse_modulus
 
 
@@ -105,66 +110,30 @@ class DFAO:
     def minimize(self):
         """Moore partition refinement; outputs form the initial partition.
 
-        The result keeps only states reachable from the initial state and
-        numbers them in breadth-first order (digits ascending), so equal
-        automata minimize to byte-identical objects.
+        The refinement runs over all states: the successors of a state
+        reachable from the initial state are reachable too, so unreachable
+        states cannot split its block.  ``close`` then numbers the blocks
+        reachable from the initial state in breadth-first order (digits
+        ascending), each kept as its first-reached state, so equal automata
+        minimize to byte-identical objects.
         """
-        nsym = self.q ** self.arity
-        # reachable states first: minimization must not let dead states
-        # split live blocks
-        reach = [self.initial]
-        seen = {self.initial}
-        for s in reach:
-            for t in self.transitions[s]:
-                if t not in seen:
-                    seen.add(t)
-                    reach.append(t)
-        block = {}
+        delta = self.transitions
         by_output = {}
-        for s in reach:
-            key = by_output.setdefault(self.outputs[s], len(by_output))
-            block[s] = key
+        block = [by_output.setdefault(v, len(by_output)) for v in self.outputs]
         nblocks = len(by_output)
         while True:
             signatures = {}
-            nxt = {}
-            for s in reach:
-                sig = (block[s],) + tuple(block[self.transitions[s][a]]
-                                          for a in range(nsym))
-                idx = signatures.setdefault(sig, len(signatures))
-                nxt[s] = idx
+            refined = [signatures.setdefault((b, *map(block.__getitem__, row)),
+                                             len(signatures))
+                       for b, row in zip(block, delta)]
             if len(signatures) == nblocks:
-                block = nxt
                 break
-            block, nblocks = nxt, len(signatures)
-        # canonical BFS numbering of blocks
-        order = {}
-        queue = [self.initial]
-        order[block[self.initial]] = 0
-        rep = {block[self.initial]: self.initial}
-        head = 0
-        while head < len(queue):
-            s = queue[head]
-            head += 1
-            for a in range(nsym):
-                t = self.transitions[s][a]
-                b = block[t]
-                if b not in order:
-                    order[b] = len(order)
-                    rep[b] = t
-                    queue.append(t)
-        transitions = []
-        outputs = []
-        labels = [] if self.labels is not None else None
-        for b, _ in sorted(order.items(), key=lambda kv: kv[1]):
-            s = rep[b]
-            transitions.append(tuple(order[block[self.transitions[s][a]]]
-                                     for a in range(nsym)))
-            outputs.append(self.outputs[s])
-            if labels is not None:
-                labels.append(self.labels[s])
-        return DFAO(self.q, self.field, 0, transitions, outputs, labels,
-                    self.arity)
+            block, nblocks = refined, len(signatures)
+        reps, transitions = close(self.initial, delta.__getitem__, len(delta),
+                                  "minimized automaton", key=block.__getitem__)
+        labels = None if self.labels is None else [self.labels[s] for s in reps]
+        return DFAO(self.q, self.field, 0, transitions,
+                    [self.outputs[s] for s in reps], labels, self.arity)
 
     def __eq__(self, other):
         """Structural equality; labels are cosmetic and not compared."""
@@ -181,6 +150,32 @@ class DFAO:
     def __repr__(self):
         return (f"DFAO(q={self.q}, arity={self.arity}, "
                 f"states={self.n_states}, field={self.field!r})")
+
+
+def close(start, images, budget, what, key=None):
+    """Keyed breadth-first closure of ``start``: (states, transitions).
+
+    ``images(state)`` lists a state's images by ascending digit.  States
+    are equal when they compare equal, or, given ``key``, when their
+    ``key(state)`` values do.  States are numbered in discovery order, each
+    kept as it was first reached, and more than ``budget`` of them raise
+    StateBudgetExceeded.
+    """
+    states = [start]
+    index = {start if key is None else key(start): 0}
+    transitions = []
+    for state in states:  # the list grows while it is walked
+        row = []
+        for image in images(state):
+            target = index.setdefault(image if key is None else key(image),
+                                      len(states))
+            if target == len(states):
+                if target >= budget:
+                    raise StateBudgetExceeded(f"{what} exceeds {budget} states")
+                states.append(image)
+            row.append(target)
+        transitions.append(row)
+    return states, transitions
 
 
 def _symbol_text(q, arity, symbol):

@@ -11,18 +11,18 @@ degree contracts to below deg P + deg Q after one step.  The closure is a
 2-D automaton over digit pairs; restricting to equal pairs (r, r) yields the
 digit automaton of the diagonal sequence [X^n Y^n](P/Q).
 
-Both closures of the package run on ``close``, keyed by numerator: this
-kernel closure, and roots.cartier_closure, which closes a root y of P as
-numerators A of A(X, y)/P_Y(X, y) by the same kind of identity,
-Lambda_r(A/P_Y) = Lambda_{r,q-1}(A P^(q-1))/P_Y.
+Both Cartier closures of the package run on automaton.close (imported
+here, so ``from algseries.cartier import close`` works too), with the
+numerators as states: this kernel closure, and roots.cartier_closure,
+which closes a root y of P as numerators A of A(X, y)/P_Y(X, y) by the
+same kind of identity, Lambda_r(A/P_Y) = Lambda_{r,q-1}(A P^(q-1))/P_Y.
 """
 
 from dataclasses import dataclass
 
 from .algebra.polys import BiPoly
-from .automaton import DFAO
-from .errors import (DigitOutOfRange, InfiniteField, StateBudgetExceeded,
-                     ZeroConstantTerm)
+from .automaton import DFAO, close
+from .errors import DigitOutOfRange, InfiniteField, ZeroConstantTerm
 
 STATE_BUDGET = 100000  # guard only; theory bounds every closure
 
@@ -78,30 +78,6 @@ class KernelAutomaton2D:
         labels = [R.to_text() for R in self.states]
         return DFAO(self.q, self.den.field, 0, self.transitions, outputs,
                     labels, arity=2)
-
-
-def close(start, images, budget, what):
-    """Keyed breadth-first closure of ``start``: (states, transitions).
-
-    ``images(state)`` lists a state's images by ascending digit; states are
-    equal when their ``key()`` values are.  States are numbered in discovery
-    order, and more than ``budget`` of them raise StateBudgetExceeded.
-    """
-    states = [start]
-    index = {start.key(): 0}
-    transitions = []
-    for state in states:  # the list grows while it is walked
-        row = []
-        for image in images(state):
-            target = index.setdefault(image.key(), len(states))
-            if target == len(states):
-                if target >= budget:
-                    raise StateBudgetExceeded(
-                        f"{what} exceeded {budget} states")
-                states.append(image)
-            row.append(target)
-        transitions.append(row)
-    return states, transitions
 
 
 def rational_kernel(P, Q):

@@ -35,7 +35,9 @@ class InfiniteField(AlgSeriesError):
 
 
 class StateBudgetExceeded(AlgSeriesError):
-    """A kernel closure grew past its state cap (guards implementation bugs)."""
+    """automaton.close found more states than its budget: a Cartier closure
+    (rational_kernel, roots.cartier_closure) or the zero-stable pairs of
+    annihilate grew past their cap."""
 
 
 class BaseMismatch(AlgSeriesError):

@@ -33,13 +33,13 @@ label is the text of its numerator.
 
 from dataclasses import dataclass, field as dc_field
 
-from .algebra.conv import accumulate, conv, scale
+from .algebra.conv import accumulate, conv, newton_step, scale
 from .algebra.polys import BiPoly, UniPoly, derivative_y
 from .algebra.series import TruncSeries1, eval_bipoly_at_series
 from .annihilator import (FrobeniusRelation, canonical_relation,
                           null_left_vector, primitive_part, verify_relation)
-from .automaton import DFAO
-from .cartier import cartier_bi, close
+from .automaton import DFAO, close
+from .cartier import cartier_bi
 from .errors import (AlgSeriesError, DegenerateReduction, HypothesisViolated,
                      InfiniteField, InsufficientPrecision, NonSimpleRoot,
                      NotSquarefree, ZeroA0)
@@ -70,11 +70,11 @@ def hensel_root(P, a0, order):
     Newton update f <- f - g*P(X,f) with X-adic precision doubling, where
     g = 1/P_Y(X, f) is carried between steps instead of inverted afresh;
     needs the residue root to be simple.  Before the step from precision k
-    to 2k, one Newton step g <- g + g*(1 - g*P_Y(X, f)) takes g from
-    precision k/2 to k, which is all the update needs, as P(X, f) = 0
-    mod X^k.  P and P_Y are evaluated by Horner's rule through the conv
-    product kernel, so the lift costs a constant times one series product
-    at the final order.
+    to 2k, one Newton step g <- g + g*(1 - g*P_Y(X, f)) (conv.newton_step,
+    the step of conv.inverse) takes g from precision k/2 to k, which is all
+    the update needs, as P(X, f) = 0 mod X^k.  P and P_Y are evaluated by
+    Horner's rule through the conv product kernel, so the lift costs a
+    constant times one series product at the final order.
     """
     field = P.field
     if P.eval_x(field.zero).evaluate(a0):
@@ -88,12 +88,9 @@ def hensel_root(P, a0, order):
     g = [field.inv(slope0)]  # 1/P_Y(X, f) mod X^len(g)
     k = 1
     while k <= order:
-        h = len(g)
-        if h < k:
-            # g*P_Y(X, f) = 1 + X^h * r mod X^k
+        if len(g) < k:
             slope = eval_bipoly_at_series(PY, TruncSeries1(field, f))
-            r = conv(field, slope.coeffs, g, k - 1)[h:]
-            g += scale(field, minus, conv(field, g, r, k - 1 - h))
+            g = newton_step(field, slope.coeffs, g, k)
         prec = min(2 * k, order + 1)
         value = eval_bipoly_at_series(P, TruncSeries1(field, f, prec - 1))
         # P(X, f) = X^k * v mod X^prec, and f has degree < k

@@ -7,7 +7,7 @@ from algseries import (DFAO, GF, TruncSeries1, UniPoly, frobenius_relation,
 from algseries.annihilator import (FrobeniusRelation, _kernel_rows,
                                    _zero_stable, canonical_relation)
 from algseries.errors import (BaseMismatch, DegreeBlowup, InsufficientPrecision,
-                              NoRelation)
+                              NoRelation, StateBudgetExceeded)
 
 from conftest import F2, F3, F4, thue_morse
 from ratfn import RationalFn
@@ -146,6 +146,18 @@ def test_relation_for_any_automaton(automaton):
     assume(stable.minimize().n_states <= (6 if automaton.q == 2 else 3))
     rel = frobenius_relation(automaton)
     assert verify_relation(rel, automaton.generate(256 + rel.max_coeff_degree()))
+
+
+def test_zero_stable_limit():
+    # a 2100-cycle on both digits with outputs 1, 0, 0, ...: a run of
+    # 0-digits carries either output to every state, so there are 4200
+    # pairs, over ZERO_STABLE_LIMIT = 4096
+    n = 2100
+    automaton = DFAO(2, F2, 0, [((s + 1) % n,) * 2 for s in range(n)],
+                     [int(s % 3 == 0) for s in range(n)])
+    with pytest.raises(StateBudgetExceeded,
+                       match="^zero-stable automaton exceeds 4096 states$"):
+        _zero_stable(automaton)
 
 
 def combine(combo, rows, col):

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algseries import DFAO, GF, QQ, export_dot, from_json, to_json
-from algseries.errors import AlgSeriesError, SchemaError
+from algseries.automaton import close
+from algseries.errors import AlgSeriesError, SchemaError, StateBudgetExceeded
 
 from conftest import F2, F4
 
@@ -113,6 +114,43 @@ class TestMinimize:
         a = DFAO(2, F2, 0, [(0, 0), (1, 1)], [1, 0])
         assert a.minimize().n_states == 1
 
+    def test_keeps_label_of_first_reached_state(self):
+        # states 1 and 2 are equivalent; digit 0 reaches 1 first
+        a = DFAO(2, F2, 0, [(1, 2), (1, 1), (2, 2)], [0, 1, 1],
+                 labels=["s", "first", "second"])
+        m = a.minimize()
+        assert m.transitions == ((1, 1), (1, 1))
+        assert m.labels == ("s", "first")
+
+    def test_dead_states_do_not_matter(self, rng):
+        # minimize equals the minimization of the reachable part, also when
+        # unreachable states have outputs and transitions of their own
+        for field in (F2, GF(3)):
+            for _ in range(30):
+                live, dead = rng.randint(1, 6), rng.randint(1, 6)
+                n, q = live + dead, field.order
+                order = list(range(n))
+                rng.shuffle(order)  # order[i] is the number of state i
+                rows = [[rng.randrange(live if s < live else n)
+                         for _ in range(q)] for s in range(n)]
+                outputs = [rng.randrange(q) for _ in range(n)]
+                transitions, outs = [None] * n, [None] * n
+                for s in range(n):
+                    transitions[order[s]] = [order[t] for t in rows[s]]
+                    outs[order[s]] = outputs[s]
+                a = DFAO(q, field, order[0], transitions, outs,
+                         labels=[str(s) for s in range(n)])
+                reach = sorted(_reachable(a))
+                number = {s: i for i, s in enumerate(reach)}
+                part = DFAO(q, field, number[a.initial],
+                            [[number[t] for t in a.transitions[s]]
+                             for s in reach],
+                            [a.outputs[s] for s in reach],
+                            labels=[a.labels[s] for s in reach])
+                m = a.minimize()
+                assert m == part.minimize()
+                assert m.labels == part.minimize().labels
+
     def test_idempotent_and_sequence_preserving(self, rng):
         for _ in range(12):
             a = random_dfao(F2, rng)
@@ -129,6 +167,34 @@ class TestMinimize:
             for s in range(n):
                 for t in range(s + 1, n):
                     assert _distinguishable(a, s, t)
+
+
+def _reachable(a):
+    seen, todo = {a.initial}, [a.initial]
+    while todo:
+        for t in a.transitions[todo.pop()]:
+            if t not in seen:
+                seen.add(t)
+                todo.append(t)
+    return seen
+
+
+class TestClose:
+    def test_key_merges_states_and_keeps_the_first(self):
+        states, transitions = close(0, lambda n: [n + 1, n + 2], 10, "mod 3",
+                                    key=lambda n: n % 3)
+        assert states == [0, 1, 2]
+        assert transitions == [[1, 2], [2, 0], [0, 1]]
+
+    def test_budget(self):
+        def images(n):
+            return [(n + 1) % 6]
+
+        states, _ = close(0, images, 6, "cycle")
+        assert len(states) == 6
+        with pytest.raises(StateBudgetExceeded,
+                           match=r"^cycle exceeds 5 states$"):
+            close(0, images, 5, "cycle")
 
 
 def _distinguishable(a, s, t, depth=12):

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from algseries import (GF, QQ, BiPoly, UniPoly, derivative_y, parse_poly,
                        substitute_xy)
-from algseries.errors import ZeroDenominator
+from algseries.errors import AlgSeriesError, ZeroDenominator
 
 from conftest import ALL_FIELDS, F2, F3, F4, F5, F9, random_bipoly, random_raw
 from ratfn import RationalFn
@@ -52,6 +52,16 @@ class TestUniPoly:
     def test_subst_power(self):
         p = uni(F2, "1+X+X^3")
         assert p.subst_power(2) == uni(F2, "1+X^2+X^6")
+
+    def test_pow(self):
+        p = UniPoly(F3, [1, 2, 1])
+        assert p ** 0 == UniPoly.one(F3)
+        assert p ** 5 == p * p * p * p * p
+
+    def test_negative_pow_raises(self):
+        # n >>= 1 stays -1 for n < 0: a loop on n alone would not end
+        with pytest.raises(AlgSeriesError, match="negative"):
+            UniPoly(F2, [1, 1]) ** -2
 
 
 def reference_divmod(a, b):
@@ -133,6 +143,23 @@ class TestBiPoly:
                     if j:
                         expect = field.mul(field.from_int(j), c)
                         assert D.terms.get((i, j - 1), field.zero) == expect
+
+    def test_pow(self, rng):
+        for field in (F2, F4, QQ):
+            P = random_bipoly(field, rng)
+            assert P ** 0 == BiPoly.one(field)
+            assert P ** 3 == P * P * P
+
+    def test_negative_pow_raises(self):
+        with pytest.raises(AlgSeriesError, match="negative"):
+            BiPoly.y(F2) ** -1
+
+    def test_equal_polynomials_are_one_key(self):
+        # closures key their states by the polynomials themselves
+        a = BiPoly(F3, {(0, 1): 1, (2, 0): 2})
+        b = BiPoly(F3, {(2, 0): 2, (0, 1): 1, (1, 1): 0})
+        assert a == b and hash(a) == hash(b)
+        assert len({a: 0, b: 1}) == 1
 
     def test_eval_slices(self):
         P = parse_poly("X^2*Y+3*Y^2+X", QQ)

@@ -447,9 +447,6 @@ class ModuleElement:
 
     coords: tuple
 
-    def key(self):
-        return tuple(c.coeffs for c in self.coords)
-
 
 def reference_cartier_closure(relation, state_budget):
     """(states, transitions) of {f} under Lambda_0..Lambda_{q-1}.
