@@ -18,11 +18,13 @@ it.  No floating point is used anywhere.
 """
 
 import functools
+import itertools
 import re
 from fractions import Fraction
 
 from ..errors import AlgSeriesError
 from .conv import SlotFormat
+from .polys import UniPoly
 
 # Irreducible moduli (coefficient tuples, constant first) for the built-in
 # extension cardinalities.  Each is verified again at construction time.
@@ -75,54 +77,19 @@ def is_prime(n):
     return True
 
 
-# -- tuple-based F_p[t] helpers used only to build extension tables ---------
-
-def _ptrim(a):
-    while a and not a[-1]:
-        a = a[:-1]
-    return a
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _ptrim(tuple(out))
+def _monic(p, d):
+    """The monic polynomials of degree d over F_p, in the order of their
+    lower coefficients c_0 + c_1*p + ... read as a base-p code."""
+    field = GF(p)
+    for digits in itertools.product(range(p), repeat=d):
+        yield UniPoly(field, digits[::-1] + (1,))
 
 
-def _pmod(a, m, p):
-    a = list(a)
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], p - 2, p)
-    while len(a) - 1 >= dm and a:
-        if a[-1]:
-            f = a[-1] * inv_lead % p
-            off = len(a) - 1 - dm
-            for i, c in enumerate(m):
-                a[off + i] = (a[off + i] - f * c) % p
-        a.pop()
-    return _ptrim(tuple(a))
-
-
-def _irreducible(m, p):
-    """Brute-force trial division by all monic factors of degree <= deg/2."""
-    deg = len(m) - 1
-    if deg < 1 or not m[-1]:
-        return False
-    for d in range(1, deg // 2 + 1):
-        for code in range(p ** d):
-            cand, c = [], code
-            for _ in range(d):
-                c, r = divmod(c, p)
-                cand.append(r)
-            cand.append(1)  # monic
-            if not _pmod(m, tuple(cand), p):
-                return False
-    return True
+def _irreducible(m):
+    """Trial division of the UniPoly m by every monic factor of degree at
+    most half its own."""
+    return all(not (m % f).is_zero() for d in range(1, m.degree // 2 + 1)
+               for f in _monic(m.field.char, d))
 
 
 class Field:
@@ -243,7 +210,7 @@ class ExtensionField(Field):
         if len(modulus) != k + 1 or not modulus[-1]:
             raise AlgSeriesError(f"modulus must have degree {k}")
         q = field_order(p, k)
-        if not _irreducible(modulus, p):
+        if not _irreducible(UniPoly(GF(p), modulus)):
             raise AlgSeriesError("modulus is reducible over F_p")
         self.char = p
         self.degree = k
@@ -262,7 +229,7 @@ class ExtensionField(Field):
 
     def _encode(self, coeffs):
         code = 0
-        for c in reversed(coeffs[:self.degree]):
+        for c in reversed(coeffs):
             code = code * self.char + c
         return code
 
@@ -298,12 +265,14 @@ class ExtensionField(Field):
         """exp, log of the first primitive element g: exp[i] = g^i for
         0 <= i < 2(q-1), and log[g^i] = i for the nonzero codes."""
         p, q = self.char, self.order
-        for g in range(p, q):
-            vg = _ptrim(self._decode(g))
-            power, exp = (1,), [1]
+        field = GF(p)
+        modulus = UniPoly(field, self.modulus)
+        for candidate in range(p, q):
+            g = UniPoly(field, self._decode(candidate))
+            power, exp = UniPoly.one(field), [1]
             for _ in range(q - 2):
-                power = _pmod(_pmul(power, vg, p), self.modulus, p)
-                code = self._encode(power + (0,) * self.degree)
+                power = power * g % modulus
+                code = self._encode(power.coeffs)
                 if code == 1:
                     break
                 exp.append(code)
@@ -360,8 +329,7 @@ class ExtensionField(Field):
             raise AlgSeriesError("extension literal must be a list of ints")
         if len(lit) > self.degree:
             raise AlgSeriesError("extension literal has too many coefficients")
-        coeffs = tuple(c % self.char for c in lit) + (0,) * self.degree
-        return self._encode(coeffs)
+        return self._encode([c % self.char for c in lit])
 
     def modulus_text(self):
         return _t_text(self.modulus)
@@ -448,31 +416,6 @@ def _cached_field(p, k, modulus):
     return ExtensionField(p, k, modulus)
 
 
-def _iroot(n, k):
-    """Largest r with r^k <= n, by integer Newton iteration from above."""
-    r = 1 << -(-n.bit_length() // k)
-    while True:
-        s = ((k - 1) * r + n // r ** (k - 1)) // k
-        if s >= r:
-            return r
-        r = s
-
-
-def _prime_power(q):
-    """(p, k) with q = p^k and p prime; AlgSeriesError otherwise.
-
-    The largest k with an exact k-th root gives the least base p, and q is
-    a prime power exactly when that base is prime.
-    """
-    for k in range(q.bit_length() - 1, 0, -1):
-        p = _iroot(q, k)
-        if p ** k == q:
-            break
-    if not is_prime(p):
-        raise AlgSeriesError(f"{q} is not a prime power")
-    return p, k
-
-
 def GF(q, modulus=None):
     """Finite field of cardinality q.
 
@@ -503,14 +446,19 @@ def field_size(q):
     if q < 2:
         raise AlgSeriesError("field cardinality must be >= 2")
     if q > _TABLE_CAP:
-        # only a prime field is this large: is_prime settles that at once,
-        # where _prime_power would take a root per bit of q
+        # only a prime field is this large: is_prime settles that at once
         if not is_prime(q):
             raise AlgSeriesError(
                 f"field size {q} is not prime, and an extension of that size "
                 f"exceeds table cap {_TABLE_CAP}")
         return q, 1
-    return _prime_power(q)
+    p = next(d for d in range(2, q + 1) if q % d == 0)  # the least prime factor
+    k = 1
+    while p ** k < q:
+        k += 1
+    if p ** k != q:
+        raise AlgSeriesError(f"{q} is not a prime power")
+    return p, k
 
 
 def field_order(p, k):
@@ -560,12 +508,5 @@ def _parse_literal(lit):
 
 
 def _search_modulus(p, k):
-    for code in range(p ** k):
-        cand, c = [], code
-        for _ in range(k):
-            c, r = divmod(c, p)
-            cand.append(r)
-        cand.append(1)
-        if _irreducible(tuple(cand), p):
-            return tuple(cand)
-    raise AlgSeriesError(f"no irreducible modulus of degree {k} found")  # unreachable
+    """The first irreducible monic polynomial of degree k over F_p."""
+    return next(m for m in _monic(p, k) if _irreducible(m)).coeffs

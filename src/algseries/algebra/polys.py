@@ -40,23 +40,22 @@ class UniPoly:
 
     ``coeffs`` is a tuple, constant term first, with a nonzero last entry;
     the zero polynomial is the empty tuple and has degree -1.  Instances are
-    immutable.
+    immutable.  The text of to_text() is in X.
     """
 
-    __slots__ = ("field", "coeffs", "var")
+    __slots__ = ("field", "coeffs")
 
-    def __init__(self, field, coeffs, var="X"):
+    def __init__(self, field, coeffs):
         self.field = field
         self.coeffs = trim(tuple(coeffs))
-        self.var = var
 
     @classmethod
-    def zero(cls, field, var="X"):
-        return cls(field, (), var)
+    def zero(cls, field):
+        return cls(field, ())
 
     @classmethod
-    def one(cls, field, var="X"):
-        return cls(field, (field.one,), var)
+    def one(cls, field):
+        return cls(field, (field.one,))
 
     @property
     def degree(self):
@@ -83,13 +82,12 @@ class UniPoly:
     def __add__(self, other):
         other = self._same(other)
         f = self.field
-        return UniPoly(f, combine(f, self.coeffs, f.one, other.coeffs), self.var)
+        return UniPoly(f, combine(f, self.coeffs, f.one, other.coeffs))
 
     def __sub__(self, other):
         other = self._same(other)
         f = self.field
-        return UniPoly(f, combine(f, self.coeffs, f.neg(f.one), other.coeffs),
-                       self.var)
+        return UniPoly(f, combine(f, self.coeffs, f.neg(f.one), other.coeffs))
 
     def __neg__(self):
         return self.scale(self.field.neg(self.field.one))
@@ -98,16 +96,16 @@ class UniPoly:
         other = self._same(other)
         f = self.field
         a, b = self.coeffs, other.coeffs
-        return UniPoly(f, conv(f, a, b, len(a) + len(b) - 2), self.var)
+        return UniPoly(f, conv(f, a, b, len(a) + len(b) - 2))
 
     def scale(self, c):
         f = self.field
         if not c:
-            return UniPoly.zero(f, self.var)
-        return UniPoly(f, scale(f, c, self.coeffs), self.var)
+            return UniPoly.zero(f)
+        return UniPoly(f, scale(f, c, self.coeffs))
 
     def __pow__(self, n):
-        return _power(UniPoly.one(self.field, self.var), self, n)
+        return _power(UniPoly.one(self.field), self, n)
 
     def divmod(self, other):
         """(quotient, remainder).  The quotient reversed is the reversed
@@ -121,11 +119,11 @@ class UniPoly:
         a, b = self.coeffs, other.coeffs
         dq = len(a) - len(b)
         if dq < 0:
-            return UniPoly.zero(f, self.var), self
+            return UniPoly.zero(f), self
         top = slice(-1, -dq - 2, -1)  # the top dq + 1 coefficients, reversed
         quot = divide(f, a[top], b[top], dq)[::-1]
         rem = conv(f, scale(f, f.neg(f.one), quot), b, len(b) - 2, a[:len(b) - 1])
-        return UniPoly(f, quot, self.var), UniPoly(f, rem, self.var)
+        return UniPoly(f, quot), UniPoly(f, rem)
 
     def __floordiv__(self, other):
         return self.divmod(other)[0]
@@ -160,7 +158,7 @@ class UniPoly:
         out = [self.field.zero] * (self.degree * e + 1)
         for n, c in enumerate(self.coeffs):
             out[n * e] = c
-        return UniPoly(self.field, out, self.var)
+        return UniPoly(self.field, out)
 
     def __eq__(self, other):
         return (isinstance(other, UniPoly) and other.field == self.field
@@ -177,7 +175,7 @@ class UniPoly:
         for n, c in enumerate(self.coeffs):
             if not c:
                 continue
-            mono = "" if n == 0 else (self.var if n == 1 else f"{self.var}^{n}")
+            mono = "" if n == 0 else ("X" if n == 1 else f"X^{n}")
             parts.append((_is_negative(field, c), _term_text(field, _abs(field, c), mono)))
         return _join_signed(parts)
 
@@ -309,7 +307,7 @@ class BiPoly:
         coeffs = [f.zero] * (max(out, default=-1) + 1)
         for j, c in out.items():
             coeffs[j] = c
-        return UniPoly(f, coeffs, "Y")
+        return UniPoly(f, coeffs)
 
     def y_slices(self):
         """Map j -> UniPoly in X with [X^i] = [X^i Y^j] self."""
@@ -322,7 +320,7 @@ class BiPoly:
             coeffs = [f.zero] * (max(row) + 1)
             for i, c in row.items():
                 coeffs[i] = c
-            out[j] = UniPoly(f, coeffs, "X")
+            out[j] = UniPoly(f, coeffs)
         return out
 
     def as_unipoly_x(self):
@@ -332,7 +330,7 @@ class BiPoly:
         coeffs = [f.zero] * (self.deg_x + 1)
         for (i, _), v in self.terms.items():
             coeffs[i] = v
-        return UniPoly(f, coeffs, "X")
+        return UniPoly(f, coeffs)
 
     def __eq__(self, other):
         return (isinstance(other, BiPoly) and other.field == self.field

@@ -31,16 +31,14 @@ ZERO_STABLE_LIMIT = 4096  # pair states of _zero_stable, at most q * d
 
 @dataclass(frozen=True)
 class FrobeniusRelation:
-    """sum_k coeffs[k] * phi^(q^(k+shift)) = 0 with coeffs in F_q[X].
+    """sum_k coeffs[k] * phi^(q^k) = 0 with coeffs in F_q[X].
 
     Canonical form: not all coefficients zero, gcd of all coefficients is 1,
-    the highest-index nonzero coefficient is monic.  Relations synthesized
-    by this toolkit always have shift = 0.
+    the highest-index nonzero coefficient is monic.
     """
 
     coeffs: tuple
     q: int
-    shift: int = 0
 
     def __post_init__(self):
         if not self.coeffs or all(c.is_zero() for c in self.coeffs):
@@ -58,7 +56,7 @@ class FrobeniusRelation:
         for k, c in enumerate(self.coeffs):
             if c.is_zero():
                 continue
-            power = self.q ** (k + self.shift)
+            power = self.q ** k
             fpow = "f" if power == 1 else f"f^{power}"
             if c.degree == 0 and c.coeffs[0] == self.field.one:
                 parts.append(fpow)
@@ -247,7 +245,7 @@ def frobenius_relation(automaton, check_order=256):
 
 
 def verify_relation(relation, series, check_order=None):
-    """True iff sum_k A_k(X) f(X)^(q^(k+shift)) == 0 mod X^(N+1).
+    """True iff sum_k A_k(X) f(X)^(q^k) == 0 mod X^(N+1).
 
     N defaults to order(f) - max_k deg A_k so every retained coefficient of
     the combination is fully determined by the truncation.
@@ -265,6 +263,6 @@ def verify_relation(relation, series, check_order=None):
     for k, coeff in enumerate(relation.coeffs):
         if coeff.is_zero():
             continue
-        power = series.spread(relation.q ** (k + relation.shift))
+        power = series.spread(relation.q ** k)
         total = total + power.mul_poly(coeff)
     return not any(total.coeffs[:limit + 1])

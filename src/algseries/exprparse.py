@@ -13,6 +13,14 @@ rationals over Q), and so do quotients by an integer literal, as in the Q
 coefficient "3/4*X"; over F_{p^k} the symbol t is the field generator, as in
 ExtensionField.fmt.  Printing a parsed polynomial with BiPoly.to_text() or
 UniPoly.to_text() and reparsing yields the identical canonical object.
+
+Literals are ASCII digits; one longer than Python's int conversion allows
+(sys.get_int_max_str_digits()) is a ParseError at its offset.  The parser
+evaluates as it reads: each rule returns the BiPoly of its text, and no
+tree is built.  The whole text is tokenized first, so a bad character is
+reported before anything else; after that, errors come in reading order,
+so an evaluation error before a syntax error is the one raised ("X/3 )"
+over F3 raises ZeroDenominator, not ParseError).
 """
 
 from .algebra.fields import GF
@@ -34,11 +42,16 @@ def _tokenize(text):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
-            tokens.append((_INT, int(text[i:j]), i))
+            try:
+                value = int(text[i:j])
+            except ValueError:  # more digits than sys.get_int_max_str_digits()
+                raise ParseError(f"integer literal of {j - i} digits is too "
+                                 "long", i) from None
+            tokens.append((_INT, value, i))
             i = j
             continue
         if ch.isalpha():
@@ -54,25 +67,15 @@ def _tokenize(text):
     return tokens
 
 
-class ExprAst:
-    """Expression tree node: ('int', v) | ('var', name) | ('neg', e) |
-    ('add'|'sub'|'mul', l, r) | ('pow', e, k) | ('div', e, k)."""
-
-    __slots__ = ("kind", "args")
-
-    def __init__(self, kind, *args):
-        self.kind = kind
-        self.args = args
-
-    def __repr__(self):
-        return f"({self.kind} {' '.join(map(repr, self.args))})"
-
-
 class _Parser:
-    def __init__(self, tokens, variables):
+    """Recursive descent over the tokens; each rule returns the BiPoly of
+    the text it read."""
+
+    def __init__(self, tokens, field, varmap):
         self.tokens = tokens
         self.pos = 0
-        self.variables = variables
+        self.field = field
+        self.varmap = varmap
 
     def peek(self):
         return self.tokens[self.pos]
@@ -84,42 +87,45 @@ class _Parser:
 
     def expr(self):
         kind, val, off = self.peek()
-        negate = False
-        if kind == _OP and val == "-":
-            self.advance()
-            negate = True
-        node = self.term()
+        negate = kind == _OP and val == "-"
         if negate:
-            node = ExprAst("neg", node)
+            self.advance()
+        poly = self.term()
+        if negate:
+            poly = -poly
         while True:
             kind, val, off = self.peek()
             if kind == _OP and val in "+-":
                 self.advance()
                 rhs = self.term()
-                node = ExprAst("add" if val == "+" else "sub", node, rhs)
+                poly = poly + rhs if val == "+" else poly - rhs
             else:
-                return node
+                return poly
 
     def term(self):
-        node = self.factor()
+        poly = self.factor()
         while True:
             kind, val, off = self.peek()
             if kind == _OP and val == "*":
                 self.advance()
-                node = ExprAst("mul", node, self.factor())
+                poly = poly * self.factor()
             elif kind == _OP and val == "/":
                 self.advance()
                 kind, val, off = self.advance()
                 if kind != _INT:
                     raise ParseError("expected an integer divisor after '/'", off)
-                node = ExprAst("div", node, val)
+                divisor = self.field.from_int(val)
+                if not divisor:
+                    raise ZeroDenominator(f"division by {val}, which is zero "
+                                          "in the field")
+                poly = poly.scale(self.field.inv(divisor))
             elif kind in (_INT, _VAR) or (kind == _OP and val == "("):
-                node = ExprAst("mul", node, self.factor())
+                poly = poly * self.factor()
             else:
-                return node
+                return poly
 
     def factor(self):
-        node = self.base()
+        poly = self.base()
         kind, val, off = self.peek()
         if kind == _OP and val == "^":
             self.advance()
@@ -129,59 +135,24 @@ class _Parser:
             if kind != _INT:
                 raise ParseError("expected an integer exponent after '^'", off)
             self.advance()
-            node = ExprAst("pow", node, val)
-        return node
+            poly = poly ** val
+        return poly
 
     def base(self):
         kind, val, off = self.advance()
         if kind == _INT:
-            return ExprAst("int", val)
+            return BiPoly.constant(self.field, self.field.from_int(val))
         if kind == _VAR:
-            if val not in self.variables:
+            if val not in self.varmap:
                 raise UnknownSymbol(f"unknown symbol {val!r}", off)
-            return ExprAst("var", val)
+            return self.varmap[val]
         if kind == _OP and val == "(":
-            node = self.expr()
+            poly = self.expr()
             kind, val, off = self.advance()
             if kind != _OP or val != ")":
                 raise ParseError("expected ')'", off)
-            return node
+            return poly
         raise ParseError("expected a number, variable or '('", off)
-
-
-def parse_expr_ast(text, variables=("X", "Y")):
-    """Parse to an ExprAst without evaluating; raises ParseError family."""
-    parser = _Parser(_tokenize(text), variables)
-    node = parser.expr()
-    kind, val, off = parser.peek()
-    if kind != _END:
-        raise ParseError(f"unexpected {val!r}", off)
-    return node
-
-
-def _eval_ast(node, field, varmap):
-    kind = node.kind
-    if kind == "int":
-        return BiPoly.constant(field, field.from_int(node.args[0]))
-    if kind == "var":
-        return varmap[node.args[0]]
-    if kind == "neg":
-        return -_eval_ast(node.args[0], field, varmap)
-    if kind == "add":
-        return _eval_ast(node.args[0], field, varmap) + _eval_ast(node.args[1], field, varmap)
-    if kind == "sub":
-        return _eval_ast(node.args[0], field, varmap) - _eval_ast(node.args[1], field, varmap)
-    if kind == "mul":
-        return _eval_ast(node.args[0], field, varmap) * _eval_ast(node.args[1], field, varmap)
-    if kind == "pow":
-        return _eval_ast(node.args[0], field, varmap) ** node.args[1]
-    if kind == "div":
-        divisor = field.from_int(node.args[1])
-        if not divisor:
-            raise ZeroDenominator(f"division by {node.args[1]}, which is zero "
-                                  "in the field")
-        return _eval_ast(node.args[0], field, varmap).scale(field.inv(divisor))
-    raise AssertionError(f"unhandled node {kind}")
 
 
 def parse_poly(text, field, variables=("X", "Y")):
@@ -196,8 +167,12 @@ def parse_poly(text, field, variables=("X", "Y")):
         varmap[name] = BiPoly(field, {(1, 0) if axis == 0 else (0, 1): field.one})
     if field.kind == "extension" and "t" not in varmap:
         varmap["t"] = BiPoly.constant(field, field.from_literal([0, 1]))
-    node = parse_expr_ast(text, tuple(varmap))
-    return _eval_ast(node, field, varmap)
+    parser = _Parser(_tokenize(text), field, varmap)
+    poly = parser.expr()
+    kind, val, off = parser.peek()
+    if kind != _END:
+        raise ParseError(f"unexpected {val!r}", off)
+    return poly
 
 
 def parse_modulus(text, p, k):

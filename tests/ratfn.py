@@ -20,7 +20,7 @@ class RationalFn:
         if den.is_zero():
             raise ZeroDenominator("denominator is zero")
         if num.is_zero():
-            num, den = UniPoly.zero(num.field, num.var), UniPoly.one(num.field, num.var)
+            num, den = UniPoly.zero(num.field), UniPoly.one(num.field)
         else:
             g = num.gcd(den)
             if g.degree > 0:
@@ -38,15 +38,15 @@ class RationalFn:
 
     @classmethod
     def from_poly(cls, poly):
-        return cls(poly, UniPoly.one(poly.field, poly.var))
+        return cls(poly, UniPoly.one(poly.field))
 
     @classmethod
-    def zero(cls, field, var="X"):
-        return cls(UniPoly.zero(field, var), UniPoly.one(field, var))
+    def zero(cls, field):
+        return cls(UniPoly.zero(field), UniPoly.one(field))
 
     @classmethod
-    def one(cls, field, var="X"):
-        return cls(UniPoly.one(field, var), UniPoly.one(field, var))
+    def one(cls, field):
+        return cls(UniPoly.one(field), UniPoly.one(field))
 
     def is_zero(self):
         return self.num.is_zero()

@@ -279,7 +279,7 @@ def test_elimination_matches_prefix_search(rows):
 class TestFrobeniusRelation:
     def test_thue_morse_golden(self):
         rel = frobenius_relation(tm_automaton())
-        assert rel.shift == 0 and rel.q == 2
+        assert rel.q == 2
         assert rel.coeffs == (uni(F2, "X"), uni(F2, "1+X"),
                               uni(F2, "(1+X)^4"))
         assert verify_relation(rel, tm_series())
@@ -387,15 +387,3 @@ class TestVerifyRelation:
         rel = FrobeniusRelation((uni(F2, "X^9"), UniPoly.one(F2)), 2)
         with pytest.raises(InsufficientPrecision):
             verify_relation(rel, TruncSeries1.zeros(F2, 4))
-
-    def test_shifted_relation(self):
-        # phi = 1/(1+X): phi^2 + (1+X) phi^4 = 0 is the l=1 spread of
-        # phi + (1+X) phi^2 = 0
-        ones = DFAO(2, F2, 0, [(0, 0)], [1])
-        base = frobenius_relation(ones)
-        shifted = FrobeniusRelation(base.coeffs, base.q, shift=1)
-        # spreading the coefficients is not needed over F_2 for this check:
-        # phi^(q^(k+1)) substitution still annihilates
-        series = ones.generate(256)
-        assert verify_relation(shifted, series) == \
-            verify_relation(base, series.spread(2))

@@ -186,6 +186,18 @@ class TestExtract:
         assert code == 2
         assert "P'_Y(0,0)" in err
 
+    @pytest.mark.parametrize("args, message", [
+        (("--field", "F2", "--poly", "X+Y²"),
+         "unexpected character '²' (at offset 3)"),
+        (("--field", "F2", "--poly", "X+Y^2+" + "1" * 5000),
+         "integer literal of 5000 digits is too long (at offset 6)"),
+        (("--field", "F2:t^" + "1" * 5000, "--poly", "X+Y^2"),
+         "integer literal of 5000 digits is too long (at offset 2)")])
+    def test_bad_literals_exit_2(self, capsys, args, message):
+        # int() in the tokenizer raised ValueError on both: exit 1
+        code, out, err = run(capsys, "extract", *args)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_order_must_be_positive(self, capsys):
         code, _, err = run(capsys, "extract", "--field", "Q",
                            "--poly", "X+Y^2", "-n", "0")

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -5,8 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from algseries import GF, QQ, BiPoly, parse_poly
-from algseries.errors import (NegativeExponent, ParseError, UnknownSymbol,
-                              ZeroDenominator)
+from algseries.errors import (AlgSeriesError, NegativeExponent, ParseError,
+                              UnknownSymbol, ZeroDenominator)
+from algseries.exprparse import parse_modulus
 
 from conftest import F2, F3, F4, F5, F8, F9, random_bipoly
 from ratfn import RationalFn
@@ -145,3 +147,52 @@ def test_division_by_integer_literal():
     for text in ("X/Y", "X/(2)", "X/"):
         with pytest.raises(ParseError):
             parse_poly(text, QQ)
+
+
+def test_only_ascii_digits_are_literals():
+    # '²'.isdigit() is true, but int('²') raises ValueError
+    for text, offset in (("X+Y²", 3), ("X+\u0663", 2)):
+        with pytest.raises(ParseError) as err:
+            parse_poly(text, F2)
+        assert err.value.offset == offset
+        assert "unexpected character" in str(err.value)
+
+
+def test_overlong_literal_is_a_parse_error():
+    # past sys.get_int_max_str_digits(), int() raises ValueError
+    digits = "1" * 5000
+    with pytest.raises(ParseError, match="5000 digits") as err:
+        parse_poly("X+Y^2+" + digits, F2)
+    assert err.value.offset == 6
+    with pytest.raises(ParseError) as err:
+        parse_modulus("t^" + digits, 2, 2)
+    assert err.value.offset == 2
+
+
+def test_errors_in_reading_order():
+    # the parser evaluates as it reads: the zero divisor comes before the
+    # stray ')', but a bad character anywhere comes first
+    with pytest.raises(ZeroDenominator):
+        parse_poly("X/3 )", F3)
+    with pytest.raises(ParseError, match="unexpected character"):
+        parse_poly("X/3 $", F3)
+
+
+@st.composite
+def parser_texts(draw):
+    """Short texts over the grammar's characters, maybe with a 5000-digit
+    run; exponents keep at most 2 digits, so no power runs away."""
+    text = draw(st.text("XYt0123456789+-*/^() ²", max_size=12))
+    if draw(st.booleans()):
+        cut = draw(st.integers(0, len(text)))
+        text = text[:cut] + "7" * 5000 + text[cut:]
+    return re.sub(r"\^(\s*[0-9]{1,2})[0-9]*", r"^\1", text)
+
+
+@given(parser_texts(), st.sampled_from([F2, F3, F4, F5, QQ]))
+def test_parse_poly_returns_or_raises_algseries_error(text, field):
+    try:
+        poly = parse_poly(text, field)
+    except AlgSeriesError:
+        return
+    assert isinstance(poly, BiPoly) and poly.field == field

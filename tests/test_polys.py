@@ -163,7 +163,7 @@ class TestBiPoly:
 
     def test_eval_slices(self):
         P = parse_poly("X^2*Y+3*Y^2+X", QQ)
-        assert P.eval_x(QQ.zero) == UniPoly(QQ, [0, 0, 3], "Y")
+        assert P.eval_x(QQ.zero) == UniPoly(QQ, [0, 0, 3])
         slices = P.y_slices()
         assert slices[0] == UniPoly(QQ, [0, 1])
         assert slices[1] == UniPoly(QQ, [0, 0, 1])

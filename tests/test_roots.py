@@ -438,7 +438,7 @@ def test_relation_matches_rational_function_ring(P):
 
 def reference_cartier_uni(A, r):
     """Univariate digit section of a UniPoly: [X^n]result = [X^(qn+r)]A."""
-    return UniPoly(A.field, A.coeffs[r::A.field.order], A.var)
+    return UniPoly(A.field, A.coeffs[r::A.field.order])
 
 
 @dataclass(frozen=True)
