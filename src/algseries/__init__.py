@@ -7,8 +7,8 @@ polynomials over finite fields — all in exact arithmetic.
 """
 
 from .algebra import (GF, QQ, BiPoly, Field, TruncSeries1, TruncSeries2,
-                      UniPoly, derivative_y, diagonal_series,
-                      eval_bipoly_at_series, series_expand_ratio, substitute_xy)
+                      UniPoly, derivative_y, eval_bipoly_at_series,
+                      series_expand_ratio, substitute_xy)
 from .annihilator import (FrobeniusRelation, frobenius_relation,
                           null_left_vector, verify_relation)
 from .automaton import DFAO, export_dot, from_json, to_json
@@ -25,16 +25,15 @@ from .roots import (BranchRoot, RootsOutcome, attach_outputs, cartier_closure,
 __version__ = "0.1.0"
 
 __all__ = [
-    "GF", "QQ", "BiPoly", "TruncSeries1", "TruncSeries2",
-    "UniPoly", "derivative_y", "diagonal_series",
-    "eval_bipoly_at_series", "series_expand_ratio", "substitute_xy", "Field",
-    "FrobeniusRelation", "frobenius_relation", "null_left_vector",
-    "verify_relation", "DFAO", "export_dot", "from_json", "to_json",
-    "KernelAutomaton2D", "cartier_bi", "diagonal_automaton", "kernel_output",
-    "rational_kernel", "DiagonalRep", "diagonal_coeffs", "furstenberg_rep",
-    "parse_poly", "FixedPointProblem",
-    "fixed_point_coefficients", "fs_coefficients", "fs_partial_sum", "BranchRoot",
-    "RootsOutcome", "attach_outputs", "cartier_closure",
+    "GF", "QQ", "BiPoly", "TruncSeries1", "TruncSeries2", "UniPoly",
+    "derivative_y", "eval_bipoly_at_series", "series_expand_ratio",
+    "substitute_xy", "Field", "FrobeniusRelation", "frobenius_relation",
+    "null_left_vector", "verify_relation", "DFAO", "export_dot", "from_json",
+    "to_json", "KernelAutomaton2D", "cartier_bi", "diagonal_automaton",
+    "kernel_output", "rational_kernel", "DiagonalRep", "diagonal_coeffs",
+    "furstenberg_rep", "parse_poly", "FixedPointProblem",
+    "fixed_point_coefficients", "fs_coefficients", "fs_partial_sum",
+    "BranchRoot", "RootsOutcome", "attach_outputs", "cartier_closure",
     "frobenius_from_poly", "hensel_root", "residue_roots", "roots_automata",
     "__version__",
 ]

@@ -34,7 +34,7 @@ over F_{p^k} each cell's k digits become its element code
 (SlotFormat.digits and SlotFormat.codes).  Codes of a field with at
 most 256 elements expand to digit slots by one bytes.translate per
 t-digit, and scale is one translate by the table of x -> c*x.
-series_expand_ratio packs anti-diagonals with the same format.
+series.anti_diagonals packs anti-diagonals with the same format.
 """
 
 import functools

@@ -6,11 +6,12 @@ TruncSeries1 arithmetic results carry the minimum of the operand orders.
 Its products go through the dense kernel conv (Kronecker substitution over
 finite fields), and the inverse is a Newton iteration on top of it, so both
 cost O(M(N)) for the cost M(N) of one product at order N.
-series_expand_ratio expands num/den in the box by the linear recurrence
-S[i,j] = (num[i,j] - sum den[a,b]*S[i-a,j-b]) / den[0,0], one anti-diagonal
-at a time: over Q by conv.accumulate on lists, over F_q on anti-diagonals
-packed into ints with conv's slot format, one reduction mod p each.
-diagonal_series reads the diagonal off such an expansion.
+anti_diagonals expands num/den in the box by the linear recurrence
+S[i,j] = (num[i,j] - sum den[a,b]*S[i-a,j-b]) / den[0,0], yielding one
+anti-diagonal at a time: over Q by conv.accumulate on lists, over F_q on
+anti-diagonals packed into ints with conv's slot format, one reduction mod
+p each.  It keeps only the anti-diagonals the recurrence still reads;
+series_expand_ratio collects all of them into a TruncSeries2.
 """
 
 from ..errors import AlgSeriesError, InsufficientPrecision, ZeroConstantTerm
@@ -142,14 +143,23 @@ class TruncSeries2:
 
 
 def series_expand_ratio(num, den, order):
-    """Expand num/den modulo (X^(order+1), Y^(order+1)) as a TruncSeries2.
+    """Expand num/den modulo (X^(order+1), Y^(order+1)): the TruncSeries2
+    of every anti-diagonal that anti_diagonals yields."""
+    return TruncSeries2(num.field, list(anti_diagonals(num, den, order)), order)
 
-    den must have a nonzero constant term.  With den(0,0) scaled to 1, cell
-    (i, j) is num[i,j] - sum den[a,b]*S[i-a,j-b] over the other terms of den,
-    and every S[i-a,j-b] lies on an earlier anti-diagonal.  So each
+
+def anti_diagonals(num, den, order):
+    """Iterator over the anti-diagonals of num/den in the box i, j <= order,
+    t = 0..2*order, each laid out as TruncSeries2.diagonals[t].
+
+    den must have a nonzero constant term; ZeroConstantTerm is raised by
+    this call, not by the iterator.  With den(0,0) scaled to 1, cell (i, j)
+    is num[i,j] - sum den[a,b]*S[i-a,j-b] over the other terms of den, and
+    every S[i-a,j-b] lies on an earlier anti-diagonal.  So each
     anti-diagonal is the numerator's plus one shifted slice of an earlier
     anti-diagonal per term of den: over Q the slices are added by one
-    accumulate call, over F_q as packed ints (_packed_sweep).
+    accumulate call, over F_q as packed ints (_packed_sweep).  A sweep keeps
+    only the last depth = max(a + b) anti-diagonals, the ones it still reads.
     """
     f = num.field
     N = order
@@ -167,8 +177,9 @@ def series_expand_ratio(num, den, order):
     for (i, j), c in num_terms.items():
         if i <= N and j <= N:
             num_cells.setdefault(i + j, []).append((i, c))
+    depth = max((a + b for a, b, _ in steps), default=0)
     sweep = _accumulate_sweep if f.kind == "rationals" else _packed_sweep
-    return TruncSeries2(f, sweep(f, num_cells, steps, N), N)
+    return sweep(f, num_cells, steps, N, depth)
 
 
 def _reads(t, N, steps):
@@ -183,21 +194,23 @@ def _reads(t, N, steps):
             yield s, i0 - a - max(0, s - N), i0 - lo, i1 - i0 + 1, x
 
 
-def _accumulate_sweep(f, num_cells, steps, N):
+def _accumulate_sweep(f, num_cells, steps, N, depth):
     """The anti-diagonals as lists, each by one accumulate call."""
-    diagonals = []
+    store = {}  # s -> anti-diagonal s, while a later one reads it
     for t in range(2 * N + 1):
         lo = max(0, t - N)
         acc = [f.zero] * (min(t, N) - lo + 1)
         for i, c in num_cells.get(t, ()):
             acc[i - lo] = c
-        rows = [(at, x, diagonals[s][start:start + count])
+        rows = [(at, x, store[s][start:start + count])
                 for s, start, at, count, x in _reads(t, N, steps)]
-        diagonals.append(accumulate(f, acc, rows))
-    return diagonals
+        diagonal = accumulate(f, acc, rows)
+        store[t] = diagonal
+        store.pop(t - depth, None)
+        yield diagonal
 
 
-def _packed_sweep(f, num_cells, steps, N):
+def _packed_sweep(f, num_cells, steps, N, depth):
     """The anti-diagonals over F_p or F_{p^k}, each built as one packed int.
 
     A cell takes the slots of conv.SlotFormat: one per t-digit of its
@@ -216,9 +229,7 @@ def _packed_sweep(f, num_cells, steps, N):
     num_cells = {t: sum(fmt.scalar(c, width) << 8 * cell * (i - max(0, t - N))
                         for i, c in cells)
                  for t, cells in num_cells.items()}
-    # anti-diagonal s is read last by s + depth; later it is dropped
-    depth = max((a + b for a, b, _ in steps), default=0)
-    store, diagonals = [], []
+    store = {}  # s -> packed anti-diagonal s, while a later one reads it
     for t in range(2 * N + 1):
         cells = min(t, N) - max(0, t - N) + 1
         acc = num_cells.get(t, 0)
@@ -227,21 +238,9 @@ def _packed_sweep(f, num_cells, steps, N):
                                  "little")
             acc += x * row << 8 * cell * at
         digits = fmt.digits(acc, cells, width)
-        store.append(pack_bytes(digits, width))
-        if t >= depth:
-            store[t - depth] = None
-        diagonals.append(fmt.codes(digits, cells))
-    return diagonals
-
-
-def diagonal_series(series2, order):
-    """Diagonal c_n = [X^n Y^n] of a bivariate truncation."""
-    if order > series2.order:
-        raise InsufficientPrecision(
-            f"diagonal to order {order} needs a box of order {order}, "
-            f"have {series2.order}")
-    return TruncSeries1(
-        series2.field, [series2.get(n, n) for n in range(order + 1)], order)
+        store[t] = pack_bytes(digits, width)
+        store.pop(t - depth, None)
+        yield fmt.codes(digits, cells)
 
 
 def eval_bipoly_at_series(poly, series):

@@ -277,7 +277,7 @@ class TestDiagonal:
         # expansion stubbed out to fail, the limit still answers
         def no_expansion(*args):
             raise AssertionError("expansion ran")
-        monkeypatch.setattr(diagrat, "series_expand_ratio", no_expansion)
+        monkeypatch.setattr(diagrat, "anti_diagonals", no_expansion)
         code, out, err = run(capsys, "diagonal", "--field", "F2", *source,
                              "-n", str(DIAGONAL_ORDER_LIMIT + 1))
         assert code == 2 and not out

@@ -1,3 +1,4 @@
+import math
 import re
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from algseries import GF, QQ, BiPoly, parse_poly
 from algseries.errors import (AlgSeriesError, NegativeExponent, ParseError,
                               UnknownSymbol, ZeroDenominator)
-from algseries.exprparse import parse_modulus
+from algseries.exprparse import POWER_TERMS_LIMIT, parse_modulus
 
 from conftest import F2, F3, F4, F5, F8, F9, random_bipoly
 from ratfn import RationalFn
@@ -178,15 +179,57 @@ def test_errors_in_reading_order():
         parse_poly("X/3 $", F3)
 
 
+def test_deep_nesting_is_a_parse_error():
+    # one Python frame per rule: 2000 pairs pass the recursion limit
+    deep = "(" * 2000 + "X" + ")" * 2000 + "+Y^2"
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_poly(deep, F2)
+    assert parse_poly("(" * 100 + "X" + ")" * 100 + "+Y^2", F2) == \
+        parse_poly("X+Y^2", F2)
+
+
+def test_power_terms_are_bounded():
+    # checked before the first product: 10^8 squarings would never end
+    with pytest.raises(ParseError, match="POWER_TERMS_LIMIT") as err:
+        parse_poly("(1+X)^99999999+Y^2", F3)
+    assert err.value.offset == 6
+    n = POWER_TERMS_LIMIT - 1  # (1+X)^n has n + 1 terms
+    assert parse_poly(f"(1+X)^{n}", QQ).terms[(n // 2, 0)] == \
+        Fraction(math.comb(n, n // 2))
+    with pytest.raises(ParseError):
+        parse_poly(f"(1+X)^{n + 1}", QQ)
+    # the count is the smaller of the box and the products of n terms
+    assert len(parse_poly("(X^1000+Y)^2", F5).terms) == 3
+    assert len(parse_poly("(X+Y)^300", QQ).terms) == 301
+    with pytest.raises(ParseError):
+        parse_poly("(1+X+Y)^31", F5)  # C(33, 2) = 528 terms
+    # powers of a monomial are not bounded
+    assert parse_poly("Y^1000000", F2).terms == {(0, 1000000): 1}
+    assert parse_poly("(2*X*Y)^1000", F3).terms == {(1000, 1000): 1}
+
+
 @st.composite
 def parser_texts(draw):
-    """Short texts over the grammar's characters, maybe with a 5000-digit
-    run; exponents keep at most 2 digits, so no power runs away."""
+    """Short texts over the grammar's characters; exponents keep at most
+    2 digits.  Each may gain a 5000-digit run, a power (1+X)^n with n up
+    to 10^12, and parentheses nested up to 3000 deep around a slice."""
     text = draw(st.text("XYt0123456789+-*/^() ²", max_size=12))
+    text = re.sub(r"\^(\s*[0-9]{1,2})[0-9]*", r"^\1", text)
+
+    def cut():
+        return draw(st.integers(0, len(text)))
+
     if draw(st.booleans()):
-        cut = draw(st.integers(0, len(text)))
-        text = text[:cut] + "7" * 5000 + text[cut:]
-    return re.sub(r"\^(\s*[0-9]{1,2})[0-9]*", r"^\1", text)
+        at = cut()
+        text = text[:at] + "7" * 5000 + text[at:]
+    if draw(st.booleans()):
+        at = cut()
+        text = f"{text[:at]}(1+X)^{draw(st.integers(0, 10 ** 12))}{text[at:]}"
+    if draw(st.booleans()):
+        a, b = sorted((cut(), cut()))
+        depth = draw(st.integers(1, 3000))
+        text = text[:a] + "(" * depth + text[a:b] + ")" * depth + text[b:]
+    return text
 
 
 @given(parser_texts(), st.sampled_from([F2, F3, F4, F5, QQ]))

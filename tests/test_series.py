@@ -3,8 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algseries import (GF, QQ, BiPoly, DiagonalRep, TruncSeries1,
-                       diagonal_coeffs, diagonal_series, eval_bipoly_at_series,
-                       parse_poly, series_expand_ratio)
+                       diagonal_coeffs, eval_bipoly_at_series, parse_poly,
+                       series_expand_ratio)
+from algseries.algebra.series import anti_diagonals
 from algseries.errors import InsufficientPrecision, ZeroConstantTerm
 
 from conftest import F2, F3, F4, F5, F8, F9, binomial, random_bipoly
@@ -103,6 +104,9 @@ class TestExpandRatio:
     def test_zero_constant_term_rejected(self):
         with pytest.raises(ZeroConstantTerm):
             series_expand_ratio(BiPoly.one(F2), parse_poly("X+Y", F2), 3)
+        # by the call itself, before the iterator yields anything
+        with pytest.raises(ZeroConstantTerm):
+            anti_diagonals(BiPoly.one(QQ), parse_poly("X+Y", QQ), 3)
 
     def test_multiply_back(self, rng):
         for field in (F2, F4, GF(5), QQ):
@@ -120,16 +124,16 @@ class TestExpandRatio:
 
 class TestDiagonal:
     def test_all_ones(self):
-        S = series_expand_ratio(BiPoly.one(QQ), parse_poly("(1-X)*(1-Y)", QQ), 5)
-        assert diagonal_series(S, 5).coeffs == (1,) * 6
+        rep = DiagonalRep(BiPoly.one(QQ), parse_poly("(1-X)*(1-Y)", QQ))
+        assert diagonal_coeffs(rep, 5).coeffs == (1,) * 6
 
     def test_central_binomials(self):
-        S = series_expand_ratio(BiPoly.one(QQ), parse_poly("1-X-Y", QQ), 3)
-        assert diagonal_series(S, 3).coeffs == (1, 2, 6, 20)
+        rep = DiagonalRep(BiPoly.one(QQ), parse_poly("1-X-Y", QQ))
+        assert diagonal_coeffs(rep, 3).coeffs == (1, 2, 6, 20)
 
     def test_empty_support(self):
-        S = series_expand_ratio(BiPoly.zero(QQ), parse_poly("1-X-Y", QQ), 4)
-        assert diagonal_series(S, 4).is_zero()
+        rep = DiagonalRep(BiPoly.zero(QQ), parse_poly("1-X-Y", QQ))
+        assert diagonal_coeffs(rep, 4).is_zero()
 
     def test_precision_guard(self):
         # a box of order 3 holds the cells i, j <= 3 and no others
@@ -140,17 +144,15 @@ class TestDiagonal:
             S.get(4, 0)
         with pytest.raises(InsufficientPrecision):
             S.get(0, 4)
-        with pytest.raises(InsufficientPrecision):
-            diagonal_series(S, 4)
 
     def test_linearity_in_numerator(self, rng):
         den = parse_poly("1-X-Y", F2)
         for _ in range(10):
             n1 = random_bipoly(F2, rng)
             n2 = random_bipoly(F2, rng)
-            d1 = diagonal_series(series_expand_ratio(n1, den, 4), 4)
-            d2 = diagonal_series(series_expand_ratio(n2, den, 4), 4)
-            d12 = diagonal_series(series_expand_ratio(n1 + n2, den, 4), 4)
+            d1 = diagonal_coeffs(DiagonalRep(n1, den), 4)
+            d2 = diagonal_coeffs(DiagonalRep(n2, den), 4)
+            d12 = diagonal_coeffs(DiagonalRep(n1 + n2, den), 4)
             assert d12 == d1 + d2
 
 
