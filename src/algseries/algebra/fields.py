@@ -26,16 +26,11 @@ from ..errors import AlgSeriesError
 from .conv import SlotFormat
 from .polys import UniPoly
 
-# Irreducible moduli (coefficient tuples, constant first) for the built-in
-# extension cardinalities.  Each is verified again at construction time.
-_BUILTIN_MODULI = {
-    4: (2, (1, 1, 1)),          # t^2 + t + 1 over F_2
-    8: (2, (1, 1, 0, 1)),       # t^3 + t + 1 over F_2
-    9: (3, (1, 0, 1)),          # t^2 + 1 over F_3
-    16: (2, (1, 1, 0, 0, 1)),   # t^4 + t + 1 over F_2
-    25: (5, (1, 1, 1)),         # t^2 + t + 1 over F_5
-    27: (3, (1, 2, 0, 1)),      # t^3 + 2t + 1 over F_3
-}
+# Default moduli that differ from the first irreducible polynomial the
+# search finds (coefficient tuples, constant first; verified again at
+# construction time).  For F25 the search finds t^2 + 2, but F25 has always
+# been t^2 + t + 1, which its element texts and documents depend on.
+_BUILTIN_MODULI = {25: (1, 1, 1)}
 
 _TABLE_CAP = 1024  # largest extension cardinality backed by lookup tables
 
@@ -430,10 +425,7 @@ def GF(q, modulus=None):
             raise AlgSeriesError("prime fields take no modulus")
         return _cached_field(p, 1, None)
     if modulus is None:
-        if q in _BUILTIN_MODULI:
-            modulus = _BUILTIN_MODULI[q][1]
-        else:
-            modulus = _search_modulus(p, k)
+        modulus = _BUILTIN_MODULI.get(q) or _search_modulus(p, k)
     else:
         coeffs = getattr(modulus, "coeffs", modulus)
         modulus = tuple(int(c) % p for c in coeffs)
@@ -507,6 +499,8 @@ def _parse_literal(lit):
     return int(num), int(den or 1)
 
 
+@functools.lru_cache(maxsize=None)
 def _search_modulus(p, k):
-    """The first irreducible monic polynomial of degree k over F_p."""
+    """The first irreducible monic polynomial of degree k over F_p; cached,
+    as GF(q) runs it on every call without a modulus."""
     return next(m for m in _monic(p, k) if _irreducible(m)).coeffs

@@ -1,4 +1,4 @@
-"""Cartier (digit-section) operators and closures over a fixed denominator.
+"""Cartier (digit-section) operators and closures on numerators.
 
 Over F_q, Lambda_{r,s} maps sum a_{m,n} X^m Y^n to sum a_{mq+r, nq+s} X^m Y^n
 and satisfies Lambda_{r,s}(A^q B) = A * Lambda_{r,s}(B).  For a rational
@@ -11,43 +11,47 @@ degree contracts to below deg P + deg Q after one step.  The closure is a
 2-D automaton over digit pairs; restricting to equal pairs (r, r) yields the
 digit automaton of the diagonal sequence [X^n Y^n](P/Q).
 
-Both Cartier closures of the package run on automaton.close (imported
-here, so ``from algseries.cartier import close`` works too), with the
-numerators as states: this kernel closure, and roots.cartier_closure,
-which closes a root y of P as numerators A of A(X, y)/P_Y(X, y) by the
-same kind of identity, Lambda_r(A/P_Y) = Lambda_{r,q-1}(A P^(q-1))/P_Y.
+roots.cartier_closure closes a root y of P by the same step on numerators
+A of A(X, y)/P_Y(X, y), Lambda_r(A/P_Y) = Lambda_{r,q-1}(A P^(q-1))/P_Y.
+Both take it through numerator_images and run on automaton.close
+(imported here, so ``from algseries.cartier import close`` works too).
 """
 
 from dataclasses import dataclass
 
 from .algebra.polys import BiPoly
 from .automaton import DFAO, close
-from .errors import DigitOutOfRange, InfiniteField, ZeroConstantTerm
+from .errors import InfiniteField, ZeroConstantTerm
 
 STATE_BUDGET = 100000  # guard only; theory bounds every closure
 
 
-def _digit_base(field):
+def digit_base(field):
     if not field.is_finite:
         raise InfiniteField("Cartier operators require a finite field")
     return field.order
 
 
-def _check_digit(r, q):
-    if not 0 <= r < q:
-        raise DigitOutOfRange(f"digit {r} outside 0..{q - 1}")
-
-
-def cartier_bi(A, r, s):
-    """Bivariate digit section: [X^m Y^n]result = [X^(mq+r) Y^(nq+s)]A."""
-    q = _digit_base(A.field)
-    _check_digit(r, q)
-    _check_digit(s, q)
-    out = {}
+def sections(A, symbols):
+    """Lambda_{r,s}(A) for each symbol r + q*s in ``symbols``, in one pass:
+    term (i, j) goes to symbol i % q + q*(j % q) at (i // q, j // q)."""
+    q = digit_base(A.field)
+    slots = [None] * (q * q)
+    for sym in symbols:
+        slots[sym] = {}
     for (i, j), c in A.terms.items():
-        if i % q == r and j % q == s:
-            out[(i // q, j // q)] = c
-    return BiPoly(A.field, out)
+        out = slots[i % q + q * (j % q)]
+        if out is not None:
+            out[i // q, j // q] = c
+    return [BiPoly(A.field, slots[sym]) for sym in symbols]
+
+
+def numerator_images(D, symbols):
+    """``images`` for automaton.close: A -> sections(A * D^(q-1), symbols).
+    The dict product keeps a sparse A sparse: X^1000000*Y^1000000 over
+    1+X+Y closes in 55 states; a dense box of the product has 10^12 cells."""
+    Dq1 = D ** (digit_base(D.field) - 1)
+    return lambda A: sections(A * Dq1, symbols)
 
 
 @dataclass
@@ -85,17 +89,12 @@ def rational_kernel(P, Q):
 
     More than STATE_BUDGET states raise StateBudgetExceeded.
     """
-    q = _digit_base(Q.field)
+    q = digit_base(Q.field)
     if not Q.terms.get((0, 0)):
         raise ZeroConstantTerm("Q(0,0) must be nonzero")
     bound = max(P.total_degree, 0) + Q.total_degree
-    Qq1 = Q ** (q - 1)
-
-    def images(R):
-        RQ = R * Qq1
-        return [cartier_bi(RQ, sym % q, sym // q) for sym in range(q * q)]
-
-    states, transitions = close(P, images, STATE_BUDGET, "kernel closure")
+    states, transitions = close(P, numerator_images(Q, range(q * q)),
+                                STATE_BUDGET, "kernel closure")
     return KernelAutomaton2D(q=q, den=Q, states=states, transitions=transitions,
                              degree_bound=bound)
 

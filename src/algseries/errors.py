@@ -26,10 +26,6 @@ class HypothesisViolated(AlgSeriesError):
     """Input does not satisfy the hypotheses of the construction."""
 
 
-class DigitOutOfRange(AlgSeriesError):
-    """A digit-section operator received a digit outside 0..q-1."""
-
-
 class InfiniteField(AlgSeriesError):
     """An operation defined only over finite fields was given the rationals."""
 

@@ -22,13 +22,18 @@ reported before anything else; after that, errors come in reading order,
 so an evaluation error before a syntax error is the one raised ("X/3 )"
 over F3 raises ZeroDenominator, not ParseError).
 
-Two bounds make such texts a ParseError rather than a crash or a hang:
+Three bounds make such texts a ParseError rather than a crash or a hang:
 parentheses nested deeper than Python's recursion limit allows (about 240
-pairs), and a power P^n, n >= 2, of a P with k >= 2 terms that may have
-more than POWER_TERMS_LIMIT terms.  That count is the smaller of the box
+pairs); a power P^n, n >= 2, of a P with k >= 2 terms that may have
+more than POWER_TERMS_LIMIT terms; and a product A*B (or A B) of two
+factors of two or more terms each that may have more than
+POWER_TERMS_LIMIT terms.  For a power that count is the smaller of the box
 (n*deg_X P + 1)*(n*deg_Y P + 1) and the C(n + k - 1, k - 1) products of n
-terms, and it is checked before the power's first product.  Powers of a
-monomial are not bounded.
+terms, checked before the power's first product; for a product it is the
+smaller of the box (deg_X A + deg_X B + 1)*(deg_Y A + deg_Y B + 1) and
+|A|*|B|, checked at the operator before multiplying, so P^511*P^511 fails
+as P^1022 does.  Powers of a monomial and products with a monomial are not
+bounded.
 """
 
 from math import comb
@@ -38,11 +43,12 @@ from .algebra.polys import BiPoly
 from .errors import (AlgSeriesError, NegativeExponent, ParseError,
                      UnknownSymbol, ZeroDenominator)
 
-# Most terms a power of a polynomial with two or more terms may have.  Its
-# products are dict products, so the time grows with the square of the
-# terms, and over Q with the size of the coefficients too: (1+X)^511 over
-# F10007 took 0.1 s and (1/3+2/7*X)^511 over Q 1.8 s (Python 3.11, shared
-# 2-core machine), where (1+X)^99999999 over F3 ran until killed.
+# Most terms a power of a polynomial with two or more terms, or a product
+# of two such polynomials, may have.  Products are dict products, so the
+# time grows with the square of the terms, and over Q with the size of the
+# coefficients too: (1+X)^511 over F10007 took 0.1 s and (1/3+2/7*X)^511
+# over Q 1.8 s (Python 3.11, shared 2-core machine), where (1+X)^99999999
+# over F3 ran until killed.
 POWER_TERMS_LIMIT = 512
 
 _INT = "int"
@@ -125,7 +131,7 @@ class _Parser:
             kind, val, off = self.peek()
             if kind == _OP and val == "*":
                 self.advance()
-                poly = poly * self.factor()
+                poly = self.product(poly, off)
             elif kind == _OP and val == "/":
                 self.advance()
                 kind, val, off = self.advance()
@@ -137,9 +143,22 @@ class _Parser:
                                           "in the field")
                 poly = poly.scale(self.field.inv(divisor))
             elif kind in (_INT, _VAR) or (kind == _OP and val == "("):
-                poly = poly * self.factor()
+                poly = self.product(poly, off)
             else:
                 return poly
+
+    def product(self, poly, off):
+        """poly times the next factor.  When both have two or more terms and
+        the product may have more than POWER_TERMS_LIMIT terms, ParseError
+        at ``off``, the offset of the operator (of the factor, for
+        juxtaposition)."""
+        rhs = self.factor()
+        if len(poly.terms) > 1 and len(rhs.terms) > 1:
+            box = (poly.deg_x + rhs.deg_x + 1) * (poly.deg_y + rhs.deg_y + 1)
+            if min(box, len(poly.terms) * len(rhs.terms)) > POWER_TERMS_LIMIT:
+                raise ParseError("product may have more than POWER_TERMS_LIMIT"
+                                 f" = {POWER_TERMS_LIMIT} terms", off)
+        return poly * rhs
 
     def factor(self):
         poly = self.base()

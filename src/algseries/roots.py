@@ -14,9 +14,9 @@ ANTS XIII, 2018)
 
     Lambda_r(A(X, y)/P_Y(X, y)) = Lambda_{r,q-1}(A * P^(q-1))(X, y) / P_Y(X, y)
 
-with Lambda_{r,s} the bivariate digit section cartier_bi, so the
-denominator stays P_Y and a state is its numerator A, as in
-cartier.rational_kernel.  With h = deg_X P and d = deg_Y P:
+with Lambda_{r,s} the bivariate digit section, so the denominator stays
+P_Y and a state is its numerator A, as in cartier.rational_kernel; both
+take this step, cartier.numerator_images.  With h = deg_X P and d = deg_Y P:
 
   * the start numerator Y*P_Y - d*P stands for y and has Y-degree < d;
   * if deg_X A <= h and deg_Y A < d, then A * P^(q-1) has bidegree at most
@@ -39,7 +39,7 @@ from .algebra.series import TruncSeries1, eval_bipoly_at_series
 from .annihilator import (FrobeniusRelation, canonical_relation,
                           null_left_vector, primitive_part, verify_relation)
 from .automaton import DFAO, close
-from .cartier import cartier_bi
+from .cartier import digit_base, numerator_images
 from .errors import (AlgSeriesError, DegenerateReduction, HypothesisViolated,
                      InfiniteField, InsufficientPrecision, NonSimpleRoot,
                      NotSquarefree, ZeroA0)
@@ -220,16 +220,9 @@ def cartier_closure(P):
     CLOSURE_BUDGET states raise StateBudgetExceeded.
     """
     field = P.field
-    if not field.is_finite:
-        raise InfiniteField("Cartier operators require a finite field")
-    q = field.order
+    q = digit_base(field)
     start = BiPoly.y(field) * derivative_y(P) - P.scale(field.from_int(P.deg_y))
-    Pq1 = P ** (q - 1)
-
-    def images(A):
-        AP = A * Pq1
-        return [cartier_bi(AP, r, q - 1) for r in range(q)]
-
+    images = numerator_images(P, range(q * q - q, q * q))
     states, transitions = close(start, images, CLOSURE_BUDGET,
                                 "Cartier closure")
     return ClosureSkeleton(field, q, P, states, transitions)

@@ -1,30 +1,71 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from algseries import (QQ, BiPoly, cartier_bi, diagonal_automaton,
-                       kernel_output, parse_poly, rational_kernel,
+from algseries import (QQ, BiPoly, diagonal_automaton, kernel_output,
+                       parse_poly, rational_kernel, sections,
                        series_expand_ratio)
-from algseries.errors import DigitOutOfRange, InfiniteField, ZeroConstantTerm
+from algseries.cartier import numerator_images
+from algseries.errors import InfiniteField, ZeroConstantTerm
 
-from conftest import F2, F3, F4, binomial, random_bipoly
+from conftest import F2, F3, F4, F9, binomial, random_bipoly
+
+
+def section(A, r, s):
+    """Lambda_{r,s}(A) alone, the section at symbol r + q*s."""
+    return sections(A, [r + A.field.order * s])[0]
+
+
+def reference_sections(A, symbols):
+    """Per-term reference: for each symbol, every term (i, j) of A with
+    i = r mod q and j = s mod q moves to (i // q, j // q)."""
+    q = A.field.order
+    out = []
+    for sym in symbols:
+        r, s = sym % q, sym // q
+        out.append(BiPoly(A.field, {
+            ((i - r) // q, (j - s) // q): c
+            for (i, j), c in A.terms.items()
+            if (i - r) % q == 0 and (j - s) % q == 0}))
+    return out
+
+
+def bipolys(field, max_degree, max_size):
+    degree = st.integers(0, max_degree)
+    return st.dictionaries(st.tuples(degree, degree),
+                           st.integers(0, field.order - 1),
+                           max_size=max_size).map(lambda t: BiPoly(field, t))
+
+
+@st.composite
+def sections_case(draw):
+    """Over F2, F3, F4 or F9: a sparse A (X- and Y-degrees up to 10^3), a
+    small D and a list of symbols, possibly repeated or empty."""
+    field = draw(st.sampled_from([F2, F3, F4, F9]))
+    q = field.order
+    A = draw(bipolys(field, 1000, 30))
+    D = draw(bipolys(field, 4, 4))
+    symbols = draw(st.lists(st.integers(0, q * q - 1), max_size=2 * q * q))
+    return A, D, symbols
 
 
 class TestCartierBi:
+    """Bivariate digit sections Lambda_{r,s}, taken through sections."""
+
     def test_examples(self):
-        assert cartier_bi(parse_poly("X*Y", F2), 1, 1) == BiPoly.one(F2)
-        assert cartier_bi(parse_poly("X^2*Y", F2), 0, 1) == parse_poly("X", F2)
+        assert section(parse_poly("X*Y", F2), 1, 1) == BiPoly.one(F2)
+        assert section(parse_poly("X^2*Y", F2), 0, 1) == parse_poly("X", F2)
         Q = parse_poly("1+X+Y", F2)
-        assert cartier_bi(Q, 0, 0) == BiPoly.one(F2)
-        assert cartier_bi(Q, 1, 0) == BiPoly.one(F2)
-        assert cartier_bi(Q, 0, 1) == BiPoly.one(F2)
-        assert cartier_bi(Q, 1, 1).is_zero()
+        assert sections(Q, range(4)) == [BiPoly.one(F2), BiPoly.one(F2),
+                                         BiPoly.one(F2), BiPoly.zero(F2)]
 
     def test_digit_selection(self):
         # digit sections of polynomials in X alone
         x = parse_poly("X", F2)
-        assert cartier_bi(x, 1, 0) == BiPoly.one(F2)
-        assert cartier_bi(x, 0, 0).is_zero()
-        assert cartier_bi(x, 1, 1).is_zero()
-        assert cartier_bi(parse_poly("X^2", F2), 0, 0) == x
+        assert section(x, 1, 0) == BiPoly.one(F2)
+        assert section(x, 0, 0).is_zero()
+        assert section(x, 1, 1).is_zero()
+        assert section(parse_poly("X^2", F2), 0, 0) == x
 
     def test_coefficient_contract(self, rng):
         for field in (F2, F3, F4):
@@ -32,19 +73,17 @@ class TestCartierBi:
             for _ in range(20):
                 A = random_bipoly(field, rng, max_deg=9, max_terms=12)
                 r, s = rng.randrange(q), rng.randrange(q)
-                out = cartier_bi(A, r, s)
+                out = section(A, r, s)
                 for m in range(4):
                     for n in range(4):
                         assert out.terms.get((m, n)) == \
                             A.terms.get((q * m + r, q * n + s))
 
     def test_errors(self):
-        with pytest.raises(DigitOutOfRange):
-            cartier_bi(parse_poly("X", F2), 2, 0)
-        with pytest.raises(DigitOutOfRange):
-            cartier_bi(parse_poly("X", F2), 0, 2)
         with pytest.raises(InfiniteField):
-            cartier_bi(parse_poly("X", QQ), 0, 0)
+            sections(parse_poly("X", QQ), [0])
+        with pytest.raises(InfiniteField):
+            numerator_images(parse_poly("1+X", QQ), [0])
 
     def test_lemma1_identity(self, rng):
         # Lambda_{r,s}(A^q B) = A Lambda_{r,s}(B) over F_2 and F_4
@@ -53,10 +92,23 @@ class TestCartierBi:
             for _ in range(40):
                 A = random_bipoly(field, rng, max_deg=2)
                 B = random_bipoly(field, rng, max_deg=3)
-                r, s = rng.randrange(q), rng.randrange(q)
-                lhs = cartier_bi((A ** q) * B, r, s)
-                rhs = A * cartier_bi(B, r, s)
+                symbols = [rng.randrange(q * q) for _ in range(3)]
+                lhs = sections((A ** q) * B, symbols)
+                rhs = [A * out for out in sections(B, symbols)]
                 assert lhs == rhs
+
+
+@given(sections_case())
+def test_sections_match_per_term_reference(case):
+    A, _, symbols = case
+    assert sections(A, symbols) == reference_sections(A, symbols)
+
+
+@given(sections_case())
+def test_numerator_images_sections_the_product(case):
+    A, D, symbols = case
+    images = numerator_images(D, symbols)
+    assert images(A) == sections(A * D ** (D.field.order - 1), symbols)
 
 
 class TestRationalKernel:

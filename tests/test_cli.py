@@ -198,6 +198,16 @@ class TestExtract:
         code, out, err = run(capsys, "extract", *args)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("field", ["Q", "F10007"])
+    def test_large_product_exit_2(self, capsys, field):
+        # each * was a dict product of growing operands: 1.2-1.3 s, exit 0
+        poly = "X*(1+X+Y)^30*(1+X+Y)^30*(1+X+Y)^30*(1+X+Y)^30 + Y^2"
+        code, out, err = run(capsys, "extract", "--field", field,
+                             "--poly", poly, "-n", "3")
+        assert (code, out) == (2, "")
+        assert err == ("error: product may have more than POWER_TERMS_LIMIT"
+                       " = 512 terms (at offset 12)\n")
+
     def test_order_must_be_positive(self, capsys):
         code, _, err = run(capsys, "extract", "--field", "Q",
                            "--poly", "X+Y^2", "-n", "0")

@@ -14,6 +14,8 @@ from algseries.exprparse import POWER_TERMS_LIMIT, parse_modulus
 from conftest import F2, F3, F4, F5, F8, F9, random_bipoly
 from ratfn import RationalFn
 
+F10007 = GF(10007)
+
 
 def test_example1_polynomial():
     P = parse_poly("(1+X)^3*Y^2+(1+X)^2*Y+X", F2)
@@ -206,6 +208,35 @@ def test_power_terms_are_bounded():
     # powers of a monomial are not bounded
     assert parse_poly("Y^1000000", F2).terms == {(0, 1000000): 1}
     assert parse_poly("(2*X*Y)^1000", F3).terms == {(1000, 1000): 1}
+
+
+def test_product_terms_are_bounded():
+    # F10007: no binomial coefficient below 10007 vanishes, so powers of
+    # 1+X and 1+X+Y keep all their terms
+    # P^511*P^511 is rejected as P^1022 is, at the operator, before the
+    # product; juxtaposition is reported at its second factor
+    for text in ("(1+X)^511*(1+X)^511", "(1+X)^1022"):
+        with pytest.raises(ParseError, match="POWER_TERMS_LIMIT"):
+            parse_poly(text, F10007)
+    with pytest.raises(ParseError, match="product may have") as err:
+        parse_poly("(1+X)^256*(1+X)^256", F10007)
+    assert err.value.offset == 9
+    with pytest.raises(ParseError, match="product may have") as err:
+        parse_poly("X + (1+X)^256 (1+X)^256", F10007)
+    assert err.value.offset == 14
+    with pytest.raises(ParseError):
+        parse_poly("X*(1+X+Y)^30*(1+X+Y)^30 + Y^2", F10007)
+    # the count is the smaller of the box and the |A|*|B| term products
+    assert parse_poly("(1+X)^255*(1+X)^256", F10007) == \
+        parse_poly("(1+X)^511", F10007)
+    assert len(parse_poly("(1+X)^30*(1+X)^30", F10007).terms) == 61
+    assert len(parse_poly("(1+X^1000)*(1+Y^1000)", F10007).terms) == 4
+    # products with a monomial are not bounded
+    assert parse_poly("X^1000000*Y^1000000", F2).terms == \
+        {(1000000, 1000000): 1}
+    assert len(parse_poly("X^1000*(1+X)^511*Y", F10007).terms) == 512
+    sum_600 = "+".join(f"X^{i}" for i in range(600))
+    assert len(parse_poly(f"2*X^1000*({sum_600})", F10007).terms) == 600
 
 
 @st.composite

@@ -59,8 +59,17 @@ def test_pseudoprime_characteristic_rejected():
         GF(3317044064679887385961981 ** 2)
 
 
+@pytest.mark.parametrize("q, modulus", [
+    (4, (1, 1, 1)), (8, (1, 1, 0, 1)), (9, (1, 0, 1)), (16, (1, 1, 0, 0, 1)),
+    (25, (1, 1, 1)), (27, (1, 2, 0, 1))])
+def test_default_moduli(q, modulus):
+    # element texts and documents depend on these; only F25's is not the
+    # first irreducible polynomial of the modulus search (t^2 + 2)
+    assert GF(q).modulus == modulus
+
+
 def test_extension_f4_structure():
-    # t^2 = t + 1 in F_4 with the built-in modulus
+    # t^2 = t + 1 in F_4 with the default modulus
     t = 2  # code of t
     assert F4.mul(t, t) == F4.add(t, 1)
     assert F4.order == 4 and F4.char == 2
@@ -182,4 +191,4 @@ def test_descriptor_identity():
     assert GF(2) is F2  # cached
     assert GF(4) == F4
     assert QQ != F2
-    assert GF(9, modulus=(1, 0, 1)) == F9  # the built-in modulus is t^2+1
+    assert GF(9, modulus=(1, 0, 1)) == F9  # the default modulus is t^2+1
