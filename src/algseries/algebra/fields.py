@@ -372,9 +372,8 @@ class RationalField(Field):
     def div(self, a, b):
         if not b:
             raise ZeroDivisionError("division by zero")
-        if isinstance(a, int) and isinstance(b, int):
-            return Fraction(a, b)
-        return Fraction(a) / b
+        r = Fraction(a, b) if isinstance(b, int) else Fraction(a) / b
+        return r.numerator if r.denominator == 1 else r  # as in inv
 
     def from_int(self, n):
         return n

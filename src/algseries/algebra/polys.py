@@ -5,6 +5,8 @@ BiPoly stores a sparse (i, j) -> coefficient map with deterministic sorted
 iteration so downstream output is byte-stable.
 """
 
+from math import lcm
+
 from ..errors import AlgSeriesError
 from .conv import combine, conv, divide, scale, trim
 
@@ -294,7 +296,17 @@ class BiPoly:
         return BiPoly(self.field, {(i + a, j + b): v for (i, j), v in self.terms.items()})
 
     def __pow__(self, n):
-        return _power(BiPoly.one(self.field), self, n)
+        """self ** n; over Q the power of D*self on ints, divided by D^n
+        once per term, D the lcm of the denominators."""
+        f, terms = self.field, self.terms
+        rational = f.kind == "rationals"
+        D = lcm(*(c.denominator for c in terms.values())) if rational else 1
+        if D == 1:
+            return _power(BiPoly.one(f), self, n)
+        base = BiPoly(f, {k: int(c * D) for k, c in terms.items()})
+        power = _power(BiPoly.one(f), base, n)
+        unit = D ** n
+        return BiPoly(f, {k: f.div(v, unit) for k, v in power.terms.items()})
 
     def eval_x(self, x):
         """Partial substitution X := x, giving a UniPoly in Y."""

@@ -8,14 +8,19 @@ finite fields), and the inverse is a Newton iteration on top of it, so both
 cost O(M(N)) for the cost M(N) of one product at order N.
 anti_diagonals expands num/den in the box by the linear recurrence
 S[i,j] = (num[i,j] - sum den[a,b]*S[i-a,j-b]) / den[0,0], yielding one
-anti-diagonal at a time: over Q by conv.accumulate on lists, over F_q on
-anti-diagonals packed into ints with conv's slot format, one reduction mod
-p each.  It keeps only the anti-diagonals the recurrence still reads;
-series_expand_ratio collects all of them into a TruncSeries2.
+anti-diagonal at a time: over Q by conv.accumulate on lists of ints, over
+F_q on anti-diagonals packed into ints with conv's slot format, one
+reduction mod p each.  It keeps only the cells the recurrence still reads.
+series_expand_ratio collects all of them into a TruncSeries2;
+diagrat.diagonal_coeffs, behind both diagonal and extract, reads cells
+(n, n) off them.
 """
+
+from math import lcm
 
 from ..errors import AlgSeriesError, InsufficientPrecision, ZeroConstantTerm
 from .conv import accumulate, combine, conv, inverse, pack_bytes, scale
+from .fields import QQ
 
 
 class TruncSeries1:
@@ -144,13 +149,20 @@ class TruncSeries2:
 
 def series_expand_ratio(num, den, order):
     """Expand num/den modulo (X^(order+1), Y^(order+1)): the TruncSeries2
-    of every anti-diagonal that anti_diagonals yields."""
-    return TruncSeries2(num.field, list(anti_diagonals(num, den, order)), order)
+    of every anti-diagonal that anti_diagonals yields, as raw values."""
+    return TruncSeries2(num.field, [[cell_value(v, unit) for v in cells]
+        for unit, cells in anti_diagonals(num, den, order)], order)
+
+
+def cell_value(v, unit):
+    """The raw value of a cell v that anti_diagonals yields with unit."""
+    return v if unit == 1 else QQ.div(v, unit)
 
 
 def anti_diagonals(num, den, order):
-    """Iterator over the anti-diagonals of num/den in the box i, j <= order,
-    t = 0..2*order, each laid out as TruncSeries2.diagonals[t].
+    """Iterator over (unit, cells) for the anti-diagonals t = 0..2*order of
+    num/den in the box i, j <= order, the cells laid out as
+    TruncSeries2.diagonals[t]; cell_value(v, unit) is a cell's raw value.
 
     den must have a nonzero constant term; ZeroConstantTerm is raised by
     this call, not by the iterator.  With den(0,0) scaled to 1, cell (i, j)
@@ -158,8 +170,10 @@ def anti_diagonals(num, den, order):
     every S[i-a,j-b] lies on an earlier anti-diagonal.  So each
     anti-diagonal is the numerator's plus one shifted slice of an earlier
     anti-diagonal per term of den: over Q the slices are added by one
-    accumulate call, over F_q as packed ints (_packed_sweep).  A sweep keeps
-    only the last depth = max(a + b) anti-diagonals, the ones it still reads.
+    accumulate call, over F_q as packed ints (_packed_sweep), whose cells
+    are raw values, with unit 1.  Over Q, with D the lcm of the
+    denominators in the box, the int cells of D*S(DX, DY) =
+    (n_ij*D^(1+i+j)) / (c_ab*D^(a+b)) have the unit D^(t+1).
     """
     f = num.field
     N = order
@@ -177,41 +191,90 @@ def anti_diagonals(num, den, order):
     for (i, j), c in num_terms.items():
         if i <= N and j <= N:
             num_cells.setdefault(i + j, []).append((i, c))
-    depth = max((a + b for a, b, _ in steps), default=0)
-    sweep = _accumulate_sweep if f.kind == "rationals" else _packed_sweep
-    return sweep(f, num_cells, steps, N, depth)
+    if f.kind != "rationals":
+        return _packed_sweep(f, num_cells, steps, N)
+    D = lcm(*(c.denominator for _, _, c in steps),
+            *(c.denominator for cells in num_cells.values() for _, c in cells))
+    steps = [(a, b, int(c * D ** (a + b))) for a, b, c in steps]
+    num_cells = {t: [(i, int(c * D ** (t + 1))) for i, c in cells]
+                 for t, cells in num_cells.items()}
+    return _accumulate_sweep(f, num_cells, steps, N, D)
 
 
-def _reads(t, N, steps):
-    """(s, start, at, count, x) for each step (a, b, x) that reads cells
-    for anti-diagonal t: its cells at..at+count-1 (counted from its first
-    cell) read cells start..start+count-1 of anti-diagonal s = t - a - b."""
+def _reads(t, N, steps, first):
+    """(s, start, at, count, x) for each step (a, b, x) that reads cells for
+    anti-diagonal t: its cells at..at+count-1 (from its first cell) read
+    the stored cells start..start+count-1 of anti-diagonal s = t - a - b,
+    which start at i = first[s] if s was cut, else at its first cell."""
     lo, hi = max(0, t - N), min(t, N)
     for a, b, x in steps:
         s = t - a - b
         i0, i1 = max(lo, a), min(hi, t - b)
         if s >= 0 and i0 <= i1:
-            yield s, i0 - a - max(0, s - N), i0 - lo, i1 - i0 + 1, x
+            base = first[s] if s in first else max(0, s - N)
+            yield s, i0 - a - base, i0 - lo, i1 - i0 + 1, x
 
 
-def _accumulate_sweep(f, num_cells, steps, N, depth):
-    """The anti-diagonals as lists, each by one accumulate call."""
+class _Window:
+    """The cuts of the earlier anti-diagonals that a sweep stores.
+
+    The step (a, b) reads anti-diagonal s at t = s + a + b, in its cells
+    i <= N - a, j <= N - b.  So once the steps of size a + b <= k have read
+    s, it is cut to the cells of the larger steps if that at least halves
+    it.  Only larger steps with amin + bmin > N/2 halve the long ones, near
+    s = N, so only theirs are tried; a far term of den leaves short
+    anti-diagonals behind.  A stored anti-diagonal has ``size`` items per
+    cell, from i = first[s] once cut, and is dropped after depth.
+    """
+
+    def __init__(self, steps, N, size):
+        sizes = sorted({a + b for a, b, _ in steps})
+        later = [[(a, b) for a, b, _ in steps if a + b > k] for k in sizes]
+        cuts = [(k, min(a for a, _ in ab), min(b for _, b in ab))
+                for k, ab in zip(sizes, later) if ab]
+        self.cuts = [cut for cut in cuts if 2 * (cut[1] + cut[2]) > N]
+        self.depth = sizes[-1] if sizes else 0
+        self.N, self.size, self.first = N, size, {}
+
+    def cut(self, store, t):
+        """Cut the anti-diagonals in store that t read last by a size k."""
+        N, size, first = self.N, self.size, self.first
+        for k, amin, bmin in self.cuts:
+            s = t - k
+            if s > N - max(amin, bmin):  # else nothing to cut
+                cells, i = store[s], first.get(s, max(0, s - N))
+                last = i + len(cells) // size - 1
+                lo, hi = max(i, s - N + bmin), min(last, N - amin)
+                if 2 * (hi - lo + 1) <= last - i + 1:  # halves it
+                    store[s] = cells[(lo - i) * size:(hi - i + 1) * size]
+                    first[s] = lo
+
+
+def _accumulate_sweep(f, num_cells, steps, N, D):
+    """(D^(t+1), anti-diagonal t) over Q, the cells ints, each anti-diagonal
+    by one accumulate call."""
+    window = _Window(steps, N, 1)
     store = {}  # s -> anti-diagonal s, while a later one reads it
+    unit = 1
     for t in range(2 * N + 1):
+        unit *= D
         lo = max(0, t - N)
         acc = [f.zero] * (min(t, N) - lo + 1)
         for i, c in num_cells.get(t, ()):
             acc[i - lo] = c
         rows = [(at, x, store[s][start:start + count])
-                for s, start, at, count, x in _reads(t, N, steps)]
+                for s, start, at, count, x in _reads(t, N, steps, window.first)]
         diagonal = accumulate(f, acc, rows)
         store[t] = diagonal
-        store.pop(t - depth, None)
-        yield diagonal
+        store.pop(t - window.depth, None)
+        if window.cuts:
+            window.cut(store, t)
+        yield unit, diagonal
 
 
-def _packed_sweep(f, num_cells, steps, N, depth):
-    """The anti-diagonals over F_p or F_{p^k}, each built as one packed int.
+def _packed_sweep(f, num_cells, steps, N):
+    """(1, anti-diagonal t) over F_p or F_{p^k}, each built as one packed
+    int.
 
     A cell takes the slots of conv.SlotFormat: one per t-digit of its
     t-polynomial product.  An anti-diagonal is its numerator cells plus,
@@ -229,18 +292,21 @@ def _packed_sweep(f, num_cells, steps, N, depth):
     num_cells = {t: sum(fmt.scalar(c, width) << 8 * cell * (i - max(0, t - N))
                         for i, c in cells)
                  for t, cells in num_cells.items()}
+    window = _Window(steps, N, cell)
     store = {}  # s -> packed anti-diagonal s, while a later one reads it
     for t in range(2 * N + 1):
         cells = min(t, N) - max(0, t - N) + 1
         acc = num_cells.get(t, 0)
-        for s, start, at, count, x in _reads(t, N, steps):
+        for s, start, at, count, x in _reads(t, N, steps, window.first):
             row = int.from_bytes(store[s][start * cell:(start + count) * cell],
                                  "little")
             acc += x * row << 8 * cell * at
         digits = fmt.digits(acc, cells, width)
         store[t] = pack_bytes(digits, width)
-        store.pop(t - depth, None)
-        yield fmt.codes(digits, cells)
+        store.pop(t - window.depth, None)
+        if window.cuts:
+            window.cut(store, t)
+        yield 1, fmt.codes(digits, cells)
 
 
 def eval_bipoly_at_series(poly, series):

@@ -16,7 +16,7 @@ den = 1 - P(XY,Y)/Y.
 from dataclasses import dataclass
 
 from .algebra.polys import BiPoly, derivative_y, substitute_xy
-from .algebra.series import TruncSeries1, anti_diagonals
+from .algebra.series import TruncSeries1, anti_diagonals, cell_value
 from .errors import AlgSeriesError, HypothesisViolated
 
 # Largest order diagonal_coeffs accepts.  Its memory grows like N, its time
@@ -70,5 +70,6 @@ def diagonal_coeffs(rep, order):
                              f"{DIAGONAL_ORDER_LIMIT}")
     sweep = anti_diagonals(rep.num, rep.den, order)
     # cell (n, n) is the middle cell of anti-diagonal 2n
-    coeffs = [d[len(d) // 2] for t, d in enumerate(sweep) if t % 2 == 0]
+    coeffs = [cell_value(cells[len(cells) // 2], unit)
+              for t, (unit, cells) in enumerate(sweep) if t % 2 == 0]
     return TruncSeries1(rep.num.field, coeffs, order)

@@ -5,37 +5,32 @@ f(0) = 0 is unique, and
 
     f_n = sum_{m >= 1} [X^n Y^(m-1)] (1 - P'_Y(X, Y)) P(X, Y)^m.
 
-Key a cell (i, j) of P^m by i and s = m - 1 - j.  A monomial X^a Y^b of P
-then moves every cell of every power by the same key offset, so by
-linearity H = sum_{m >= 1} P^m on those keys solves H = P (1 + H), and
+Summed over m first, with W = 1 - P'_Y, this is [X^n Y^(-1)] of
+W / (1 - P/Y), and X -> XY turns that into the cell (n, n) of
 
-    f_n = sum_w c_w H[s = b_w, i = n - a_w]
+    num/den = Y W(XY, Y) / (1 - P(XY, Y)/Y),
 
-over the terms c_w X^(a_w) Y^(b_w) of W = 1 - P'_Y.  The monomial raises
-the weight phi = 2i - s of a key by 2a + b - 1 >= 1 (that is exactly the
-hypothesis pair), so fs_coefficients finds H in one pass over the keys in
-increasing phi: a key is complete before anything reads it, with no
-iteration and no truncation.  A byte mask keeps only the keys from which
-some product of P's monomials still reaches a key that f reads
-(_reach_limits, _cell_grid).  Over Q the same sweep runs on integers, after
-a weight scaling clears the denominators of P (fs_coefficients).
-fixed_point_coefficients is the independent oracle (Newton lifting of
-Y - P(X, Y), certified by one exact substitution), and fs_partial_sum
-exposes the per-m partial sums of the formula on the cells of P^m
-(_power_cells).
+Furstenberg's representation furstenberg_rep(P - Y) (J. Algebra 7, 1967),
+polynomials as 2a + b >= 2 for every term X^a Y^b of P (the hypothesis
+pair).  So fs_coefficients is diagonal_coeffs on that pair, the sweep of
+the diagonal subcommand.  fixed_point_coefficients is the independent
+oracle (Newton lifting of Y - P(X, Y), certified by one exact
+substitution).  fs_partial_sum exposes the per-m partial sums of the
+formula on the cells of P^m (_power_cells), keyed by i and s = m - 1 - j;
+a byte mask keeps only the keys from which some product of P's monomials
+still reaches a cell that f_n reads (_reach_limits, _cell_grid).
 """
 
-from fractions import Fraction
-from math import lcm
-
 from .algebra.polys import BiPoly, derivative_y
-from .algebra.series import TruncSeries1, eval_bipoly_at_series
+from .algebra.series import eval_bipoly_at_series
+from .diagrat import diagonal_coeffs, furstenberg_rep
 from .errors import AlgSeriesError, HypothesisViolated
 from .roots import hensel_root
 
-# Largest order fs_coefficients accepts.  At N = 1024 the mask takes about
-# 3N^2 bytes, and the sweep over Q took 0.8 s on X + Y^2 + X*Y^3 and up to
-# 3.0 s on 1/3*X - 2/5*X*Y + 3/7*Y^2 (shared 2-core machine, Python 3.11).
+# Largest order fs_coefficients accepts.  Its time grows like N^2 times the
+# terms of P.  At N = 1024 it took 0.05 s on X + 2*Y^2 + X*Y^3 + X^2*Y over
+# F31, and over Q 0.45 s on X + Y^2 + X*Y^3 and 2.1 s on
+# 1/3*X - 2/5*X*Y + 3/7*Y^2 (in process, shared 2-core machine, Python 3.11).
 EXTRACT_ORDER_LIMIT = 1024
 
 
@@ -60,9 +55,9 @@ class FixedPointProblem:
 
 
 def _live_poly(poly, N):
-    """P without the terms X^a Y^b with 2a + b > 2N: from phi >= 1 they
-    land past phi = 2N, the largest phi that f_0..f_N read (_sweep), and
-    their terms in W are read at phi <= 0, where nothing is."""
+    """P without the terms X^a Y^b with 2a + b > 2N: they raise the weight
+    phi = 2i - s of a key (i, s) from phi >= 1 past 2N, where no f_n reads,
+    and their terms in W are read at phi <= 0, where no key is."""
     return BiPoly(poly.field, {(a, b): c for (a, b), c in poly.terms.items()
                                if 2 * a + b <= 2 * N})
 
@@ -120,17 +115,16 @@ def _reach_limits(poly, N, wrows):
 
 
 def _cell_grid(poly, N, wrows):
-    """(S, base, mask, steps) of the keys of the cells of P^m and of H.
+    """(S, base, mask, steps) of the keys of the cells of P^m.
 
     poly is P after _live_poly, so its terms have a <= N and b <= 2N.  A
     cell (i, j) of P^m has s = m - 1 - j and the key (s + base) * S + i,
     so a term c X^a Y^b of P moves it to (s + 1 - b, i + a): steps lists
-    (offset, rise, c) with the key offset (1 - b) * S + a and the rise
-    2a + b - 1 of phi, in increasing rise.  The row width S = N + 1 +
-    max a keeps i + a inside its row.  mask[key] is 1 iff i <= limits[s]
-    (_reach_limits), so it is the keep rule of every power and of H at
-    once.  Its rows run from max b + 1 below the least s with a limit to 2
-    above the largest, which holds every destination of a kept key and of
+    (offset, c) with the key offset (1 - b) * S + a.  The row width
+    S = N + 1 + max a keeps i + a inside its row.  mask[key] is 1 iff
+    i <= limits[s] (_reach_limits), so it is the keep rule of every power
+    at once.  Its rows run from max b + 1 below the least s with a limit to
+    2 above the largest, which holds every destination of a kept key and of
     the start cell (0, 0) of P^0 (s = -1; limits[0] = N exists, since W has
     the term 1), so no key needs a range test.
     """
@@ -141,64 +135,8 @@ def _cell_grid(poly, N, wrows):
     for s, top in limits.items():
         start = (s + base) * S
         mask[start:start + top + 1] = b"\1" * (top + 1)
-    steps = [((1 - b) * S + a, 2 * a + b - 1, c)
-             for (a, b), c in poly.terms.items()]
-    return S, base, mask, sorted(steps, key=lambda step: step[1])
-
-
-def _sweep(poly, N):
-    """f_0..f_N of the fixed point of poly (after _live_poly), as raw values.
-
-    One pass over the keys of _cell_grid in increasing phi = 2i - s, with
-    one dict of keys per phi still to come, from the cell (0, 0) of P^0 at
-    phi = 1.  A key is complete when its bucket comes up, as its sources
-    have smaller phi: its value v goes into each f_n that reads it, and
-    c v into its destination under each term c X^a Y^b of P.  Over F_p
-    these sums are plain ints, reduced once per key; over F_{p^k} a term's
-    scalar is its row of the multiplication table; over Q the coefficients
-    must be ints.
-    """
-    field = poly.field
-    wrows = _correction_rows(poly)
-    S, base, mask, steps = _cell_grid(poly, N, wrows)
-    reads = {}  # phi: [(key of (s = b_w, i = n - a_w), n, c_w), ...]
-    for bw, wterms in wrows.items():
-        for aw, cw in wterms:
-            for i in range(N + 1 - aw):
-                reads.setdefault(2 * i - bw, []).append(
-                    ((bw + base) * S + i, i + aw, cw))
-    extension = field.kind == "extension"
-    if extension:
-        q, add, mul = field.order, field._add, field._mul
-        steps = [(off, rise, mul[c * q:(c + 1) * q]) for off, rise, c in steps]
-    p = field.char if field.kind == "prime" else 0
-    f = [field.zero] * (N + 1)
-    buckets = {1: {(base - 1) * S: field.one}}
-    for phi in range(1, 2 * N + 1):
-        cells = buckets.pop(phi, None)
-        if not cells:
-            continue
-        cells = {k: r for k, v in cells.items() if (r := v % p if p else v)}
-        for key, n, cw in reads.get(phi, ()):
-            if v := cells.get(key):
-                f[n] = field.add(f[n], field.mul(cw, v))
-        items = cells.items()
-        for off, rise, c in steps:
-            if phi + rise > 2 * N:
-                break  # past every read key
-            nxt = buckets.setdefault(phi + rise, {})
-            get = nxt.get
-            if extension:
-                for k, v in items:
-                    k += off
-                    if mask[k]:
-                        nxt[k] = add[get(k, 0) * q + c[v]]
-            else:
-                for k, v in items:
-                    k += off
-                    if mask[k]:
-                        nxt[k] = get(k, 0) + c * v
-    return f
+    steps = [((1 - b) * S + a, c) for (a, b), c in poly.terms.items()]
+    return S, base, mask, steps
 
 
 def _power_cells(field, grid, N):
@@ -214,7 +152,7 @@ def _power_cells(field, grid, N):
     cells = {(base - 1) * S: field.one}  # P^0: the cell (0, 0), s = -1
     for m in range(1, 2 * N):
         nxt = {}
-        for off, _, c in steps:
+        for off, c in steps:
             for k, v in cells.items():
                 k += off
                 if mask[k]:
@@ -226,32 +164,15 @@ def _power_cells(field, grid, N):
 
 
 def fs_coefficients(problem, order):
-    """f_0..f_order of the fixed point, by the formula summed over m first.
-
-    An order above EXTRACT_ORDER_LIMIT raises AlgSeriesError before any
-    work.  Over finite fields this is _sweep on P.  Over Q, with D the lcm
-    of the denominators of P, g(X) = f(D^2 X) / D is the fixed point of
-
-        P_D = sum c D^(2a+b-1) X^a Y^b    over the terms c X^a Y^b of P,
-
-    whose coefficients are ints, as 2a + b - 1 >= 1 (and <= 2N - 1 after
-    _live_poly).  So _sweep runs on P_D with plain ints, and
-    f_n = g_n / D^(2n-1), an int when integral as in QQ.
+    """f_0..f_order of the fixed point, by the formula summed over m first:
+    the diagonal of furstenberg_rep(P - Y) (module docstring).  An order
+    above EXTRACT_ORDER_LIMIT raises AlgSeriesError before any work.
     """
-    field = problem.field
-    N = order
-    if N > EXTRACT_ORDER_LIMIT:
-        raise AlgSeriesError(f"order {N} is above EXTRACT_ORDER_LIMIT = "
+    if order > EXTRACT_ORDER_LIMIT:
+        raise AlgSeriesError(f"order {order} is above EXTRACT_ORDER_LIMIT = "
                              f"{EXTRACT_ORDER_LIMIT}")
-    poly = _live_poly(problem.poly, N)
-    if field.kind != "rationals":
-        return TruncSeries1(field, _sweep(poly, N), N)
-    D = lcm(*(c.denominator for c in poly.terms.values()))
-    g = _sweep(BiPoly(field, {(a, b): int(c * D ** (2 * a + b - 1))
-                              for (a, b), c in poly.terms.items()}), N)
-    quotients = (Fraction(g[n], D ** (2 * n - 1)) for n in range(1, N + 1))
-    f = [0] + [q.numerator if q.denominator == 1 else q for q in quotients]
-    return TruncSeries1(field, f, N)
+    poly = problem.poly
+    return diagonal_coeffs(furstenberg_rep(poly - BiPoly.y(poly.field)), order)
 
 
 def fixed_point_coefficients(problem, order):

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from algseries import DFAO, GF, diagrat, extract, from_json, to_json
+from algseries import DFAO, GF, diagrat, from_json, to_json
 from algseries.algebra import fields
 from algseries.cli import build_parser, main, parse_field_spec
 from algseries.diagrat import DIAGONAL_ORDER_LIMIT
@@ -214,11 +214,12 @@ class TestExtract:
         assert code == 2 and "order" in err
 
     def test_order_above_limit_exit_2(self, capsys, monkeypatch):
-        # rejected before the sweep: with the sweep stubbed out to fail,
-        # the limit still answers
+        # rejected before the sweep: with the diagonal sweep that
+        # fs_coefficients reads f off stubbed out to fail, the limit still
+        # answers (EXTRACT_ORDER_LIMIT + 1 is below DIAGONAL_ORDER_LIMIT)
         def no_sweep(*args):
             raise AssertionError("sweep ran")
-        monkeypatch.setattr(extract, "_reach_limits", no_sweep)
+        monkeypatch.setattr(diagrat, "anti_diagonals", no_sweep)
         code, out, err = run(capsys, "extract", "--field", "F2", "--poly",
                              "X+Y^2", "-n", str(EXTRACT_ORDER_LIMIT + 1))
         assert code == 2 and not out

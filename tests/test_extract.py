@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from algseries import (GF, QQ, BiPoly, FixedPointProblem, parse_poly,
                        eval_bipoly_at_series, fixed_point_coefficients,
                        fs_coefficients, fs_partial_sum)
+from algseries.algebra import series
 from algseries.algebra.conv import conv
 from algseries.algebra.polys import derivative_y
 from algseries.algebra.series import TruncSeries1
@@ -117,15 +118,23 @@ class TestPartialSums:
 
 class TestLiveTerms:
     @pytest.mark.parametrize("field", [F2, QQ])
-    def test_unreachable_term_changes_nothing(self, field):
-        # Y^1000000 has 2a + b > 2N: it is dropped before the mask is sized
+    def test_unreachable_term_changes_nothing(self, field, monkeypatch):
+        # Y^1000000 lies past the box of the diagonal sweep that f is read
+        # off, so it changes neither f nor the sweep's depth, the number of
+        # anti-diagonals it keeps
         N = 64
-        grids, values = [], []
-        for text in ("X+Y^2", "X+Y^2+Y^1000000"):
-            poly = _live_poly(parse_poly(text, field), N)
-            grids.append(len(_cell_grid(poly, N, _correction_rows(poly))[2]))
-            values.append(fs_coefficients(problem(text, field), N))
-        assert grids[0] == grids[1]
+        windows = []
+
+        class Recording(series._Window):
+            def __init__(self, *args):
+                super().__init__(*args)
+                windows.append(self)
+
+        monkeypatch.setattr(series, "_Window", Recording)
+        values = [fs_coefficients(problem(text, field), N)
+                  for text in ("X+Y^2", "X+Y^2+Y^1000000")]
+        # X^a Y^b of P is the step (a, a + b - 1) of den, depth 2a + b - 1
+        assert [window.depth for window in windows] == [1, 1]
         assert values[0] == values[1]
         assert list(values[0].coeffs[1:]) == [
             c % 2 if field is F2 else c for c in catalan_numbers(N)]
@@ -141,8 +150,8 @@ class TestLiveTerms:
         assert list(far.coeffs[1:]) == [c % 2 for c in catalan_numbers(N)]
 
     def test_keeps_terms_up_to_weight_2n(self):
-        # X^N has 2a + b = 2N and stays, X^N Y has 2N + 1 and goes, so the
-        # Q sweep scales by at most D^(2N-1)
+        # X^N has 2a + b = 2N and stays, X^N Y has 2N + 1 and goes, so
+        # fs_partial_sum sizes its mask without the far terms
         N = 8
         poly = _live_poly(parse_poly("X+Y^2+1/2*X^8+1/3*X^8*Y", QQ), N)
         assert set(poly.terms) == {(1, 0), (0, 2), (8, 0)}
@@ -256,8 +265,8 @@ def fixed_point_problems(draw, kinds=("F2", "F3", "F4", "F5", "F7", "F8", "F9",
     """(P, N) over F2, F3, F4, F5, F7, F8, F9, F31 or Q, with N up to 24.
 
     Qbig draws coefficients up to 10^6 in size with denominators up to
-    10^3, so the Q sweep scales P by large powers D^(2a+b-1) of the lcm D
-    of the denominators and divides f_n by D^(2n-1).
+    10^3, so the Q sweep runs on cells scaled by large powers D^(t+1) of
+    the lcm D of the denominators.
     """
     kind = draw(st.sampled_from(kinds))
     if kind == "Q":
@@ -271,6 +280,33 @@ def fixed_point_problems(draw, kinds=("F2", "F3", "F4", "F5", "F7", "F8", "F9",
         coeffs = st.integers(0, field.order - 1)
     terms = draw(st.dictionaries(MONOMIALS, coeffs, min_size=1, max_size=4))
     return FixedPointProblem(BiPoly(field, terms)), draw(st.integers(1, 24))
+
+
+# sparse monomials of high degree: for N <= 16 many lie past the box of
+# the diagonal sweep, or have 2a + b > 2N
+FAR_MONOMIALS = st.tuples(st.integers(0, 40), st.integers(0, 60)).filter(
+    lambda ab: 2 * ab[0] + ab[1] >= 2)
+
+
+@st.composite
+def far_reaching_problems(draw):
+    """(P, N) over F2..F9, or over Q with a denominator lcm D > 1 in the box,
+    P mixing MONOMIALS with FAR_MONOMIALS, N up to 16."""
+    kind = draw(st.sampled_from(["Q", "F2", "F3", "F4", "F5", "F7", "F8",
+                                 "F9"]))
+    if kind == "Q":
+        field, coeffs = QQ, rationals(9, 12)
+    else:
+        field = FINITE[kind]
+        coeffs = st.integers(0, field.order - 1)
+    terms = draw(st.dictionaries(MONOMIALS, coeffs, min_size=1, max_size=3))
+    terms.update(draw(st.dictionaries(FAR_MONOMIALS, coeffs, max_size=2)))
+    if field is QQ:
+        # X, Y^2 and X*Y land in the box of every N >= 1
+        key = draw(st.sampled_from([(1, 0), (0, 2), (1, 1)]))
+        terms[key] = draw(st.fractions(-9, 9, max_denominator=12).filter(
+            lambda c: c.denominator > 1))
+    return FixedPointProblem(BiPoly(field, terms)), draw(st.integers(1, 16))
 
 
 def power_rows(problem, N):
@@ -317,6 +353,13 @@ class TestAgainstEarlierAlgorithms:
         prob, N = case
         assert list(fs_coefficients(prob, N).coeffs) == \
             relaxed_fs_coefficients(prob, N)
+
+    @given(far_reaching_problems())
+    def test_diagonal_sweep_matches_oracle_and_relaxed_sweep(self, case):
+        prob, N = case
+        f = fs_coefficients(prob, N)
+        assert f == fixed_point_coefficients(prob, N)
+        assert list(f.coeffs) == relaxed_fs_coefficients(prob, N)
 
     @given(fixed_point_problems())
     def test_kept_cells_are_kept_by_relaxed_rule(self, case):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -153,6 +155,24 @@ class TestBiPoly:
     def test_negative_pow_raises(self):
         with pytest.raises(AlgSeriesError, match="negative"):
             BiPoly.y(F2) ** -1
+        with pytest.raises(AlgSeriesError, match="negative"):
+            BiPoly(QQ, {(0, 1): Fraction(1, 2)}) ** -1
+
+    @given(st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                           st.fractions(-9, 9, max_denominator=12), max_size=4),
+           st.integers(0, 9))
+    def test_rational_pow_matches_repeated_product(self, terms, n):
+        # over Q the power runs on ints, after scaling P by the lcm D of its
+        # denominators, and divides each term by D^n
+        P = BiPoly(QQ, {k: c.numerator if c.denominator == 1 else c
+                        for k, c in terms.items()})
+        want = BiPoly.one(QQ)
+        for _ in range(n):
+            want = want * P
+        got = P ** n
+        assert got == want
+        assert all(not isinstance(c, Fraction) or c.denominator > 1
+                   for c in got.terms.values())
 
     def test_equal_polynomials_are_one_key(self):
         # closures key their states by the polynomials themselves

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from algseries import (GF, QQ, BiPoly, DiagonalRep, TruncSeries1,
                        diagonal_coeffs, eval_bipoly_at_series, parse_poly,
                        series_expand_ratio)
+from algseries.algebra import series
 from algseries.algebra.series import anti_diagonals
 from algseries.errors import InsufficientPrecision, ZeroConstantTerm
 
@@ -240,6 +243,64 @@ def test_dense_denominator(field, keys, N):
     S = series_expand_ratio(num, den, N)
     assert [[S.get(i, j) for j in range(N + 1)] for i in range(N + 1)] == \
         [[want.get((i, j), 0) for j in range(N + 1)] for i in range(N + 1)]
+
+
+def fraction_expand(num, den, N):
+    """{(i, j): S[i,j]} on the box i, j <= N, row by row, by
+    S[i,j] = (num[i,j] - sum den[a,b]*S[i-a,j-b]) / den[0,0] on Fractions."""
+    S = {}
+    for i in range(N + 1):
+        for j in range(N + 1):
+            acc = Fraction(num.get((i, j), 0))
+            for (a, b), c in den.items():
+                if (a, b) != (0, 0) and a <= i and b <= j:
+                    acc -= c * S[i - a, j - b]
+            S[i, j] = acc / den[0, 0]
+    return S
+
+
+@pytest.mark.parametrize("num, den", [
+    # the lcm D of the denominators comes from num, den or both; den(0,0)
+    # is 1 or a Fraction, so D is found after the scaling to den(0,0) = 1
+    ({(0, 0): Fraction(1, 3), (2, 1): Fraction(-5, 7)},
+     {(0, 0): 1, (1, 0): -1, (0, 1): -1}),
+    ({(0, 1): 1}, {(0, 0): 1, (1, 0): Fraction(-2, 5), (1, 2): Fraction(3, 4)}),
+    ({(0, 1): Fraction(2, 9), (3, 0): 4},
+     {(0, 0): Fraction(3, 5), (1, 1): Fraction(-1, 6), (0, 2): Fraction(7, 2)}),
+    ({(1, 1): Fraction(1, 2)}, {(0, 0): Fraction(2, 3)})])
+def test_rational_sweep_matches_fraction_recurrence(num, den):
+    # over Q the sweep runs on the ints of D*S(DX, DY) and divides a cell of
+    # anti-diagonal t by D^(t+1); QQ keeps integral values as ints
+    N = 12
+    want = fraction_expand(num, den, N)
+    S = series_expand_ratio(BiPoly(QQ, num), BiPoly(QQ, den), N)
+    got = {(i, j): S.get(i, j) for i in range(N + 1) for j in range(N + 1)}
+    assert got == want
+    assert all(not isinstance(v, Fraction) or v.denominator > 1
+               for v in got.values())
+    diagonal = diagonal_coeffs(DiagonalRep(BiPoly(QQ, num), BiPoly(QQ, den)), N)
+    assert diagonal.coeffs == tuple(want[n, n] for n in range(N + 1))
+
+
+def test_far_term_leaves_short_anti_diagonals(monkeypatch):
+    # X^60 Y^59 reads anti-diagonal s only at t = s + 119, and only its
+    # cells i <= 4, j <= 5: once X and Y have read s, it is cut to those,
+    # so the window holds about one anti-diagonal of the box, where keeping
+    # the last 119 whole took about 7700 cells
+    stored = []
+
+    class Recording(series._Window):
+        def cut(self, store, t):
+            super().cut(store, t)
+            stored.append(sum(map(len, store.values())))
+
+    monkeypatch.setattr(series, "_Window", Recording)
+    N = 64
+    num, den = BiPoly.one(QQ), parse_poly("1 - X - Y - X^60*Y^59", QQ)
+    want = reference_expand(num, den, 2 * N)
+    diagonal = diagonal_coeffs(DiagonalRep(num, den), N)
+    assert diagonal.coeffs == tuple(want.get((n, n), 0) for n in range(N + 1))
+    assert max(stored) <= 2 * (N + 1)
 
 
 def test_eval_bipoly_at_series():
