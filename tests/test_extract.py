@@ -12,8 +12,6 @@ from algseries.algebra.conv import conv
 from algseries.algebra.polys import derivative_y
 from algseries.algebra.series import TruncSeries1
 from algseries.errors import HypothesisViolated
-from algseries.extract import (_cell_grid, _correction_rows, _live_poly,
-                               _power_cells)
 from algseries.roots import hensel_root
 
 from conftest import (F2, F3, F4, F5, F8, F9, catalan_numbers, random_problem,
@@ -98,6 +96,19 @@ class TestPartialSums:
         assert fs_partial_sum(prob, 2, 2) == -2
         assert fs_partial_sum(prob, 2, 3) == 1
 
+    def test_catalan_f4_terms(self):
+        # f_4 = 5 once m_max reaches 2*4 - 1 = 7
+        prob = problem("X+Y^2", QQ)
+        assert [fs_partial_sum(prob, 4, m_max) for m_max in range(1, 10)] == \
+            [0, 0, 0, 0, 0, -30, 5, 5, 5]
+
+    @pytest.mark.parametrize("field", [F2, QQ])
+    def test_negative_n_is_zero(self, field):
+        # as TruncSeries2.get reads 0 at a negative exponent
+        prob = problem("X+Y^2+X*Y^3", field)
+        for n in (-1, -2, -7):
+            assert fs_partial_sum(prob, n, 3) == field.zero
+
     def test_linear_term(self, rng):
         # n=1, m_max=1: only [X]P survives
         for field in (QQ, F2, F3):
@@ -148,13 +159,6 @@ class TestLiveTerms:
         assert time.perf_counter() - start < 1.0
         assert far == fixed_point_coefficients(problem("X+Y^2", F2), N)
         assert list(far.coeffs[1:]) == [c % 2 for c in catalan_numbers(N)]
-
-    def test_keeps_terms_up_to_weight_2n(self):
-        # X^N has 2a + b = 2N and stays, X^N Y has 2N + 1 and goes, so
-        # fs_partial_sum sizes its mask without the far terms
-        N = 8
-        poly = _live_poly(parse_poly("X+Y^2+1/2*X^8+1/3*X^8*Y", QQ), N)
-        assert set(poly.terms) == {(1, 0), (0, 2), (8, 0)}
 
 
 class TestOracleAgreement:
@@ -232,7 +236,10 @@ def relaxed_power_rows(problem, N):
 
 def relaxed_fs_coefficients(problem, N):
     field = problem.field
-    wrows = _correction_rows(problem.poly)
+    w = BiPoly.one(field) - derivative_y(problem.poly)
+    wrows = {}
+    for (a, b), c in w.terms.items():
+        wrows.setdefault(b, []).append((a, c))
     f = [field.zero] * (N + 1)
     for m, rows in relaxed_power_rows(problem, N):
         for bw, wterms in wrows.items():
@@ -309,36 +316,16 @@ def far_reaching_problems(draw):
     return FixedPointProblem(BiPoly(field, terms)), draw(st.integers(1, 16))
 
 
-def power_rows(problem, N):
-    """(m, {j: {i: coeff}}) for the cells of _power_cells, decoded from
-    their keys: i = key mod S, j = m - 1 - s."""
-    poly = _live_poly(problem.poly, N)
-    grid = _cell_grid(poly, N, _correction_rows(poly))
-    S, base = grid[0], grid[1]
-    for m, cells in _power_cells(problem.field, grid, N):
-        rows = {}
-        for key, v in cells.items():
-            row, i = divmod(key, S)
-            rows.setdefault(m - 1 - (row - base), {})[i] = v
-        yield m, rows
-
-
-def reaching_cells(problem, N):
-    """{m: cells (i, j) of the support of P^m with i <= N from which a chain
-    of P's monomials reaches an extracted cell [X^n Y^(m'-1)] W P^m'}."""
-    mono = list(problem.poly.terms)
-    wmono = [(a, b) for b, terms in _correction_rows(problem.poly).items()
-             for a, _ in terms]
-    support = {1: {(a, b) for a, b in mono if a <= N}}
-    for m in range(2, 2 * N):
-        support[m] = {(i + a, j + b) for i, j in support[m - 1]
-                      for a, b in mono if i + a <= N}
-    need = {2 * N: set()}
-    for m in range(2 * N - 1, 0, -1):
-        need[m] = {(i, j) for i, j in support[m]
-                   if any(i + aw <= N and j + bw == m - 1 for aw, bw in wmono)
-                   or any((i + a, j + b) in need[m + 1] for a, b in mono)}
-    return need
+@st.composite
+def partial_sum_cases(draw):
+    """(P, n, m_max): P of fixed_point_problems plus one FAR_MONOMIALS term,
+    0 <= n <= 6 and 1 <= m_max <= 2n + 3."""
+    prob, _ = draw(fixed_point_problems())
+    field = prob.field
+    far = {draw(FAR_MONOMIALS): field.from_int(draw(st.integers(1, 6)))}
+    n = draw(st.integers(0, 6))
+    return (FixedPointProblem(prob.poly + BiPoly(field, far)), n,
+            draw(st.integers(1, 2 * n + 3)))
 
 
 class TestAgainstEarlierAlgorithms:
@@ -362,16 +349,6 @@ class TestAgainstEarlierAlgorithms:
         assert list(f.coeffs) == relaxed_fs_coefficients(prob, N)
 
     @given(fixed_point_problems())
-    def test_kept_cells_are_kept_by_relaxed_rule(self, case):
-        # same values on a subset of the cells, row by row
-        prob, N = case
-        old = dict(relaxed_power_rows(prob, N))
-        for m, rows in power_rows(prob, N):
-            for j, row in rows.items():
-                for i, v in row.items():
-                    assert old.get(m, {}).get(j, {}).get(i) == v
-
-    @given(fixed_point_problems())
     def test_partial_sums_reach_fs_coefficients(self, case):
         # the per-m sum stops changing at m = 2n - 1, where it is f_n
         prob, N = case
@@ -379,17 +356,17 @@ class TestAgainstEarlierAlgorithms:
         for n in range(1, min(N, 8) + 1):
             assert fs_partial_sum(prob, n, 2 * n - 1) == f[n]
 
-    @given(st.dictionaries(MONOMIALS, st.integers(1, 5), min_size=1,
-                           max_size=4), st.integers(1, 12))
-    def test_prune_is_exact(self, terms, N):
-        # positive coefficients over Q: no cancellation, so the kept cells
-        # are the supports' cells that reach an extracted cell, no more
-        prob = FixedPointProblem(BiPoly(QQ, terms))
-        need = reaching_cells(prob, N)
-        kept = {m: {(i, j) for j, row in rows.items() for i in row}
-                for m, rows in power_rows(prob, N)}
-        for m in range(1, 2 * N):
-            assert kept.get(m, set()) == need[m]
+    @given(partial_sum_cases())
+    def test_partial_sum_matches_full_powers(self, case):
+        # the formula read literally, on untruncated powers of P
+        prob, n, m_max = case
+        field, poly = prob.field, prob.poly
+        w = BiPoly.one(field) - derivative_y(poly)
+        expect = field.zero
+        for m in range(1, m_max + 1):
+            cell = (w * poly ** m).terms.get((n, m - 1), field.zero)
+            expect = field.add(expect, cell)
+        assert fs_partial_sum(prob, n, m_max) == expect
 
 
 def doubling_hensel_root(P, a0, order):
