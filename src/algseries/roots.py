@@ -1,12 +1,14 @@
 """Power-series roots of P in F_q[X][Y] as finite automata.
 
-Pipeline: enumerate residue roots a0 of P(0, Y); Newton-lift each simple one
-to a series root; derive a minimal Frobenius relation
-sum A_k(X) f^(q^k) = 0 by finding the first linear dependency among
-Y^(q^k) mod P over F_q(X), printed and checked on a lifted root; close the
-root under the Cartier operators on numerators over P_Y; attach per-branch
-outputs by evaluating each closure state once on the lifted series, and
-check every transition against those values.
+Pipeline: enumerate residue roots a0 of P(0, Y); derive a minimal Frobenius
+relation sum A_k(X) f^(q^k) = 0 by finding the first linear dependency
+among Y^(q^k) mod P over F_q(X); close the root under the Cartier
+operators on numerators over P_Y.  Per simple a0, the closure with the
+outputs A(0, a0)/P_Y(0, a0) is an automaton; its series g, generated to
+the order needed, is certified by P(X, g) = 0: a0 is simple, so the root
+with f(0) = a0 is unique to every order and g is that root.  Each closure
+state is then evaluated once on g, every transition is checked against
+those values, and the relation is checked on g.
 
 The closure runs in L = F_q(X)[Y]/(P), where P_Y is a unit as P is
 squarefree.  For every A in F_q[X, Y] (Bostan, Caruso, Christol, Dumas,
@@ -230,11 +232,30 @@ def cartier_closure(P):
 
 @dataclass
 class BranchRoot:
-    """One series root: raw residue a0, lifted series, per-state outputs."""
+    """One series root: raw residue a0, certified series, per-state outputs."""
 
     a0: object
     series: TruncSeries1
     outputs: dict = dc_field(default_factory=dict)
+
+
+def residue_outputs(skeleton, a0):
+    """Each state's output on the branch with residue a0, A(0, a0)/P_Y(0, a0).
+
+    That is sum_b A_0b * S_b(0), with S_b(0) = a0^b/P_Y(0, a0) the constant
+    terms of the S_b of attach_outputs.
+    """
+    field, P = skeleton.field, skeleton.poly
+    unit = field.inv(derivative_y(P).eval_x(field.zero).evaluate(a0))
+    s0 = [field.mul(unit, field.pow(a0, b)) for b in range(P.deg_y)]
+    outputs = []
+    for A in skeleton.states:
+        value = field.zero
+        for (a, b), c in A.terms.items():
+            if not a:
+                value = field.add(value, field.mul(c, s0[b]))
+        outputs.append(value)
+    return outputs
 
 
 def attach_outputs(skeleton, branch):
@@ -302,9 +323,13 @@ class RootsOutcome:
 def roots_automata(P, order):
     """One minimized DFAO per simple residue root of P.
 
-    Each branch satisfies generate(DFAO, order) == hensel series and
-    P(X, generated) == 0 mod X^(order+1); non-simple residue roots are
-    recorded in ``skipped``.
+    A branch's series is generated by the closure automaton with the
+    residue outputs A(0, a0)/P_Y(0, a0) to the order ``need`` the checks
+    below read, and must satisfy P(X, series) = 0 mod X^(need+1), else
+    AlgSeriesError: as a0 is simple, that makes it the unique root with
+    f(0) = a0 to that order.  The minimized DFAO must generate the same
+    series through X^order; non-simple residue roots are recorded in
+    ``skipped``.
     """
     field = P.field
     if not field.is_finite:
@@ -316,16 +341,21 @@ def roots_automata(P, order):
         raise HypothesisViolated("P has no simple residue root")
     relation = frobenius_from_poly(P)
     skeleton = cartier_closure(P)
-    # verify_relation checks the relation through X^order only if the lift
+    # verify_relation checks the relation through X^order only if the series
     # reaches order + max deg A_k
     need = max(order + relation.max_coeff_degree(),
                skeleton.q * CHECK_ORDER + skeleton.q - 1)
     branches = []
     failures = []
     for a0 in simple:
-        series = hensel_root(P, a0, need)
+        series = DFAO(skeleton.q, field, 0, skeleton.transitions,
+                      residue_outputs(skeleton, a0)).generate(need)
+        # a0 is simple: no other series with g(0) = a0 annihilates P
+        # to this order
         if not eval_bipoly_at_series(P, series).is_zero():
-            raise AlgSeriesError("Hensel lift failed to annihilate P; internal error")
+            raise AlgSeriesError(
+                f"the closure automaton's series does not annihilate P mod "
+                f"X^{need + 1}; internal error")
         branch = BranchRoot(a0=a0, series=series)
         dfao = attach_outputs(skeleton, branch)
         minimized = dfao.minimize()

@@ -349,6 +349,67 @@ def test_roots_property(P):
     assert not out.failures
 
 
+@st.composite
+def simple_root_polys(draw):
+    """P over F2..F9 with a simple residue root a0: P(0, Y) is
+    (Y - a0)*(c + (Y - a0)*v(Y)) with c != 0, plus terms X^i Y^j with
+    i >= 1; Y-degree up to 3 (up to 2 over F5 and F9, whose cubics mostly
+    have relations of degree in the thousands)."""
+    field = draw(st.sampled_from([F2, F3, F4, F5, F9]))
+    coeff = st.integers(1, field.order - 1)
+    deg_y = 3 if field.order <= 4 else 2
+    a0 = draw(st.integers(0, field.order - 1))
+    shifted = BiPoly.y(field) - BiPoly.constant(field, a0)
+    v = BiPoly(field, draw(st.dictionaries(
+        st.tuples(st.just(0), st.integers(0, deg_y - 2)), coeff, max_size=2)))
+    tail = BiPoly(field, draw(st.dictionaries(
+        st.tuples(st.integers(1, 3), st.integers(0, deg_y)), coeff,
+        min_size=1, max_size=5)))
+    return shifted * (BiPoly.constant(field, draw(coeff)) + shifted * v) + tail
+
+
+@settings(max_examples=80)  # 40 examples drew no F5 input
+@given(simple_root_polys(), st.sampled_from([16, 64]))
+def test_branches_match_hensel_lift(P, n):
+    # hensel_root is the independent oracle: every branch series read off
+    # the closure automaton equals the Newton lift to the certified order
+    try:
+        with mock.patch.object(algseries.roots, "CLOSURE_BUDGET", 64):
+            out = roots_automata(P, n)
+    except (NotSquarefree, StateBudgetExceeded):
+        assume(False)
+    q = P.field.order
+    need = max(n + out.relation.max_coeff_degree(), q * CHECK_ORDER + q - 1)
+    assert out.branches and not out.failures
+    for branch, aut in out.branches:
+        assert branch.series == hensel_root(P, branch.a0, need)
+        assert aut.generate(n).coeffs == branch.series.coeffs[:n + 1]
+
+
+def redirect_transition(skeleton):
+    # Thue-Morse closure: state 1 reads digit 0 to state 0, not to itself
+    skeleton.transitions[1][0] = 0
+    return skeleton
+
+
+def perturb_numerator(skeleton):
+    # A + P_Y stands for A/P_Y + 1: every output of state 1 moves by one
+    skeleton.states[1] = skeleton.states[1] + derivative_y(skeleton.poly)
+    return skeleton
+
+
+@pytest.mark.parametrize("corrupt", [redirect_transition, perturb_numerator])
+def test_wrong_closure_fails_substitution_check(corrupt):
+    # the series generated by a wrong closure does not annihilate P; the
+    # substitution check rejects it before the closure is spot-checked
+    closure = algseries.roots.cartier_closure
+    with mock.patch.object(algseries.roots, "cartier_closure",
+                           lambda P: corrupt(closure(P))):
+        with pytest.raises(AlgSeriesError,
+                           match=r"does not annihilate P mod X\^"):
+            roots_automata(parse_poly(TM_POLY, F2), 32)
+
+
 def reference_frobenius_from_poly(P):
     """The relation as roots built it before its rows came from pseudo-
     remainders: Y^(q^k) mod P by products in F_q(X)[Y]/(P), each
