@@ -13,7 +13,7 @@ It also recovers the annihilating relation X f + (1+X) f^2 + (1+X)^4 f^4
 from the automaton alone.
 """
 
-from algseries import (GF, diagonal_automaton, diagonal_coeffs, export_dot,
+from algseries import (GF, degree_bound, diagonal_coeffs, export_dot,
                        frobenius_relation, furstenberg_rep, hensel_root,
                        parse_poly, rational_kernel, roots_automata)
 
@@ -45,11 +45,10 @@ print("branch automaton:")
 print(export_dot(branch0))
 assert branch0.generate(N) == lifted
 
-# route 4: Cartier kernel of the rational function, diagonal digits only
-kernel = rational_kernel(rep.num, rep.den)
-diag = diagonal_automaton(kernel)
-print(f"kernel closure: {kernel.n_states} states, "
-      f"degree bound {kernel.degree_bound}")
+# route 4: Cartier kernel of the rational function, diagonal sections only
+diag = rational_kernel(rep.num, rep.den, diagonal=True)
+print(f"kernel closure: {diag.n_states} states, "
+      f"degree bound {degree_bound(rep.num, rep.den)}")
 assert diag.generate(N) == lifted
 
 # and back: the automaton alone recovers the annihilating relation

@@ -12,8 +12,7 @@ from .algebra import (GF, QQ, BiPoly, Field, TruncSeries1, TruncSeries2,
 from .annihilator import (FrobeniusRelation, frobenius_relation,
                           null_left_vector, verify_relation)
 from .automaton import DFAO, export_dot, from_json, to_json
-from .cartier import (KernelAutomaton2D, diagonal_automaton, kernel_output,
-                      rational_kernel, sections)
+from .cartier import degree_bound, kernel_output, rational_kernel, sections
 from .diagrat import DiagonalRep, diagonal_coeffs, furstenberg_rep
 from .exprparse import parse_poly
 from .extract import (FixedPointProblem, fixed_point_coefficients,
@@ -29,10 +28,10 @@ __all__ = [
     "derivative_y", "eval_bipoly_at_series", "series_expand_ratio",
     "substitute_xy", "Field", "FrobeniusRelation", "frobenius_relation",
     "null_left_vector", "verify_relation", "DFAO", "export_dot", "from_json",
-    "to_json", "KernelAutomaton2D", "sections", "diagonal_automaton",
-    "kernel_output", "rational_kernel", "DiagonalRep", "diagonal_coeffs",
-    "furstenberg_rep", "parse_poly", "FixedPointProblem",
-    "fixed_point_coefficients", "fs_coefficients", "fs_partial_sum",
+    "to_json", "degree_bound", "sections", "kernel_output", "rational_kernel",
+    "DiagonalRep", "diagonal_coeffs", "furstenberg_rep", "parse_poly",
+    "FixedPointProblem", "fixed_point_coefficients", "fs_coefficients",
+    "fs_partial_sum",
     "BranchRoot", "RootsOutcome", "attach_outputs", "cartier_closure",
     "frobenius_from_poly", "hensel_root", "residue_roots", "roots_automata",
     "__version__",

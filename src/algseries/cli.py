@@ -18,7 +18,7 @@ import tempfile
 from .algebra.fields import GF, QQ, field_order, field_size, is_prime
 from .annihilator import frobenius_relation
 from .automaton import export_dot, from_json, to_json
-from .cartier import diagonal_automaton, rational_kernel
+from .cartier import degree_bound, rational_kernel
 from .diagrat import (DIAGONAL_ORDER_LIMIT, DiagonalRep, diagonal_coeffs,
                       furstenberg_rep)
 from .errors import AlgSeriesError
@@ -113,10 +113,9 @@ def cmd_kernel(args):
     field = parse_field_spec(args.field)
     num = parse_poly(args.num, field)
     den = parse_poly(args.den, field)
-    kernel = rational_kernel(num, den)
-    print(f"states: {kernel.n_states}")
-    print(f"degree bound: {kernel.degree_bound}")
-    automaton = diagonal_automaton(kernel) if args.diagonal else kernel.to_dfao()
+    automaton = rational_kernel(num, den, diagonal=args.diagonal)
+    print(f"states: {automaton.n_states}")
+    print(f"degree bound: {degree_bound(num, den)}")
     if args.dot:
         _atomic_write(args.dot, export_dot(automaton))
     if args.json:

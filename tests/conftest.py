@@ -65,6 +65,16 @@ def random_problem(field, rng, max_deg=4, max_terms=5):
     return FixedPointProblem(poly)
 
 
+def shift_y(P, a0):
+    """P(X, a0 + Y), term by term."""
+    field = P.field
+    a0_plus_y = BiPoly.constant(field, a0) + BiPoly.y(field)
+    out = BiPoly.zero(field)
+    for (i, j), c in P.terms.items():
+        out = out + BiPoly(field, {(i, 0): c}) * a0_plus_y ** j
+    return out
+
+
 def catalan_numbers(count):
     """C_0..C_{count-1} by the convolution recurrence."""
     cat = [1]

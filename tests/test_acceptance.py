@@ -10,7 +10,7 @@ import json
 import random
 import time
 
-from algseries import (BiPoly, FixedPointProblem, GF, QQ, diagonal_automaton,
+from algseries import (BiPoly, FixedPointProblem, GF, QQ, degree_bound,
                        diagonal_coeffs, export_dot, eval_bipoly_at_series,
                        fixed_point_coefficients, frobenius_relation,
                        from_json, fs_coefficients, furstenberg_rep,
@@ -19,7 +19,8 @@ from algseries import (BiPoly, FixedPointProblem, GF, QQ, diagonal_automaton,
                        verify_relation)
 from algseries.automaton import DFAO
 
-from conftest import catalan_numbers, random_bipoly, random_problem, thue_morse
+from conftest import (catalan_numbers, random_bipoly, random_problem, shift_y,
+                      thue_morse)
 
 F2, F3, F5 = GF(2), GF(3), GF(5)
 TM_POLY = "(1+X)^3*Y^2+(1+X)^2*Y+X"      # roots: Thue-Morse and complement
@@ -65,20 +66,21 @@ def produced_automata():
     """Automata produced by the pipelines above, for criterion 10."""
     if "automata" not in _cache:
         tm = DFAO(2, F2, 0, [(0, 1), (1, 0)], [0, 1])
-        kernel = rational_kernel(BiPoly.one(F2), parse_poly("1+X+Y", F2))
         rep = furstenberg_rep(parse_poly(TM_POLY, F2))
-        kernel_tm = rational_kernel(rep.num, rep.den)
-        automata = [tm, kernel.to_dfao(), diagonal_automaton(kernel),
-                    kernel_tm.to_dfao(), diagonal_automaton(kernel_tm)]
+        automata = [tm]
+        for num, den in ((BiPoly.one(F2), parse_poly("1+X+Y", F2)),
+                         (rep.num, rep.den)):
+            automata += [rational_kernel(num, den),
+                         rational_kernel(num, den, diagonal=True)]
         for outcome in (tm_roots(), five_state_roots()):
             automata.extend(aut for _, aut in outcome.branches)
         rng = random.Random("extra-kernels")
         for _ in range(5):
             den = BiPoly(F2, {**random_bipoly(F2, rng, max_deg=2).terms,
                               (0, 0): F2.one})
-            k = rational_kernel(random_bipoly(F2, rng, max_deg=2), den)
-            automata.append(k.to_dfao())
-            automata.append(diagonal_automaton(k))
+            num = random_bipoly(F2, rng, max_deg=2)
+            automata += [rational_kernel(num, den),
+                         rational_kernel(num, den, diagonal=True)]
         _cache["automata"] = automata
     return _cache["automata"]
 
@@ -137,14 +139,13 @@ def test_c05_kernel_closure_and_coefficients():
                 den_terms[(1, 0)] = F2.one
             Q = BiPoly(F2, den_terms)
             kernel = rational_kernel(P, Q)
-            bound = kernel.degree_bound
-            for state in kernel.states[1:]:
-                assert state.total_degree < max(bound, 1)
-            dfao = kernel.to_dfao()
+            bound = degree_bound(P, Q)
+            for label in kernel.labels[1:]:
+                assert parse_poly(label, F2).total_degree < max(bound, 1)
             S = series_expand_ratio(P, Q, 31)
             for m in range(32):
                 for n in range(32):
-                    assert dfao.run_raw((m, n)) == S.get(m, n)
+                    assert kernel.run_raw((m, n)) == S.get(m, n)
     _timed("5 (kernel closure degree bound + coefficients m,n <= 31, "
            "25 random P/Q)", 60, body)
 
@@ -202,15 +203,18 @@ def test_c08_five_state_roots():
 
 def test_c09_christol_pipeline_coherence():
     def body():
-        rep = furstenberg_rep(parse_poly(TM_POLY, F2))
-        kernel = rational_kernel(rep.num, rep.den)
-        diag = diagonal_automaton(kernel)
-        branch0_aut = next(aut for b, aut in tm_roots().branches
-                           if b.a0 == 0)
-        for n in range(1001):
-            assert diag.run_raw(n) == branch0_aut.run_raw(n)
+        # the branch f = a0 + phi, phi the root of P(X, a0 + Y) with
+        # phi(0) = 0, is the diagonal of (rep.num + a0*rep.den)/rep.den;
+        # minimize numbers its blocks canonically, so equal sequences
+        # give equal automata, and the equality holds at every index
+        P = parse_poly(TM_POLY, F2)
+        for branch, automaton in tm_roots().branches:
+            rep = furstenberg_rep(shift_y(P, branch.a0))
+            diag = rational_kernel(rep.num + rep.den.scale(branch.a0),
+                                   rep.den, diagonal=True)
+            assert diag.minimize() == automaton
     _timed("9 (diagonal automaton == roots automaton, Thue-Morse "
-           "quadratic, n <= 1000)", 10, body)
+           "quadratic, both branches, exact)", 10, body)
 
 
 def test_c10_automaton_infrastructure():

@@ -359,10 +359,9 @@ class TestFrobeniusRelation:
 def test_relation_from_kernel_pipeline():
     # diagonal automaton of the Example-1 kernel closure minimizes to the
     # 2-state machine and yields the same canonical relation
-    from algseries import (diagonal_automaton, furstenberg_rep, parse_poly,
-                           rational_kernel)
+    from algseries import furstenberg_rep, parse_poly, rational_kernel
     rep = furstenberg_rep(parse_poly("(1+X)^3*Y^2+(1+X)^2*Y+X", F2))
-    minimized = diagonal_automaton(rational_kernel(rep.num, rep.den)).minimize()
+    minimized = rational_kernel(rep.num, rep.den, diagonal=True).minimize()
     assert minimized == tm_automaton()
     rel = frobenius_relation(minimized)
     assert rel.coeffs == frobenius_relation(tm_automaton()).coeffs

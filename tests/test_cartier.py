@@ -1,14 +1,15 @@
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from algseries import (QQ, BiPoly, diagonal_automaton, kernel_output,
+from algseries import (DFAO, QQ, BiPoly, degree_bound, kernel_output,
                        parse_poly, rational_kernel, sections,
                        series_expand_ratio)
-from algseries.cartier import numerator_images
-from algseries.errors import InfiniteField, ZeroConstantTerm
+from algseries.cartier import close, numerator_images
+from algseries.errors import (InfiniteField, StateBudgetExceeded,
+                              ZeroConstantTerm)
 
-from conftest import F2, F3, F4, F9, binomial, random_bipoly
+from conftest import F2, F3, F4, F5, F8, F9, binomial, random_bipoly
 
 
 def section(A, r, s):
@@ -114,24 +115,25 @@ def test_numerator_images_sections_the_product(case):
 class TestRationalKernel:
     def test_two_state_example(self):
         k = rational_kernel(BiPoly.one(F2), parse_poly("1+X+Y", F2))
-        assert k.n_states == 2
-        assert k.states[0] == BiPoly.one(F2)
-        assert k.states[1].is_zero()
+        assert k.arity == 2 and k.n_states == 2
+        assert k.labels == ("1", "0") and k.outputs == (1, 0)
         # digits (r, s) indexed r + q*s: (0,0),(1,0) fix; (0,1) fixes; (1,1) kills
-        assert k.transitions[0] == [0, 0, 0, 1]
-        assert k.transitions[1] == [1, 1, 1, 1]
+        assert k.transitions[0] == (0, 0, 0, 1)
+        assert k.transitions[1] == (1, 1, 1, 1)
 
     def test_zero_numerator(self):
         k = rational_kernel(BiPoly.zero(F2), parse_poly("1+X", F2))
-        assert k.n_states == 1
-        assert k.states[0].is_zero()
-        assert k.transitions == [[0, 0, 0, 0]]
+        assert k.labels == ("0",)
+        assert k.transitions == ((0, 0, 0, 0),)
 
     def test_requires_finite_field_and_unit(self):
-        with pytest.raises(InfiniteField):
-            rational_kernel(BiPoly.one(QQ), parse_poly("1+X+Y", QQ))
-        with pytest.raises(ZeroConstantTerm):
-            rational_kernel(BiPoly.one(F2), parse_poly("X+Y", F2))
+        for diagonal in (False, True):
+            with pytest.raises(InfiniteField):
+                rational_kernel(BiPoly.one(QQ), parse_poly("1+X+Y", QQ),
+                                diagonal)
+            with pytest.raises(ZeroConstantTerm):
+                rational_kernel(BiPoly.one(F2), parse_poly("X+Y", F2),
+                                diagonal)
 
     def test_degree_bound_and_coefficients(self, rng):
         for _ in range(8):
@@ -141,15 +143,14 @@ class TestRationalKernel:
             terms[(0, 0)] = F2.one
             den = BiPoly(F2, terms)
             k = rational_kernel(P, den)
-            bound = k.degree_bound
-            for state in k.states[1:]:
-                assert state.total_degree < max(bound, 1)
+            bound = degree_bound(P, den)
+            for label in k.labels[1:]:
+                assert parse_poly(label, F2).total_degree < max(bound, 1)
             # brute-force coefficient check against the series expansion
             S = series_expand_ratio(P, den, 9)
-            dfao = k.to_dfao()
             for m in range(10):
                 for n in range(10):
-                    assert dfao.run_raw((m, n)) == S.get(m, n)
+                    assert k.run_raw((m, n)) == S.get(m, n)
 
     def test_size_bounded_by_polynomial_count(self, rng):
         # states live in {R/Q : deg R < a+b}, so at most q^(#monomials) + 1
@@ -158,7 +159,7 @@ class TestRationalKernel:
             den = BiPoly(F2, {**random_bipoly(F2, rng, max_deg=2).terms,
                               (0, 0): F2.one})
             k = rational_kernel(P, den)
-            bound = max(k.degree_bound, 1)
+            bound = max(degree_bound(P, den), 1)
             monomials = bound * (bound + 1) // 2
             assert k.n_states <= 2 ** monomials + 1
 
@@ -173,21 +174,21 @@ class TestRationalKernel:
         P = parse_poly("1+X", F3)
         k = rational_kernel(P, Q)
         S = series_expand_ratio(P, Q, 0)
-        assert k.output(0) == S.get(0, 0)
+        assert k.outputs[0] == S.get(0, 0)
 
 
 class TestDiagonalAutomaton:
     def test_central_binomial_mod_2(self):
-        k = rational_kernel(BiPoly.one(F2), parse_poly("1+X+Y", F2))
-        d = diagonal_automaton(k)
+        d = rational_kernel(BiPoly.one(F2), parse_poly("1+X+Y", F2),
+                            diagonal=True)
         assert d.arity == 1 and d.n_states == 2
         got = [d.run_raw(n) for n in range(17)]
         want = [binomial(2 * n, n) % 2 for n in range(17)]
         assert got == want
 
     def test_zero_kernel(self):
-        k = rational_kernel(BiPoly.zero(F2), parse_poly("1+Y", F2))
-        d = diagonal_automaton(k)
+        d = rational_kernel(BiPoly.zero(F2), parse_poly("1+Y", F2),
+                            diagonal=True)
         assert d.generate(10).is_zero()
 
     def test_diagonal_matches_expansion(self, rng):
@@ -195,8 +196,49 @@ class TestDiagonalAutomaton:
             P = random_bipoly(F3, rng, max_deg=2)
             den = BiPoly(F3, {**random_bipoly(F3, rng, max_deg=2).terms,
                               (0, 0): F3.one})
-            k = rational_kernel(P, den)
-            d = diagonal_automaton(k)
+            d = rational_kernel(P, den, diagonal=True)
             S = series_expand_ratio(P, den, 12)
             for n in range(13):
                 assert d.run_raw(n) == S.get(n, n)
+
+    def test_closes_far_fewer_states_than_the_pairs(self):
+        # the pair closure of this F5 input exceeds STATE_BUDGET; the
+        # diagonal sections alone close in 6345 states
+        P = parse_poly("2*X^2*Y^2", F5)
+        Q = parse_poly("1 + 3*X^3 + 4*X*Y^2 + 4*X^2*Y^3", F5)
+        d = rational_kernel(P, Q, diagonal=True)
+        assert d.n_states == 6345
+        S = series_expand_ratio(P, Q, 40)
+        assert [d.run_raw(n) for n in range(41)] == [S.get(n, n)
+                                                    for n in range(41)]
+
+
+@st.composite
+def kernel_case(draw):
+    """num/den over F2..F9 of degree <= 3 in each variable, den(0,0) != 0."""
+    field = draw(st.sampled_from([F2, F3, F4, F5, F8, F9]))
+    coeff = st.integers(1, field.order - 1)
+    monomial = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    num = draw(st.dictionaries(monomial, coeff, max_size=4))
+    den = draw(st.dictionaries(monomial, coeff, max_size=4))
+    den[0, 0] = draw(coeff)
+    return BiPoly(field, num), BiPoly(field, den)
+
+
+@settings(max_examples=60)
+@given(kernel_case())
+def test_diagonal_closure_is_the_projected_pair_closure(case):
+    # Delta(Lambda_{r,r} F) = Lambda_r(Delta F): the closure under the q
+    # diagonal sections and the (r, r) rows of the closure under all q^2
+    # sections read the same sequence, so they minimize to one automaton
+    P, Q = case
+    q = Q.field.order
+    try:
+        close(P, numerator_images(Q, range(q * q)), 1000, "pair closure")
+    except StateBudgetExceeded:
+        assume(False)
+    pairs = rational_kernel(P, Q)
+    projected = DFAO(q, Q.field, 0, [[row[r * (q + 1)] for r in range(q)]
+                                     for row in pairs.transitions], pairs.outputs)
+    assert rational_kernel(P, Q, diagonal=True).minimize() == \
+        projected.minimize()

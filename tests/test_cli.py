@@ -66,8 +66,12 @@ ROOTS_LARGE_GOLDEN = {
 
 # annihilate inputs and outputs: the branch automata of the automata-Fq
 # benchmark's roots jobs (roots0-4, five) and its kernel automata
-# (kernel0-4) at seed 1, the unminimized 9-state F2 kernel of
-# (X^2+Y^2)/(1+X+X^2+Y^2) and branch 0 of roots over F3 of Y^2+(1+X)*Y+X^2
+# (kernel0-4) at seed 1, the unminimized 9-state F2 automaton of
+# (X^2+Y^2)/(1+X+X^2+Y^2), and branch 0 of roots over F3 of
+# Y^2+(1+X)*Y+X^2.  The kernel automata are as kernel --diagonal wrote them
+# while it kept the (r, r) rows of the closure under all digit pairs; the
+# diagonal closure has fewer states (7 for the F2 input), and they minimize
+# to the same automata.
 with open(os.path.join(DATA, "annihilate_golden.json")) as _handle:
     ANNIHILATE_GOLDEN = json.load(_handle)
 
@@ -328,7 +332,7 @@ class TestKernel:
         js = str(tmp_path / "d.json")
         code, out, _ = run(capsys, "kernel", "--field", "F2", "--num", "1",
                            "--den", "1+X+Y", "--json", js, "--diagonal")
-        assert code == 0
+        assert code == 0 and "states: 2" in out
         automaton = from_json(open(js).read())
         assert automaton.arity == 1
         assert automaton.generate(8).coeffs == (1, 0, 0, 0, 0, 0, 0, 0, 0)
@@ -355,11 +359,14 @@ class TestAnnihilate:
 
     def test_unminimized_kernel_automaton(self, capsys, tmp_path):
         # kernel --diagonal writes 9 states, over the cap of 8; they
-        # minimize to 5, so annihilate must succeed
+        # minimize to 4, so annihilate must succeed
         path = str(tmp_path / "k.json")
-        code, out, _ = run(capsys, "kernel", "--field", "F2", "--num", "X^2+Y^2",
-                           "--den", "1+X+X^2+Y^2", "--diagonal", "--json", path)
+        code, out, _ = run(capsys, "kernel", "--field", "F2",
+                           "--num", "1 + X^2 + X*Y^2",
+                           "--den", "1 + X*Y + X^2*Y + X^2*Y^2",
+                           "--diagonal", "--json", path)
         assert code == 0 and "states: 9" in out
+        assert from_json(open(path).read()).minimize().n_states == 4
         code, out, _ = run(capsys, "annihilate", "--automaton", path)
         assert code == 0
         assert "verified at order 256" in out

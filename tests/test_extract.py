@@ -1,4 +1,5 @@
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -367,6 +368,47 @@ class TestAgainstEarlierAlgorithms:
             cell = (w * poly ** m).terms.get((n, m - 1), field.zero)
             expect = field.add(expect, cell)
         assert fs_partial_sum(prob, n, m_max) == expect
+
+
+def reduce_mod(field, c):
+    """The rational c in F_p; its denominator must be prime to p."""
+    c = Fraction(c)
+    return field.div(field.from_int(c.numerator), field.from_int(c.denominator))
+
+
+@st.composite
+def p_integral_problems(draw):
+    """(P over Q, p, N): the denominators of P are prime to p, N up to 48."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13, 101]))
+    coeffs = st.builds(Fraction, st.integers(-9, 9),
+                       st.sampled_from([d for d in range(1, 13) if d % p]))
+    terms = draw(st.dictionaries(MONOMIALS, coeffs.map(
+        lambda c: c.numerator if c.denominator == 1 else c),
+        min_size=1, max_size=4))
+    return BiPoly(QQ, terms), p, draw(st.integers(1, 48))
+
+
+class TestValidForAllFields:
+    """The formula holds over every field: f over Q is p-integral when the
+    denominators of P are prime to p, and reduced mod p it is f over F_p of
+    P mod p."""
+
+    @given(p_integral_problems())
+    def test_reduction_commutes_with_extraction(self, case):
+        P, p, N = case
+        field = GF(p)
+        P_p = BiPoly(field, {k: reduce_mod(field, c)
+                             for k, c in P.terms.items()})
+        over_q = fs_coefficients(FixedPointProblem(P), N).coeffs
+        over_p = fs_coefficients(FixedPointProblem(P_p), N).coeffs
+        assert [reduce_mod(field, c) for c in over_q] == list(over_p)
+
+    @pytest.mark.parametrize("p", [2, 11, 13, 101])
+    def test_mixed_denominators(self, p):
+        text = "1/3*X - 2/5*X*Y + 3/7*Y^2 + X^2*Y"
+        over_q = fs_coefficients(problem(text, QQ), 200).coeffs
+        over_p = fs_coefficients(problem(text, GF(p)), 200).coeffs
+        assert [reduce_mod(GF(p), c) for c in over_q] == list(over_p)
 
 
 def doubling_hensel_root(P, a0, order):

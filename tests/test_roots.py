@@ -7,14 +7,16 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import algseries.roots
-from algseries import (GF, QQ, BiPoly, TruncSeries1, UniPoly, attach_outputs,
-                       cartier_closure, derivative_y, eval_bipoly_at_series,
-                       frobenius_from_poly, hensel_root, parse_poly,
-                       residue_roots, roots_automata, verify_relation)
+from algseries import (DFAO, GF, QQ, BiPoly, TruncSeries1, UniPoly,
+                       attach_outputs, cartier_closure, derivative_y,
+                       eval_bipoly_at_series, frobenius_from_poly,
+                       furstenberg_rep, hensel_root, parse_poly,
+                       rational_kernel, residue_roots, roots_automata,
+                       verify_relation)
 from algseries.algebra.conv import conv
 from algseries.algebra.series import poly_to_series
 from algseries.annihilator import canonical_relation, null_left_vector
-from algseries.cartier import close
+from algseries.cartier import close, numerator_images
 from algseries.cli import parse_field_spec
 from algseries.roots import CHECK_ORDER, BranchRoot, spot_check_closure
 from algseries.errors import (AlgSeriesError, DegenerateReduction,
@@ -22,7 +24,7 @@ from algseries.errors import (AlgSeriesError, DegenerateReduction,
                               InsufficientPrecision, NonSimpleRoot,
                               NotSquarefree, StateBudgetExceeded)
 
-from conftest import F2, F3, F4, F5, F8, F9, thue_morse
+from conftest import F2, F3, F4, F5, F8, F9, shift_y, thue_morse
 from ratfn import RationalFn
 
 F7 = GF(7)
@@ -384,6 +386,41 @@ def test_branches_match_hensel_lift(P, n):
     for branch, aut in out.branches:
         assert branch.series == hensel_root(P, branch.a0, need)
         assert aut.generate(n).coeffs == branch.series.coeffs[:n + 1]
+
+
+@settings(max_examples=60)
+@given(simple_root_polys())
+def test_branches_are_diagonals_of_their_furstenberg_rep(P):
+    # the paper's route: the branch f = a0 + phi, phi the root of
+    # P(X, a0 + Y) with phi(0) = 0, is the diagonal of
+    # (rep.num + a0*rep.den)/rep.den, so the minimized diagonal kernel
+    # automaton equals the minimized branch automaton, at every index
+    try:
+        with mock.patch.object(algseries.roots, "CLOSURE_BUDGET", 256):
+            out = roots_automata(P, 16)
+    except (NotSquarefree, StateBudgetExceeded):
+        assume(False)
+    q = P.field.order
+    for branch, automaton in out.branches:
+        rep = furstenberg_rep(shift_y(P, branch.a0))
+        num = rep.num + rep.den.scale(branch.a0)
+        try:
+            close(num, numerator_images(rep.den, range(0, q * q, q + 1)),
+                  2000, "diagonal closure")
+        except StateBudgetExceeded:
+            continue
+        diagonal = rational_kernel(num, rep.den, diagonal=True)
+        assert diagonal.minimize() == automaton
+
+
+def test_wrong_minimization_is_a_failure():
+    # the minimized automaton must generate the certified series: one that
+    # outputs 0 everywhere does not, and its branch is reported as failed
+    zero = lambda self: DFAO(self.q, self.field, 0, [[0] * self.q],
+                             [self.field.zero])
+    with mock.patch.object(DFAO, "minimize", zero):
+        out = roots_automata(parse_poly(TM_POLY, F2), 32)
+    assert out.failures == [0, 1]
 
 
 def redirect_transition(skeleton):
