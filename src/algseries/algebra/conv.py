@@ -178,7 +178,7 @@ class SlotFormat:
 
     def __init__(self, field):
         p = field.char
-        k = field.degree if field.kind == "extension" else 1
+        k = field.degree
         self.field, self.p, self.k, self.per = field, p, k, 2 * k - 1
         self._scalars = {}  # width -> [packed int of each code]
         self._masks = {}  # width -> ones in slot 0 of enough cells

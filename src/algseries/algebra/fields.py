@@ -93,7 +93,8 @@ class Field:
     Subclasses provide the raw operations ``add``, ``sub``, ``neg``, ``mul``,
     ``inv``, ``div``, ``from_int`` plus ``zero``/``one`` constants.  ``char``
     is the characteristic (0 for Q) and ``order`` the cardinality (None for
-    Q).  Descriptors are immutable, hashable and safe to share.
+    Q); a finite field has ``degree`` k, its order being char^k.
+    Descriptors are immutable, hashable and safe to share.
     """
 
     kind = None
@@ -134,6 +135,7 @@ class PrimeField(Field):
     """F_p with residue arithmetic."""
 
     kind = "prime"
+    degree = 1
 
     def __init__(self, p):
         if not is_prime(p):

@@ -6,6 +6,7 @@ iteration so downstream output is byte-stable.
 """
 
 from math import lcm
+from operator import mul as _mul
 
 from ..errors import AlgSeriesError
 from .conv import combine, conv, divide, scale, trim
@@ -23,17 +24,19 @@ def _term_text(field, coeff, mono):
     return f"{cs}*{mono}"
 
 
-def _power(one, base, n):
-    """base ** n by square and multiply, from the polynomial ``one``."""
+def power(one, base, n, mul=_mul):
+    """base ** n by square and multiply, from the polynomial ``one``; every
+    product is ``mul(a, b)``, which cartier.numerator_images charges to a
+    work budget."""
     if n < 0:
         raise AlgSeriesError(f"negative polynomial exponent {n}")
     result = one
     while n:
         if n & 1:
-            result = result * base
+            result = mul(result, base)
         n >>= 1
         if n:
-            base = base * base
+            base = mul(base, base)
     return result
 
 
@@ -107,7 +110,7 @@ class UniPoly:
         return UniPoly(f, scale(f, c, self.coeffs))
 
     def __pow__(self, n):
-        return _power(UniPoly.one(self.field), self, n)
+        return power(UniPoly.one(self.field), self, n)
 
     def divmod(self, other):
         """(quotient, remainder).  The quotient reversed is the reversed
@@ -302,11 +305,11 @@ class BiPoly:
         rational = f.kind == "rationals"
         D = lcm(*(c.denominator for c in terms.values())) if rational else 1
         if D == 1:
-            return _power(BiPoly.one(f), self, n)
+            return power(BiPoly.one(f), self, n)
         base = BiPoly(f, {k: int(c * D) for k, c in terms.items()})
-        power = _power(BiPoly.one(f), base, n)
+        scaled = power(BiPoly.one(f), base, n)
         unit = D ** n
-        return BiPoly(f, {k: f.div(v, unit) for k, v in power.terms.items()})
+        return BiPoly(f, {k: f.div(v, unit) for k, v in scaled.terms.items()})
 
     def eval_x(self, x):
         """Partial substitution X := x, giving a UniPoly in Y."""

@@ -13,7 +13,8 @@ F_q on anti-diagonals packed into ints with conv's slot format, one
 reduction mod p each.  It keeps only the cells the recurrence still reads.
 series_expand_ratio collects all of them into a TruncSeries2;
 diagrat.diagonal_coeffs, behind both diagonal and extract, reads cells
-(n, n) off them.
+(n, n) off them over Q, and over F_q when the diagonal's kernel automaton
+is over its budget.
 """
 
 from math import lcm

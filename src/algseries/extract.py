@@ -12,11 +12,13 @@ W / (1 - P/Y), and X -> XY turns that into the cell (n, n) of
 
 Furstenberg's representation furstenberg_rep(P - Y) (J. Algebra 7, 1967),
 polynomials as 2a + b >= 2 for every term X^a Y^b of P (the hypothesis
-pair).  So fs_coefficients is diagonal_coeffs on that pair, the sweep of
-the diagonal subcommand.  fixed_point_coefficients is the independent
-oracle (Newton lifting of Y - P(X, Y), certified by one exact
-substitution).  fs_partial_sum sums the formula up to a given m on the
-powers of P cut to the box of cells that can still reach f_n.
+pair).  So fs_coefficients is diagonal_coeffs on that pair, the route of
+the diagonal subcommand: over F_q the diagonal's kernel automaton when its
+closure fits its budget, else, and over Q, the anti-diagonal sweep.
+fixed_point_coefficients is the independent oracle (Newton lifting of
+Y - P(X, Y), certified by one exact substitution).  fs_partial_sum sums
+the formula up to a given m on the powers of P cut to the box of cells
+that can still reach f_n.
 """
 
 from math import lcm
@@ -27,9 +29,10 @@ from .diagrat import diagonal_coeffs, furstenberg_rep
 from .errors import AlgSeriesError, HypothesisViolated
 from .roots import hensel_root
 
-# Largest order fs_coefficients accepts.  Its time grows like N^2 times the
+# Largest order fs_coefficients accepts.  Over Q, and over F_q when the
+# diagonal's closure is over its budget, its time grows like N^2 times the
 # terms of P.  At N = 1024 it took 0.05 s on X + 2*Y^2 + X*Y^3 + X^2*Y over
-# F31, and over Q 0.45 s on X + Y^2 + X*Y^3 and 2.1 s on
+# F31 (a fallback), and over Q 0.45 s on X + Y^2 + X*Y^3 and 2.1 s on
 # 1/3*X - 2/5*X*Y + 3/7*Y^2 (in process, shared 2-core machine, Python 3.11).
 EXTRACT_ORDER_LIMIT = 1024
 

@@ -7,8 +7,8 @@ operators on numerators over P_Y.  Per simple a0, the closure with the
 outputs A(0, a0)/P_Y(0, a0) is an automaton; its series g, generated to
 the order needed, is certified by P(X, g) = 0: a0 is simple, so the root
 with f(0) = a0 is unique to every order and g is that root.  Each closure
-state is then evaluated once on g, every transition is checked against
-those values, and the relation is checked on g.
+state is then evaluated once on g, every transition and every output is
+checked against those values, and the relation is checked on g.
 
 The closure runs in L = F_q(X)[Y]/(P), where P_Y is a unit as P is
 squarefree.  For every A in F_q[X, Y] (Bostan, Caruso, Christol, Dumas,
@@ -243,7 +243,7 @@ def residue_outputs(skeleton, a0):
     """Each state's output on the branch with residue a0, A(0, a0)/P_Y(0, a0).
 
     That is sum_b A_0b * S_b(0), with S_b(0) = a0^b/P_Y(0, a0) the constant
-    terms of the S_b of attach_outputs.
+    terms of the S_b of attach_outputs, which checks these outputs.
     """
     field, P = skeleton.field, skeleton.poly
     unit = field.inv(derivative_y(P).eval_x(field.zero).evaluate(a0))
@@ -258,14 +258,16 @@ def residue_outputs(skeleton, a0):
     return outputs
 
 
-def attach_outputs(skeleton, branch):
-    """Fill the branch's output map and return the complete DFAO.
+def attach_outputs(skeleton, branch, automaton):
+    """Check the branch's automaton on its series, fill the branch's output
+    map and return the automaton.
 
     With S_b = f^b/P_Y(X, f) for b < deg_Y P (one series inverse, then
     products by f), state A evaluates on the branch f to
     sum A_ab X^a S_b, exact to the series order; spot_check_closure then
-    checks every transition against those values.  The output of a state is
-    the constant term of its value, A(0, a0)/P_Y(0, a0).
+    checks every transition against those values.  The constant term of
+    each value, A(0, a0)/P_Y(0, a0), must be the automaton's output of that
+    state, else AlgSeriesError.
     """
     field, q, P = skeleton.field, skeleton.q, skeleton.poly
     series = branch.series
@@ -286,9 +288,12 @@ def attach_outputs(skeleton, branch):
 
     values = [value(A) for A in skeleton.states]
     spot_check_closure(skeleton, values)
-    outputs = [value.coeffs[0] for value in values]
+    outputs = tuple(value.coeffs[0] for value in values)
+    if outputs != automaton.outputs:
+        raise AlgSeriesError("the automaton's outputs are not the constant "
+                             "terms of its states' values; internal error")
     branch.outputs.update(enumerate(outputs))
-    return DFAO(q, field, 0, skeleton.transitions, outputs, skeleton.labels)
+    return automaton
 
 
 def spot_check_closure(skeleton, values):
@@ -323,13 +328,13 @@ class RootsOutcome:
 def roots_automata(P, order):
     """One minimized DFAO per simple residue root of P.
 
-    A branch's series is generated by the closure automaton with the
-    residue outputs A(0, a0)/P_Y(0, a0) to the order ``need`` the checks
-    below read, and must satisfy P(X, series) = 0 mod X^(need+1), else
-    AlgSeriesError: as a0 is simple, that makes it the unique root with
-    f(0) = a0 to that order.  The minimized DFAO must generate the same
-    series through X^order; non-simple residue roots are recorded in
-    ``skipped``.
+    A branch's automaton is built once, the closure with the residue
+    outputs A(0, a0)/P_Y(0, a0) and the skeleton's labels.  Its series is
+    generated to the order ``need`` the checks below read, and must
+    satisfy P(X, series) = 0 mod X^(need+1), else AlgSeriesError: as a0 is
+    simple, that makes it the unique root with f(0) = a0 to that order.
+    The minimized DFAO must generate the same series through X^order;
+    non-simple residue roots are recorded in ``skipped``.
     """
     field = P.field
     if not field.is_finite:
@@ -345,11 +350,13 @@ def roots_automata(P, order):
     # reaches order + max deg A_k
     need = max(order + relation.max_coeff_degree(),
                skeleton.q * CHECK_ORDER + skeleton.q - 1)
+    labels = skeleton.labels
     branches = []
     failures = []
     for a0 in simple:
-        series = DFAO(skeleton.q, field, 0, skeleton.transitions,
-                      residue_outputs(skeleton, a0)).generate(need)
+        dfao = DFAO(skeleton.q, field, 0, skeleton.transitions,
+                    residue_outputs(skeleton, a0), labels)
+        series = dfao.generate(need)
         # a0 is simple: no other series with g(0) = a0 annihilates P
         # to this order
         if not eval_bipoly_at_series(P, series).is_zero():
@@ -357,8 +364,7 @@ def roots_automata(P, order):
                 f"the closure automaton's series does not annihilate P mod "
                 f"X^{need + 1}; internal error")
         branch = BranchRoot(a0=a0, series=series)
-        dfao = attach_outputs(skeleton, branch)
-        minimized = dfao.minimize()
+        minimized = attach_outputs(skeleton, branch, dfao).minimize()
         # series is a root mod X^(need+1) and need >= order: an equal
         # prefix makes the minimized automaton's series a root mod X^(order+1)
         if minimized.generate(order).coeffs != series.coeffs[:order + 1]:

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from algseries import (DFAO, QQ, BiPoly, degree_bound, kernel_output,
+from algseries import (DFAO, GF, QQ, BiPoly, degree_bound, kernel_output,
                        parse_poly, rational_kernel, sections,
                        series_expand_ratio)
 from algseries.cartier import close, numerator_images
@@ -110,6 +110,32 @@ def test_numerator_images_sections_the_product(case):
     A, D, symbols = case
     images = numerator_images(D, symbols)
     assert images(A) == sections(A * D ** (D.field.order - 1), symbols)
+
+
+class TestWorkBudget:
+    def test_each_product_is_charged_before_it_runs(self):
+        # D = 1 + X + Y over F2: D^(q-1) = D costs 1 * 3 term products, and
+        # the image of a 3-term A costs 3 * 3 more
+        D, A = parse_poly("1+X+Y", F2), parse_poly("1+X+Y", F2)
+        symbols = range(0, 4, 3)
+        assert numerator_images(D, symbols, work=12)(A) == \
+            numerator_images(D, symbols)(A)
+        images = numerator_images(D, symbols, work=11)
+        with pytest.raises(StateBudgetExceeded):
+            images(A)
+
+    def test_power_is_charged(self):
+        # over F31 the power D^30 has thousands of terms; the budget stops
+        # it within its first squarings
+        D = parse_poly("1 - X - 2*Y - X*Y^3 - X^2*Y^2", GF(31))
+        with pytest.raises(StateBudgetExceeded):
+            numerator_images(D, range(0, 31 * 31, 32), work=1000)
+
+    def test_budget_leaves_the_automaton_unchanged(self):
+        P, Q = parse_poly("1+X", F3), parse_poly("1 - X - Y - X*Y", F3)
+        for diagonal in (False, True):
+            assert rational_kernel(P, Q, diagonal, work=10 ** 6) == \
+                rational_kernel(P, Q, diagonal)
 
 
 class TestRationalKernel:

@@ -218,12 +218,17 @@ class TestExtract:
         assert code == 2 and "order" in err
 
     def test_order_above_limit_exit_2(self, capsys, monkeypatch):
-        # rejected before the sweep: with the diagonal sweep that
-        # fs_coefficients reads f off stubbed out to fail, the limit still
-        # answers (EXTRACT_ORDER_LIMIT + 1 is below DIAGONAL_ORDER_LIMIT)
+        # rejected before any work: with both routes of the diagonal that
+        # fs_coefficients reads f off, the kernel closure and the sweep,
+        # stubbed out to fail, the limit still answers
+        # (EXTRACT_ORDER_LIMIT + 1 is below DIAGONAL_ORDER_LIMIT)
         def no_sweep(*args):
             raise AssertionError("sweep ran")
+
+        def no_closure(*args, **kwargs):
+            raise AssertionError("closure ran")
         monkeypatch.setattr(diagrat, "anti_diagonals", no_sweep)
+        monkeypatch.setattr(diagrat, "rational_kernel", no_closure)
         code, out, err = run(capsys, "extract", "--field", "F2", "--poly",
                              "X+Y^2", "-n", str(EXTRACT_ORDER_LIMIT + 1))
         assert code == 2 and not out
@@ -288,11 +293,16 @@ class TestDiagonal:
     @pytest.mark.parametrize("source", [["--num", "1", "--den", "1+X+Y"],
                                         ["--from-poly", "X+Y^2-Y"]])
     def test_order_above_limit_exit_2(self, capsys, monkeypatch, source):
-        # rejected before the expansion and before any output: with the
-        # expansion stubbed out to fail, the limit still answers
+        # rejected before any work and before any output: with both routes,
+        # the kernel closure and the sweep, stubbed out to fail, the limit
+        # still answers
         def no_expansion(*args):
             raise AssertionError("expansion ran")
+
+        def no_closure(*args, **kwargs):
+            raise AssertionError("closure ran")
         monkeypatch.setattr(diagrat, "anti_diagonals", no_expansion)
+        monkeypatch.setattr(diagrat, "rational_kernel", no_closure)
         code, out, err = run(capsys, "diagonal", "--field", "F2", *source,
                              "-n", str(DIAGONAL_ORDER_LIMIT + 1))
         assert code == 2 and not out

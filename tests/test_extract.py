@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from algseries import (GF, QQ, BiPoly, FixedPointProblem, parse_poly,
                        eval_bipoly_at_series, fixed_point_coefficients,
-                       fs_coefficients, fs_partial_sum)
+                       fs_coefficients, fs_partial_sum, furstenberg_rep)
 from algseries.algebra import series
 from algseries.algebra.conv import conv
 from algseries.algebra.polys import derivative_y
@@ -131,10 +131,13 @@ class TestPartialSums:
 class TestLiveTerms:
     @pytest.mark.parametrize("field", [F2, QQ])
     def test_unreachable_term_changes_nothing(self, field, monkeypatch):
-        # Y^1000000 lies past the box of the diagonal sweep that f is read
-        # off, so it changes neither f nor the sweep's depth, the number of
-        # anti-diagonals it keeps
+        # Y^1000000 lies past the box of the diagonal sweep, so it changes
+        # neither f nor the sweep's depth, the number of anti-diagonals it
+        # keeps.  Over F_q fs_coefficients may read f off the diagonal
+        # kernel automaton instead, so the depth is taken on the sweep of
+        # the diagonal that f is (furstenberg_rep(P - Y)) itself
         N = 64
+        texts = ("X+Y^2", "X+Y^2+Y^1000000")
         windows = []
 
         class Recording(series._Window):
@@ -143,10 +146,13 @@ class TestLiveTerms:
                 windows.append(self)
 
         monkeypatch.setattr(series, "_Window", Recording)
-        values = [fs_coefficients(problem(text, field), N)
-                  for text in ("X+Y^2", "X+Y^2+Y^1000000")]
+        for text in texts:
+            rep = furstenberg_rep(parse_poly(text, field) - BiPoly.y(field))
+            for _ in series.anti_diagonals(rep.num, rep.den, N):
+                pass
         # X^a Y^b of P is the step (a, a + b - 1) of den, depth 2a + b - 1
         assert [window.depth for window in windows] == [1, 1]
+        values = [fs_coefficients(problem(text, field), N) for text in texts]
         assert values[0] == values[1]
         assert list(values[0].coeffs[1:]) == [
             c % 2 if field is F2 else c for c in catalan_numbers(N)]

@@ -18,7 +18,8 @@ from algseries.algebra.series import poly_to_series
 from algseries.annihilator import canonical_relation, null_left_vector
 from algseries.cartier import close, numerator_images
 from algseries.cli import parse_field_spec
-from algseries.roots import CHECK_ORDER, BranchRoot, spot_check_closure
+from algseries.roots import (CHECK_ORDER, BranchRoot, residue_outputs,
+                             spot_check_closure)
 from algseries.errors import (AlgSeriesError, DegenerateReduction,
                               HypothesisViolated, InfiniteField,
                               InsufficientPrecision, NonSimpleRoot,
@@ -187,38 +188,60 @@ class TestCartierClosure:
             cartier_closure(parse_poly("Y^2+Y+X", QQ))
 
 
+def branch_automaton(skel, a0):
+    """The closure with the residue outputs of a0, as roots_automata builds
+    it."""
+    return DFAO(skel.q, skel.field, 0, skel.transitions,
+                residue_outputs(skel, a0), skel.labels)
+
+
 class TestAttachOutputs:
     def _branch(self, text, a0, skel):
         P = parse_poly(text, F2)
         need = skel.q * CHECK_ORDER + skel.q - 1
         return BranchRoot(a0=a0, series=hensel_root(P, a0, need))
 
+    def _attach(self, text, a0, skel):
+        return attach_outputs(skel, self._branch(text, a0, skel),
+                              branch_automaton(skel, a0))
+
     def test_thue_morse_outputs(self):
         skel = cartier_closure(parse_poly(TM_POLY, F2))
-        b0 = self._branch(TM_POLY, 0, skel)
-        aut0 = attach_outputs(skel, b0)
+        aut0 = self._attach(TM_POLY, 0, skel)
         assert [aut0.outputs[i] for i in range(2)] == [0, 1]
-        b1 = self._branch(TM_POLY, 1, skel)
-        aut1 = attach_outputs(skel, b1)
+        aut1 = self._attach(TM_POLY, 1, skel)
         assert [aut1.outputs[i] for i in range(2)] == [1, 0]
 
     def test_five_state_outputs_including_state_b(self):
         skel = cartier_closure(parse_poly(FIVE_STATE_POLY, F2))
-        b0 = self._branch(FIVE_STATE_POLY, 0, skel)
-        aut0 = attach_outputs(skel, b0)
+        aut0 = self._attach(FIVE_STATE_POLY, 0, skel)
         # branch outputs: i, a -> 0, c -> 1, sink -> 0; the value at
         # state b (index 2) is pinned here by the series evaluation
         assert [aut0.outputs[i] for i in range(5)] == [0, 0, 0, 1, 0]
-        b1 = self._branch(FIVE_STATE_POLY, 1, skel)
-        aut1 = attach_outputs(skel, b1)
+        aut1 = self._attach(FIVE_STATE_POLY, 1, skel)
         assert [aut1.outputs[i] for i in range(5)] == [1, 1, 1, 1, 0]
+
+    def test_fills_branch_outputs_and_keeps_labels(self):
+        skel = cartier_closure(parse_poly(FIVE_STATE_POLY, F2))
+        branch = self._branch(FIVE_STATE_POLY, 1, skel)
+        automaton = branch_automaton(skel, 1)
+        assert attach_outputs(skel, branch, automaton) is automaton
+        assert branch.outputs == dict(enumerate(automaton.outputs))
+        assert list(automaton.labels) == skel.labels
+
+    def test_output_mismatch_rejected(self):
+        # the outputs of branch 1 on the series of branch 0
+        skel = cartier_closure(parse_poly(TM_POLY, F2))
+        with pytest.raises(AlgSeriesError, match="constant terms"):
+            attach_outputs(skel, self._branch(TM_POLY, 0, skel),
+                           branch_automaton(skel, 1))
 
     def test_insufficient_precision(self):
         skel = cartier_closure(parse_poly(TM_POLY, F2))
         short = BranchRoot(a0=0,
                            series=TruncSeries1.zeros(F2, 3))
         with pytest.raises(InsufficientPrecision):
-            attach_outputs(skel, short)
+            attach_outputs(skel, short, branch_automaton(skel, 0))
 
     def test_spot_check_passes(self):
         # Thue-Morse branch 0: state 0 is t(n), state 1 = Lambda_1 f is 1 - t(n)
@@ -236,7 +259,7 @@ class TestAttachOutputs:
         skel.transitions[1][0] = 3
         branch = self._branch(FIVE_STATE_POLY, 0, skel)
         with pytest.raises(AlgSeriesError, match="state 1, digit 0"):
-            attach_outputs(skel, branch)
+            attach_outputs(skel, branch, branch_automaton(skel, 0))
 
 
 class TestRootsAutomata:
