@@ -12,6 +12,7 @@ is A(0, a0)/P_Y(0, a0), the constant term of its series.
 from algseries import (GF, cartier_closure, derivative_y,
                        eval_bipoly_at_series, export_dot, frobenius_from_poly,
                        parse_poly, roots_automata)
+from algseries.roots import residue_outputs
 
 F2 = GF(2)
 Q = parse_poly("Y^2+(1+X)*Y+X^2", F2)
@@ -31,7 +32,7 @@ for branch, automaton in outcome.branches:
     print(f"\nbranch a0 = {branch.a0}:")
     print("  first coefficients:", branch.series.coeffs[:12])
     print("  outputs per state: ",
-          [branch.outputs[i] for i in range(skeleton.n_states)])
+          residue_outputs(skeleton, branch.a0))
     residue = eval_bipoly_at_series(Q, automaton.generate(64))
     print("  Q(X, generated) == 0:", residue.is_zero())
 

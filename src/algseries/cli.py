@@ -141,7 +141,9 @@ def cmd_roots(args):
     for a0 in outcome.skipped:
         print(f"warning: residue root {field.fmt(a0)} is not simple; skipped")
     for idx, (branch, automaton) in enumerate(outcome.branches):
-        coeffs = " ".join(field.fmt(c) for c in branch.series.coeffs[:32])
+        # the automaton generates the branch at every index, also past the
+        # order its series was certified to
+        coeffs = " ".join(field.fmt(c) for c in automaton.generate(31).coeffs)
         print(f"branch {idx}: a0 = {field.fmt(branch.a0)}, "
               f"{automaton.n_states} states")
         print(f"  coefficients: {coeffs}")

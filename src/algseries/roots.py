@@ -7,8 +7,9 @@ operators on numerators over P_Y.  Per simple a0, the closure with the
 outputs A(0, a0)/P_Y(0, a0) is an automaton; its series g, generated to
 the order needed, is certified by P(X, g) = 0: a0 is simple, so the root
 with f(0) = a0 is unique to every order and g is that root.  Each closure
-state is then evaluated once on g, every transition and every output is
-checked against those values, and the relation is checked on g.
+state is then evaluated once on g to the certificate order M of the
+skeleton, every transition and every output is checked against those
+values, and the relation is checked on g.
 
 The closure runs in L = F_q(X)[Y]/(P), where P_Y is a unit as P is
 squarefree.  For every A in F_q[X, Y] (Bostan, Caruso, Christol, Dumas,
@@ -31,9 +32,37 @@ On a branch f with residue a0, S_b = f^b/P_Y(X, f) for b < d costs one
 series inverse and d-1 products; state A has the value sum A_ab X^a S_b,
 exact to the order of f, and the output A(0, a0)/P_Y(0, a0).  A state's
 label is the text of its numerator.
+
+The check on K + 1 coefficients is a proof, with K = h*(2d - 1).  Let
+s -> t on digit r be a transition and C = Lambda_{r,q-1}(A_s * P^(q-1)) - A_t,
+a polynomial in the box deg_X <= h, deg_Y < d.  By the identity above,
+Lambda_r(value_s) - value_t = C(X, f)/P_Y(X, f), and P_Y(X, f) is a unit,
+so the transition holds on f iff C(X, f) = 0.  If C(X, f) != 0, then
+val C(X, f) <= K:
+
+  * let P_1 in F_q[X][Y] be the primitive minimal polynomial of f; it
+    divides P, so deg_X P_1 <= h and e = deg_Y P_1 <= d;
+  * f is not a root of C, so Res_Y(P_1, C) is a nonzero polynomial of
+    X-degree at most h*(d - 1) + d*h = K, and its valuation is at most K;
+  * Res_Y(P_1, C) = lc(P_1)^(deg_Y C) * prod_i C(alpha_i) over the roots
+    alpha_1 = f, ..., alpha_e of P_1 in an algebraic closure of F_q((X));
+    val C(alpha) >= deg_Y C * min(0, val alpha) as C has coefficients in
+    F_q[X], and by the Newton polygon the roots of negative valuation have
+    valuations summing to at least -val lc(P_1), so
+    val Res >= deg_Y C * val lc(P_1) + val C(f) - deg_Y C * val lc(P_1).
+
+So val C(X, f) <= val Res <= K.  With values to the skeleton's
+certificate order M = q*K + q - 1, digit section r of a value reads
+coefficients 0..K, and an agreement there makes C(X, f) = 0: every
+transition holds exactly.  The outputs are the constant terms of the
+values, so by induction on n = q*m + r, [X^n] value_s = [X^m] value_t is
+the automaton's output from s on the digits of n: the automaton generates
+every state's value at every index, the start state's value being f.  The
+bound is tight for many P: a box C with val C(X, f) = K exists, and a
+check that stops at coefficient K - 1 misses it.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .algebra.conv import accumulate, conv, newton_step, scale
 from .algebra.polys import BiPoly, UniPoly, derivative_y
@@ -47,7 +76,6 @@ from .errors import (AlgSeriesError, DegenerateReduction, HypothesisViolated,
                      NotSquarefree, ZeroA0)
 
 CLOSURE_BUDGET = 4096
-CHECK_ORDER = 128  # fewest coefficients compared per (state, digit) pair
 
 
 def residue_roots(P):
@@ -212,6 +240,14 @@ class ClosureSkeleton:
     def labels(self):
         return [A.to_text() for A in self.states]
 
+    @property
+    def certificate_order(self):
+        """M = q*K + q - 1 with K = deg_X P * (2*deg_Y P - 1): values to
+        order M give every digit section K + 1 coefficients, which prove a
+        transition (module docstring)."""
+        P = self.poly
+        return self.q * (P.deg_x * (2 * P.deg_y - 1) + 1) - 1
+
 
 def cartier_closure(P):
     """Close the root y of P under Lambda_0..Lambda_{q-1} on numerators.
@@ -232,11 +268,10 @@ def cartier_closure(P):
 
 @dataclass
 class BranchRoot:
-    """One series root: raw residue a0, certified series, per-state outputs."""
+    """One series root: raw residue a0 and its certified series."""
 
     a0: object
     series: TruncSeries1
-    outputs: dict = dc_field(default_factory=dict)
 
 
 def residue_outputs(skeleton, a0):
@@ -259,23 +294,25 @@ def residue_outputs(skeleton, a0):
 
 
 def attach_outputs(skeleton, branch, automaton):
-    """Check the branch's automaton on its series, fill the branch's output
-    map and return the automaton.
+    """Check the branch's automaton on its series and return it.
 
+    The branch series f must reach the skeleton's certificate order
+    M = q*K + q - 1, K = deg_X P * (2*deg_Y P - 1), and is read to M only.
     With S_b = f^b/P_Y(X, f) for b < deg_Y P (one series inverse, then
-    products by f), state A evaluates on the branch f to
-    sum A_ab X^a S_b, exact to the series order; spot_check_closure then
-    checks every transition against those values.  The constant term of
-    each value, A(0, a0)/P_Y(0, a0), must be the automaton's output of that
-    state, else AlgSeriesError.
+    products by f), state A evaluates on f to sum A_ab X^a S_b, exact to
+    order M; spot_check_closure then checks every transition on the
+    K + 1 coefficients of its digit section, which proves it (module
+    docstring).  The constant term of each value, A(0, a0)/P_Y(0, a0),
+    must be the automaton's output of that state, else AlgSeriesError.
+    Once both checks pass, the automaton generates f at every index.
     """
-    field, q, P = skeleton.field, skeleton.q, skeleton.poly
-    series = branch.series
-    order = series.order
-    need = q * CHECK_ORDER + q - 1
-    if order < need:
+    field, P = skeleton.field, skeleton.poly
+    order = skeleton.certificate_order
+    if branch.series.order < order:
         raise InsufficientPrecision(
-            f"branch series order {order} below required {need}")
+            f"branch series order {branch.series.order} below required "
+            f"{order}")
+    series = TruncSeries1(field, branch.series.coeffs[:order + 1])
     S = [eval_bipoly_at_series(derivative_y(P), series).inverse()]
     while len(S) < P.deg_y:
         S.append(S[-1] * series)
@@ -292,7 +329,6 @@ def attach_outputs(skeleton, branch, automaton):
     if outputs != automaton.outputs:
         raise AlgSeriesError("the automaton's outputs are not the constant "
                              "terms of its states' values; internal error")
-    branch.outputs.update(enumerate(outputs))
     return automaton
 
 
@@ -300,9 +336,13 @@ def spot_check_closure(skeleton, values):
     """Check every transition: Lambda_r(values[s]) == values[delta(s, r)].
 
     ``values[s]`` is closure state s evaluated on one branch.  Each (state,
-    digit) pair is compared on every coefficient both truncations determine,
-    so the formal closure is checked against truncated series arithmetic;
-    a mismatch raises AlgSeriesError naming the state and the digit.
+    digit) pair is compared on every coefficient both truncations determine;
+    a mismatch raises AlgSeriesError naming the state and the digit.  On
+    values to the certificate order M = q*K + q - 1 that is coefficients
+    0..K of the section.  The two sides differ by C(X, f)/P_Y(X, f) for a
+    polynomial C in the box of the closure, and a nonzero C(X, f) has
+    valuation at most K (module docstring), so the comparison proves the
+    transition at every index, not only at the coefficients it reads.
     """
     q = skeleton.q
     for s, row in enumerate(skeleton.transitions):
@@ -347,9 +387,10 @@ def roots_automata(P, order):
     relation = frobenius_from_poly(P)
     skeleton = cartier_closure(P)
     # verify_relation checks the relation through X^order only if the series
-    # reaches order + max deg A_k
+    # reaches order + max deg A_k; attach_outputs reads it to the
+    # certificate order
     need = max(order + relation.max_coeff_degree(),
-               skeleton.q * CHECK_ORDER + skeleton.q - 1)
+               skeleton.certificate_order)
     labels = skeleton.labels
     branches = []
     failures = []

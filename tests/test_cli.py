@@ -483,6 +483,28 @@ class TestRoots:
         help_text = " ".join(capsys.readouterr().out.split())
         assert "more than CLOSURE_BUDGET = 4096 states exits 2" in help_text
 
+    @pytest.mark.parametrize("order", [1, 8])
+    def test_coefficients_line_at_small_order(self, capsys, order):
+        # the branch series is certified only to max(n + max deg A_k,
+        # q*K + q - 1), 19 and 17 here, but each branch still prints 32
+        # coefficients, read off its automaton
+        lines = []
+        for field, poly in (("F2", TM_POLY), ("F3", "Y^3 - Y + X")):
+            code, out, _ = run(capsys, "roots", "--field", field, "--poly",
+                               poly, "-n", str(order))
+            assert code == 0
+            lines += [line.strip() for line in out.splitlines()
+                      if line.startswith("  coefficients: ")]
+        tail = " 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 1 0 0 0 0"
+        assert lines == [
+            "coefficients: 0 1 1 0 1 0 0 1 1 0 0 1 0 1 1 0 1 0 0 1 0 1 1 0 "
+            "0 1 1 0 1 0 0 1",
+            "coefficients: 1 0 0 1 0 1 1 0 0 1 1 0 1 0 0 1 0 1 1 0 1 0 0 1 "
+            "1 0 0 1 0 1 1 0",
+            "coefficients: 0 1 0 1 0 0 0 0 0 1" + tail,
+            "coefficients: 1 1 0 1 0 0 0 0 0 1" + tail,
+            "coefficients: 2 1 0 1 0 0 0 0 0 1" + tail]
+
     @pytest.mark.parametrize("name", sorted(ROOTS_LARGE_GOLDEN))
     def test_large_closure_outputs(self, capsys, name):
         with open(os.path.join(DATA, "roots_large_golden.json")) as handle:

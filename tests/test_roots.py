@@ -18,8 +18,7 @@ from algseries.algebra.series import poly_to_series
 from algseries.annihilator import canonical_relation, null_left_vector
 from algseries.cartier import close, numerator_images
 from algseries.cli import parse_field_spec
-from algseries.roots import (CHECK_ORDER, BranchRoot, residue_outputs,
-                             spot_check_closure)
+from algseries.roots import BranchRoot, residue_outputs, spot_check_closure
 from algseries.errors import (AlgSeriesError, DegenerateReduction,
                               HypothesisViolated, InfiniteField,
                               InsufficientPrecision, NonSimpleRoot,
@@ -38,7 +37,7 @@ def uni(field, text):
 TM_POLY = "(1+X)^3*Y^2+(1+X)^2*Y+X"      # roots: Thue-Morse and complement
 FIVE_STATE_POLY = "Y^2+(1+X)*Y+X^2"     # roots need a five-state automaton
 # 262-state closure of BFS depth 19: no number below 3^18 has the 19 digits
-# that reach its deepest states, far beyond the order outputs are evaluated at
+# that reach its deepest states, far beyond the order states are evaluated to
 DEEP_F3_POLY = "2*X^3+2*X^3*Y^3+Y+X^3*Y+2*X*Y+Y^3+X"
 
 # relations of length 3 with coefficient degrees up to 220 (the F5 cubic),
@@ -198,8 +197,8 @@ def branch_automaton(skel, a0):
 class TestAttachOutputs:
     def _branch(self, text, a0, skel):
         P = parse_poly(text, F2)
-        need = skel.q * CHECK_ORDER + skel.q - 1
-        return BranchRoot(a0=a0, series=hensel_root(P, a0, need))
+        return BranchRoot(a0=a0,
+                          series=hensel_root(P, a0, skel.certificate_order))
 
     def _attach(self, text, a0, skel):
         return attach_outputs(skel, self._branch(text, a0, skel),
@@ -221,12 +220,11 @@ class TestAttachOutputs:
         aut1 = self._attach(FIVE_STATE_POLY, 1, skel)
         assert [aut1.outputs[i] for i in range(5)] == [1, 1, 1, 1, 0]
 
-    def test_fills_branch_outputs_and_keeps_labels(self):
+    def test_returns_automaton_and_keeps_labels(self):
         skel = cartier_closure(parse_poly(FIVE_STATE_POLY, F2))
         branch = self._branch(FIVE_STATE_POLY, 1, skel)
         automaton = branch_automaton(skel, 1)
         assert attach_outputs(skel, branch, automaton) is automaton
-        assert branch.outputs == dict(enumerate(automaton.outputs))
         assert list(automaton.labels) == skel.labels
 
     def test_output_mismatch_rejected(self):
@@ -329,8 +327,9 @@ class TestRootsAutomata:
             assert eval_bipoly_at_series(P, aut.generate(64)).is_zero()
 
     def test_relation_degree_above_check_order(self):
-        # relation coefficients of degree 1944 over F9, above the lift order
-        # q*CHECK_ORDER + q - 1 = 1160 that the 21-state closure needs
+        # relation coefficients of degree 1944 over F9, above the
+        # certificate order q*K + q - 1 = 143 (K = 3*5) of the 21-state
+        # closure, so the branch series is generated to 64 + 1944
         P = parse_poly("Y + (1+t)*Y^2 + (1+2*t)*X^3 + (1+t)*X^3*Y + 2*X^3*Y^3",
                        F9)
         out = roots_automata(P, 64)
@@ -348,9 +347,13 @@ class TestRootsAutomata:
                 if depth[t] is None:
                     depth[t] = depth[s] + 1
         assert skel.n_states == 262 and max(depth) == 19
-        out = roots_automata(P, 64)
+        # attach_outputs checks every one of the 262 states on the branch
+        with mock.patch.object(algseries.roots, "attach_outputs",
+                               wraps=attach_outputs) as spy:
+            out = roots_automata(P, 64)
         assert len(out.branches) == 1 and not out.failures
-        assert len(out.branches[0][0].outputs) == 262
+        skeleton, _, automaton = spy.call_args.args
+        assert skeleton.n_states == automaton.n_states == 262
 
 
 @st.composite
@@ -403,8 +406,8 @@ def test_branches_match_hensel_lift(P, n):
             out = roots_automata(P, n)
     except (NotSquarefree, StateBudgetExceeded):
         assume(False)
-    q = P.field.order
-    need = max(n + out.relation.max_coeff_degree(), q * CHECK_ORDER + q - 1)
+    need = max(n + out.relation.max_coeff_degree(),
+               cartier_closure(P).certificate_order)
     assert out.branches and not out.failures
     for branch, aut in out.branches:
         assert branch.series == hensel_root(P, branch.a0, need)
@@ -677,3 +680,116 @@ def test_closure_matches_ore_closure(P):
         for A, ore in zip(skel.states, want):
             got = eval_bipoly_at_series(A, f) * inverse
             assert got.coeffs[:ore.order + 1] == ore.coeffs
+
+
+# -- the certificate order: a box polynomial C with C(X, f) = 0 mod X^(K+1),
+# K = deg_X P * (2*deg_Y P - 1), has C(X, f) = 0 --
+
+def box_rows(P, f):
+    """X^a f^b to the order of f, for each monomial of the box
+    deg_X <= deg_X P, deg_Y < deg_Y P."""
+    field = f.field
+    powers = [TruncSeries1(field, [field.one], f.order)]
+    while len(powers) < P.deg_y:
+        powers.append(powers[-1] * f)
+    return [[field.zero] * a + list(powers[b].coeffs[:f.order + 1 - a])
+            for a in range(P.deg_x + 1) for b in range(P.deg_y)]
+
+
+def left_kernel(field, rows, width):
+    """A basis of {c : sum_i c_i * rows[i][:width] = 0}, by Gauss-Jordan
+    elimination on the rows extended by the identity."""
+    n = len(rows)
+    aug = [list(row[:width]) + [field.one if j == i else field.zero
+                                for j in range(n)]
+           for i, row in enumerate(rows)]
+    rank = 0
+    for col in range(width):
+        pivot = next((i for i in range(rank, n) if aug[i][col]), None)
+        if pivot is None:
+            continue
+        aug[rank], aug[pivot] = aug[pivot], aug[rank]
+        inv = field.inv(aug[rank][col])
+        aug[rank] = [field.mul(inv, x) for x in aug[rank]]
+        for i in range(n):
+            if i != rank and aug[i][col]:
+                c = aug[i][col]
+                aug[i] = [field.sub(x, field.mul(c, y))
+                          for x, y in zip(aug[i], aug[rank])]
+        rank += 1
+    return [row[width:] for row in aug[rank:]]
+
+
+def combine_rows(field, combo, rows):
+    out = [field.zero] * len(rows[0])
+    for c, row in zip(combo, rows):
+        out = [field.add(x, field.mul(c, y)) for x, y in zip(out, row)]
+    return out
+
+
+@settings(max_examples=100)
+@given(closure_polys())
+def test_box_polynomials_vanishing_to_K_vanish(P):
+    # every box C with C(X, f) = 0 mod X^(K+1) vanishes to order 3K + 30,
+    # on every simple branch: the linear algebra behind the certificate
+    # order that spot_check_closure reads
+    try:
+        roots = [a0 for a0, simple in residue_roots(P) if simple]
+    except DegenerateReduction:
+        roots = []
+    assume(roots)
+    field = P.field
+    K = P.deg_x * (2 * P.deg_y - 1)
+    for a0 in roots:
+        rows = box_rows(P, hensel_root(P, a0, 3 * K + 30))
+        for combo in left_kernel(field, rows, K + 1):
+            assert not any(combine_rows(field, combo, rows))
+
+
+def close_perturbed_state(skeleton, t, C):
+    """The skeleton with C added to the numerator of state t, whose
+    transitions now go to the closure of A_t + C: the transitions into t
+    are off by C(X, f)/P_Y(X, f), every other transition is right."""
+    q, n = skeleton.q, skeleton.n_states
+    images = numerator_images(skeleton.poly, range(q * q - q, q * q))
+    states, transitions = close(skeleton.states[t] + C, images, 4096,
+                                "perturbed closure")
+
+    def index(u):
+        return t if u == 0 else n + u - 1
+
+    skeleton.states[t] = states[0]
+    skeleton.states += states[1:]
+    skeleton.transitions[t] = [index(u) for u in transitions[0]]
+    skeleton.transitions += [[index(u) for u in row] for row in transitions[1:]]
+    return skeleton
+
+
+# (field, P, a0, C) with val C(X, f) = K exactly, f the branch of a0: each C
+# is in the left kernel of box_rows cut to coefficients 0..K-1, not in the
+# one cut to 0..K
+TIGHT_BOX_POLYNOMIALS = [
+    (F2, TM_POLY, 0, "X + Y + X*Y + X^3 + X^3*Y"),   # K = 9
+    (F3, "Y^3 - Y + X", 0, "X + 2*Y + X*Y^2"),        # K = 5: C(X, f) = -f^5
+    (F4, "Y^2 + Y + X", 1, "1 + Y + X*Y"),            # K = 3
+]
+
+
+@pytest.mark.parametrize("field, text, a0, box", TIGHT_BOX_POLYNOMIALS,
+                         ids=["thue_morse_f2", "cubic_f3", "artin_schreier_f4"])
+def test_check_reads_the_tight_coefficient(field, text, a0, box):
+    # adding C to a numerator moves one value by C(X, f)/P_Y(X, f), whose
+    # first nonzero coefficient is K: attach_outputs must read coefficient
+    # K of each digit section to reject the transition into that state
+    P, C = parse_poly(text, field), parse_poly(box, field)
+    K = P.deg_x * (2 * P.deg_y - 1)
+    assert C.deg_x <= P.deg_x and C.deg_y < P.deg_y
+    skel = close_perturbed_state(cartier_closure(P), 1, C)
+    assert skel.certificate_order == skel.q * (K + 1) - 1
+    f = hensel_root(P, a0, skel.certificate_order)
+    shift = eval_bipoly_at_series(C, f).coeffs
+    assert not any(shift[:K]) and shift[K]
+    with pytest.raises(AlgSeriesError,
+                       match="closure check failed at state 0, digit"):
+        attach_outputs(skel, BranchRoot(a0=a0, series=f),
+                       branch_automaton(skel, a0))
