@@ -3,6 +3,10 @@
 Coefficient lists hold raw values of a field, constant term first.
 
   * conv(field, a, b, limit, add) -- c_0..c_limit of add + a*b;
+  * dot(field, pairs, limit) -- c_0..c_limit of sum a_i*b_i, read back
+    once: its slots are wide enough for all products of all pairs,
+    sum min(len(a_i), len(b_i)) per cell (SlotFormat.width), where one
+    pair's min(len(a), len(b)) would let a sum carry into the next slot;
   * divide(field, a, b, order) and inverse(field, a, order) -- series
     quotients and inverses, by Newton iteration on conv (newton_step);
   * accumulate(field, out, rows) -- out + sum of x * X^i * row;
@@ -16,10 +20,10 @@ scaling of the elements of a field with more than 256 of them, and for
 reduce_slots when p * width > 256.  Three short cases loop instead,
 because on the calls of the automata-Fq and series-Fq benchmarks the loop
 was measured faster than the packing (README.md, "Design notes", has the
-figures): row sums of at most SCHOOLBOOK_MAX terms, products of at most
-SCHOOLBOOK_MAX term pairs (through the same loop of accumulate), and
-quotients of fewer than NEWTON_MIN terms, which also seed the Newton
-iteration of inverse.
+figures): row sums of at most SCHOOLBOOK_MAX terms, products and sums of
+products of at most SCHOOLBOOK_MAX term pairs in all (through the same
+loop of accumulate), and quotients of fewer than NEWTON_MIN terms, which
+also seed the Newton iteration of inverse.
 
 SlotFormat is the packing: a coefficient takes one slot of ``width``
 bytes over F_p and 2k-1 slots over F_{p^k}, its k t-digits and then k-1
@@ -62,13 +66,46 @@ def conv(field, a, b, limit, add=()):
         out = accumulate(field, list(add) + [field.zero] * (count - len(add)),
                          [(i, x, b[:count - i]) for i, x in enumerate(a) if x])
     else:
-        fmt = field.slots
-        width = fmt.width(min(len(a), len(b)))
-        total = fmt.pack(a, width) * fmt.pack(b, width)
-        if add:
-            total += fmt.pack(add, width)
-        out = fmt.codes(fmt.digits(total, count, width), count)
+        out = _packed_sum(field, [(a, b)], min(len(a), len(b)), count, add)
     return out + [field.zero] * (n - count)
+
+
+def dot(field, pairs, limit=None):
+    """c_0..c_limit of sum a_i*b_i over the pairs (a_i, b_i) of coefficient
+    sequences; ``limit`` defaults to the degree of the longest product.
+
+    It loops as conv does over Q and up to SCHOOLBOOK_MAX term pairs in
+    all; otherwise the products are summed packed and read back once, in
+    slots wide enough for sum min(len(a_i), len(b_i)) products per cell.
+    """
+    if limit is None:
+        limit = max((len(a) + len(b) - 2 for a, b in pairs if a and b), default=-1)
+    n = limit + 1
+    pairs = [(a[:n], b[:n]) for a, b in pairs]
+    if field.kind == "rationals":
+        pairs = [(trim(a), trim(b)) for a, b in pairs]
+    pairs = [(a, b) for a, b in pairs if a and b]
+    count = min(max((len(a) + len(b) - 1 for a, b in pairs), default=0), n)
+    if field.kind == "rationals" or \
+            sum(len(a) * len(b) for a, b in pairs) <= SCHOOLBOOK_MAX:
+        out = accumulate(field, [field.zero] * count,
+                         [(i, x, b[:count - i]) for a, b in pairs
+                          for i, x in enumerate(a) if x])
+    else:
+        out = _packed_sum(field, pairs, sum(min(len(a), len(b)) for a, b in pairs),
+                          count)
+    return out + [field.zero] * (n - count)
+
+
+def _packed_sum(field, pairs, terms, count, add=()):
+    """c_0..c_(count-1) of add + sum a*b over ``pairs``, packed in slots
+    wide enough for ``terms`` products per cell and read back once."""
+    fmt = field.slots
+    width = fmt.width(terms)
+    total = fmt.pack(add, width) if add else 0
+    for a, b in pairs:
+        total += fmt.pack(a, width) * fmt.pack(b, width)
+    return fmt.codes(fmt.digits(total, count, width), count)
 
 
 def divide(field, a, b, order):

@@ -9,7 +9,7 @@ from math import lcm
 from operator import mul as _mul
 
 from ..errors import AlgSeriesError
-from .conv import combine, conv, divide, scale, trim
+from .conv import combine, conv, divide, dot, scale, trim
 
 
 def _term_text(field, coeff, mono):
@@ -103,6 +103,11 @@ class UniPoly:
         a, b = self.coeffs, other.coeffs
         return UniPoly(f, conv(f, a, b, len(a) + len(b) - 2))
 
+    @classmethod
+    def dot(cls, field, pairs):
+        """sum of a*b over the pairs (a, b), read back once (conv.dot)."""
+        return cls(field, dot(field, [(a.coeffs, b.coeffs) for a, b in pairs]))
+
     def scale(self, c):
         f = self.field
         if not c:
@@ -113,10 +118,18 @@ class UniPoly:
         return power(UniPoly.one(self.field), self, n)
 
     def divmod(self, other):
-        """(quotient, remainder).  The quotient reversed is the reversed
-        dividend over the reversed divisor mod X^(dq+1), so it takes only
-        their top dq+1 coefficients; the remainder is then a - quot*b, one
+        """(quotient, remainder); the remainder is a - quot*b, one
         multiply-add below the divisor's degree."""
+        quot = self // other
+        f, b = self.field, other.coeffs
+        rem = conv(f, scale(f, f.neg(f.one), quot.coeffs), b, len(b) - 2,
+                   self.coeffs[:len(b) - 1])
+        return quot, UniPoly(f, rem)
+
+    def __floordiv__(self, other):
+        """The quotient.  Reversed, it is the reversed dividend over the
+        reversed divisor mod X^(dq+1), so it takes only their top dq+1
+        coefficients."""
         other = self._same(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
@@ -124,14 +137,9 @@ class UniPoly:
         a, b = self.coeffs, other.coeffs
         dq = len(a) - len(b)
         if dq < 0:
-            return UniPoly.zero(f), self
+            return UniPoly.zero(f)
         top = slice(-1, -dq - 2, -1)  # the top dq + 1 coefficients, reversed
-        quot = divide(f, a[top], b[top], dq)[::-1]
-        rem = conv(f, scale(f, f.neg(f.one), quot), b, len(b) - 2, a[:len(b) - 1])
-        return UniPoly(f, quot), UniPoly(f, rem)
-
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
+        return UniPoly(f, divide(f, a[top], b[top], dq)[::-1])
 
     def __mod__(self, other):
         return self.divmod(other)[1]
@@ -161,8 +169,7 @@ class UniPoly:
         if e == 1 or self.is_zero():
             return self
         out = [self.field.zero] * (self.degree * e + 1)
-        for n, c in enumerate(self.coeffs):
-            out[n * e] = c
+        out[::e] = self.coeffs
         return UniPoly(self.field, out)
 
     def __eq__(self, other):

@@ -9,18 +9,20 @@ first row gives, for k = 0..d,
 
 so the d+1 first rows B_0..B_d of those products are linearly dependent
 over F_q(X), and any left null vector of B annihilates G_1, G_1^q, ...,
-G_1^(q^d).  The rows have entries in F_q[X], and one fraction-free
-elimination pass over them (null_left_vector) finds the first row B_m that
-depends on B_0..B_{m-1}, with a combination in F_q[X]; no rational function
-is formed.  Relations are canonicalized: common polynomial gcd removed,
-highest-index coefficient monic.
+G_1^(q^d).  With the row vectors u_0 = e_1 and u_(j+1) = u_j * A(X^(q^j)),
+B_k = u_(d+1-k)(X^(q^k)), so the rows come from one row vector and no
+matrix product is formed.  The rows have entries in F_q[X], and one
+fraction-free elimination pass over them (null_left_vector) finds the first
+row B_m that depends on B_0..B_{m-1}, with a combination in F_q[X]; no
+rational function is formed.  Each of its updates a*w - b*p is one packed
+sum of two products (conv.dot).  Relations are canonicalized: common
+polynomial gcd removed, highest-index coefficient monic.
 """
 
 from dataclasses import dataclass
 
-from .algebra.conv import accumulate
+from .algebra.conv import accumulate, dot
 from .algebra.polys import UniPoly
-from .algebra.series import TruncSeries1
 from .automaton import DFAO, close
 from .errors import (BaseMismatch, DegreeBlowup, InfiniteField,
                      InsufficientPrecision, NoRelation)
@@ -131,24 +133,29 @@ def _zero_stable(automaton):
 def _kernel_rows(automaton):
     """Rows B_0..B_d, B_k the initial state's row of prod_{i=k}^{d} A(X^(q^i)).
 
-    M_k = A(X^(q^k)) * M_(k+1) is built from the identity M_(d+1) down: row
-    s of A(X^e) * M is sum_r X^(r*e) * M[delta(s, r)], so each cell is one
-    accumulate of at most q shifted cells of the product before it.
+    That row is u_(d+1-k)(X^(q^k)) for the row vectors u_0 = e_initial and
+    u_(j+1) = u_j * A(X^(q^j)).  Entry t of u * A(X^e) is
+    sum_{delta(s, r) = t} X^(r*e) * u[s], one accumulate of the cells of u
+    that lead into t; so the rows take d+1 products of a row vector by a
+    matrix, not of two matrices.
     """
     field, q, delta = automaton.field, automaton.q, automaton.transitions
     d = automaton.n_states
     one = field.one
-    prod = [[[one] if s == j else [] for j in range(d)] for s in range(d)]
-    rows = []
-    for k in range(d, -1, -1):
-        e = q ** k
-        prod = [[_shifted_sum(field, [(r * e, one, prod[t][j])
-                                      for r, t in enumerate(delta[s])
-                                      if prod[t][j]])
-                 for j in range(d)] for s in range(d)]
-        rows.append([UniPoly(field, cell) for cell in prod[automaton.initial]])
-    rows.reverse()
-    return rows
+    incoming = [[] for _ in range(d)]  # t -> [(r, s) with delta(s, r) = t]
+    for s, row in enumerate(delta):
+        for r, t in enumerate(row):
+            incoming[t].append((r, s))
+    u = [[one] if s == automaton.initial else [] for s in range(d)]
+    vectors = []
+    for j in range(d + 1):
+        e = q ** j
+        u = [_shifted_sum(field, [(r * e, one, u[s])
+                                  for r, s in incoming[t] if u[s]])
+             for t in range(d)]
+        vectors.append(u)
+    return [[UniPoly(field, cell).subst_power(q ** k) for cell in vectors[d - k]]
+            for k in range(d + 1)]
 
 
 def _shifted_sum(field, terms):
@@ -169,7 +176,8 @@ def null_left_vector(rows):
     The elimination is fraction-free: each row is reduced once, against the
     earlier rows' leftmost pivots in turn.  When it meets the pivot row p at
     column c, with g = gcd(p[c], row[c]), it becomes (p[c]/g)*row -
-    (row[c]/g)*p, and its combination vector takes the same step.  A row
+    (row[c]/g)*p, and its combination vector takes the same step; each
+    entry of the step is one UniPoly.dot of two products.  A row
     that stays nonzero becomes a pivot once it and its combination are
     divided by their common content, which keeps the degrees of all later
     steps down; no fraction is formed.
@@ -184,10 +192,12 @@ def null_left_vector(rows):
         while col is not None and col in pivots:
             prow, pcombo = pivots[col]
             g = prow[col].gcd(work[col])
-            a, b = prow[col] // g, work[col] // g
-            work = [zero] * (col + 1) + [a * w - b * p for w, p in
-                                         zip(work[col + 1:], prow[col + 1:])]
-            combo = [a * c - b * p for c, p in zip(combo, pcombo)] + \
+            a, b = prow[col] // g, -(work[col] // g)
+            work = [zero] * (col + 1) + [
+                UniPoly.dot(field, [(a, w), (b, p)])
+                for w, p in zip(work[col + 1:], prow[col + 1:])]
+            combo = [UniPoly.dot(field, [(a, c), (b, p)])
+                     for c, p in zip(combo, pcombo)] + \
                 [a * c for c in combo[len(pcombo):]]
             col = _leading(work, col + 1)
         if col is None:
@@ -259,10 +269,7 @@ def verify_relation(relation, series, check_order=None):
     if limit < 0:
         raise InsufficientPrecision(
             "series truncation shorter than relation coefficients")
-    total = TruncSeries1.zeros(field, series.order)
-    for k, coeff in enumerate(relation.coeffs):
-        if coeff.is_zero():
-            continue
-        power = series.spread(relation.q ** k)
-        total = total + power.mul_poly(coeff)
-    return not any(total.coeffs[:limit + 1])
+    total = dot(field, [(coeff.coeffs, series.spread(relation.q ** k).coeffs)
+                        for k, coeff in enumerate(relation.coeffs)
+                        if not coeff.is_zero()], limit)
+    return not any(total)

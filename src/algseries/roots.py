@@ -144,9 +144,10 @@ def _prem(a, b):
     while len(r) > n:
         top = r.pop()
         if not top.is_zero():
-            shift = len(r) - n
+            shift, minus = len(r) - n, -top
             r = [c * lead for c in r[:shift]] + \
-                [c * lead - top * p for c, p in zip(r[shift:], b)]
+                [UniPoly.dot(lead.field, [(c, lead), (minus, p)])
+                 for c, p in zip(r[shift:], b)]
             e += 1
     return _ytrim(r), e
 
@@ -205,7 +206,7 @@ def frobenius_from_poly(P):
             exponents.append(a)
             yield row
             spread = [c.subst_power(q) for c in row]
-            row = [sum((c * m[i] for c, m in zip(spread, M)), zero)
+            row = [UniPoly.dot(field, [(c, m[i]) for c, m in zip(spread, M)])
                    for i in range(D)]
             a = q * a + E
 

@@ -9,7 +9,7 @@ from algseries.annihilator import (FrobeniusRelation, _kernel_rows,
 from algseries.errors import (BaseMismatch, DegreeBlowup, InsufficientPrecision,
                               NoRelation, StateBudgetExceeded)
 
-from conftest import F2, F3, F4, thue_morse
+from conftest import F2, F3, F4, F8, F9, thue_morse
 from ratfn import RationalFn
 
 
@@ -118,9 +118,11 @@ def reference_kernel_rows(automaton):
 
 @st.composite
 def digit_automata(draw):
-    """Automata over F2, F3, F4 and F5 with up to four states."""
-    field = draw(st.sampled_from([F2, F3, F4, GF(5)]))
-    q, n = field.order, draw(st.integers(1, 4))
+    """Automata over F2 with up to six states, over F3, F4 and F5 with up
+    to four, and over F8 and F9 with up to two."""
+    field = draw(st.sampled_from([F2, F3, F4, GF(5), F8, F9]))
+    q = field.order
+    n = draw(st.integers(1, {2: 6, 8: 2, 9: 2}.get(q, 4)))
     state = st.integers(0, n - 1)
     transitions = draw(st.lists(st.lists(state, min_size=q, max_size=q),
                                 min_size=n, max_size=n))
@@ -274,6 +276,27 @@ def test_elimination_matches_prefix_search(rows):
     for col in range(len(rows[0])):
         assert combine(combo, rows, col).is_zero()
     assert canonical_relation(combo, q) == reference_relation(want, q)
+
+
+@settings(max_examples=30)
+@given(digit_automata())
+def test_relation_matches_reference_elimination(automaton):
+    # the rows from one row vector and the packed elimination against the
+    # dense matrix products and the elimination over F_q(X)
+    field, q = automaton.field, automaton.q
+    minimized = _zero_stable(automaton.minimize()).minimize()
+    assume(minimized.n_states <= (6 if q == 2 else 3 if q < 8 else 2))
+    assert minimized.initial == 0
+    if automaton.generate(256).is_zero():
+        want = FrobeniusRelation((UniPoly.one(field),), q)
+    else:
+        rows = reference_kernel_rows(minimized)
+        combo = reference_null_left_vector(
+            [[RationalFn.from_poly(p) for p in row] for row in rows])
+        while combo[-1].is_zero():
+            combo.pop()
+        want = reference_relation(combo, q)
+    assert frobenius_relation(automaton) == want
 
 
 class TestFrobeniusRelation:

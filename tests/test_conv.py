@@ -4,10 +4,11 @@ The references below are the hand-written loops of TruncSeries1.__mul__ and
 TruncSeries1.inverse before both went through conv, and per-term loops for
 accumulate and for the sums of UniPoly and TruncSeries1.  Lengths reach past
 SCHOOLBOOK_MAX and NEWTON_MIN, so the loops and the packed paths are both
-compared with them.  The fields cover F_p with one-byte slots, F_257 and
-F_(2^31+11), whose slots reduce one % p at a time, the extensions with at
-most 256 elements, whose codes expand by bytes.translate, and GF(3^6), whose
-codes expand through a list.  reduce_slots is compared with one % p per
+compared with them; dot, the sum of products read back once, is compared
+with the sum of conv's products and with the same schoolbook.  The fields
+cover F_p with one-byte slots, F_257 and F_(2^31+11), whose slots reduce
+one % p at a time, the extensions with at most 256 elements, whose codes
+expand by bytes.translate, and GF(3^6), whose codes expand through a list.  reduce_slots is compared with one % p per
 unpacked slot.
 """
 
@@ -19,7 +20,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from algseries import GF, QQ, TruncSeries1, UniPoly
-from algseries.algebra.conv import accumulate, conv, reduce_slots, unpack
+from algseries.algebra.conv import accumulate, conv, dot, reduce_slots, unpack
 from algseries.algebra.fields import ExtensionField
 from algseries.errors import ZeroConstantTerm
 
@@ -102,6 +103,68 @@ def test_conv_long_dense_operands(field):
     b = [top] * (n + 3)
     for limit in (n // 2, 2 * n + 1, 3 * n):
         assert conv(field, a, b, limit) == reference_conv(field, a, b, limit)
+
+
+def reference_dot(field, pairs, limit):
+    """Schoolbook sum of products, one field operation per term."""
+    out = [field.zero] * (limit + 1)
+    for a, b in pairs:
+        out = [field.add(x, y) for x, y in zip(out, reference_conv(field, a, b, limit))]
+    return out
+
+
+@st.composite
+def dot_products(draw):
+    """Up to six pairs of unequal lengths, some empty or all zero, and a
+    limit below, at or past the longest product, or no limit."""
+    field = draw(st.sampled_from(FIELDS))
+    pairs = []
+    for _ in range(draw(st.integers(0, 6))):
+        a, b = draw(operand(field)), draw(operand(field))
+        kind = draw(st.sampled_from(["dense", "dense", "empty", "zero"]))
+        if kind == "empty":
+            a = []
+        elif kind == "zero":
+            b = [field.zero] * len(b)
+        pairs.append((a, b))
+    full = max((len(a) + len(b) - 2 for a, b in pairs if a and b), default=0)
+    limit = draw(st.one_of(st.none(), st.just(full), st.integers(0, full),
+                           st.integers(full, full + 40)))
+    return field, pairs, limit
+
+
+@no_shrink
+@given(dot_products())
+def test_dot_matches_sum_of_products(case):
+    field, pairs, limit = case
+    out = dot(field, pairs, limit)
+    n = max((len(a) + len(b) - 1 for a, b in pairs if a and b), default=0)
+    top = n - 1 if limit is None else limit
+    if limit is None:
+        assert len(out) == n
+    else:
+        assert len(out) == limit + 1
+    full = [field.zero] * (top + 1)
+    for a, b in pairs:
+        full = [field.add(x, y) for x, y in zip(full, conv(field, a, b, top))]
+    assert out == full == reference_dot(field, pairs, top)
+
+
+@pytest.mark.parametrize("field", [f for f in FIELDS if f.is_finite], ids=repr)
+def test_dot_slot_width_counts_every_pair(field):
+    # 120 pairs of 50 terms, every coefficient the element whose t-digits
+    # are all p - 1: each cell of the packed sum holds 120 * 50 products
+    # of the largest digits, and slots wide enough for the 50 of one pair
+    # are narrower, so they would carry into the next slot
+    pairs_count, n = 120, 50
+    assert field.slots.width(n) < field.slots.width(pairs_count * n)
+    top = field.order - 1
+    pairs = [([top] * n, [top] * n)] * pairs_count
+    times = field.from_int(pairs_count)
+    for limit in (None, 30, 2 * n - 2):
+        one = reference_conv(field, [top] * n, [top] * n,
+                             2 * n - 2 if limit is None else limit)
+        assert dot(field, pairs, limit) == [field.mul(times, c) for c in one]
 
 
 @st.composite

@@ -112,6 +112,36 @@ def test_divmod_matches_reference(pair):
     assert rem.degree < b.degree
 
 
+@st.composite
+def quotient_cases(draw):
+    """Exact and inexact divisions, degree-0 divisors and dividends
+    shorter than the divisor."""
+    a, b = draw(division_pairs())
+    kind = draw(st.sampled_from(["any", "exact", "constant", "short"]))
+    if kind == "exact":
+        a = a * b
+    elif kind == "constant":
+        b = UniPoly(b.field, [b.lead()])
+    elif kind == "short":
+        a = UniPoly(a.field, a.coeffs[:max(b.degree, 0)])
+    return a, b
+
+
+@given(quotient_cases())
+def test_floordiv_is_the_divmod_quotient(pair):
+    # // reads the quotient off the top coefficients alone
+    a, b = pair
+    assert a // b == a.divmod(b)[0] == reference_divmod(a, b)[0]
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=repr)
+def test_floordiv_by_zero_raises(field):
+    with pytest.raises(ZeroDivisionError):
+        UniPoly(field, [field.one, field.one]) // UniPoly.zero(field)
+    with pytest.raises(ZeroDivisionError):
+        UniPoly.zero(field) // UniPoly.zero(field)
+
+
 class TestBiPoly:
     def test_substitute_xy_examples(self):
         # X -> XY
