@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from ..errors import AlgSeriesError
 from .conv import SlotFormat
-from .polys import UniPoly
+from .polys import UniPoly, power
 
 # Default moduli that differ from the first irreducible polynomial the
 # search finds (coefficient tuples, constant first; verified again at
@@ -115,13 +115,7 @@ class Field:
         if n < 0:
             a = self.inv(a)
             n = -n
-        result = self.one
-        while n:
-            if n & 1:
-                result = self.mul(result, a)
-            a = self.mul(a, a)
-            n >>= 1
-        return result
+        return power(self.one, a, n, self.mul)
 
     # Serialization of raw values for JSON automata and reports.
     def to_literal(self, a):

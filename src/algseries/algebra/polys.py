@@ -25,9 +25,9 @@ def _term_text(field, coeff, mono):
 
 
 def power(one, base, n, mul=_mul):
-    """base ** n by square and multiply, from the polynomial ``one``; every
-    product is ``mul(a, b)``, which cartier.numerator_images charges to a
-    work budget."""
+    """base ** n by square and multiply, from ``one`` (a polynomial, or a
+    raw field element for Field.pow); every product is ``mul(a, b)``, which
+    cartier.numerator_images charges to a work budget."""
     if n < 0:
         raise AlgSeriesError(f"negative polynomial exponent {n}")
     result = one

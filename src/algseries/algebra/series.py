@@ -92,13 +92,9 @@ class TruncSeries1:
 
     def spread(self, e):
         """Substitute X -> X^e, truncated to the same order."""
-        f = self.field
-        out = [f.zero] * (self.order + 1)
-        for n, c in enumerate(self.coeffs):
-            if n * e > self.order:
-                break
-            out[n * e] = c
-        return TruncSeries1(f, out, self.order)
+        out = [self.field.zero] * (self.order + 1)
+        out[::e] = self.coeffs[:self.order // e + 1]
+        return TruncSeries1(self.field, out, self.order)
 
     def mul_poly(self, poly):
         """Multiply by a UniPoly, truncating to this order."""

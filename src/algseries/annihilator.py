@@ -2,8 +2,11 @@
 
 A digit automaton over F_q whose states realize the q-kernel of a series
 G_1 satisfies G_i(X) = sum_j A_{i,j}(X) G_j(X^q) with
-A_{i,j} = sum_{r : delta(i,r)=j} X^r.  Iterating and restricting to the
-first row gives, for k = 0..d,
+A_{i,j} = sum_{r : delta(i,r)=j} X^r, up to a constant term where its
+output changes along its 0-transition; with the constant series 1 as one
+more coordinate of G, the identity holds exactly (_kernel_rows), and d is
+the number of coordinates.  Iterating and restricting to the first row
+gives, for k = 0..d,
 
     G_1(X)^(q^k) = (prod_{i=k}^{d} A(X^(q^i)))_1 . (G(X^(q^(d+1)))-vector)
 
@@ -23,12 +26,10 @@ from dataclasses import dataclass
 
 from .algebra.conv import accumulate, dot
 from .algebra.polys import UniPoly
-from .automaton import DFAO, close
 from .errors import (BaseMismatch, DegreeBlowup, InfiniteField,
                      InsufficientPrecision, NoRelation)
 
 KERNEL_SIZE_CAP = 8  # elimination degrees grow like q^d
-ZERO_STABLE_LIMIT = 4096  # pair states of _zero_stable, at most q * d
 
 
 @dataclass(frozen=True)
@@ -103,56 +104,37 @@ def canonical_relation(polys, q):
     return FrobeniusRelation(tuple(polys), q)
 
 
-def _zero_stable(automaton):
-    """An automaton of the same series whose outputs do not change along
-    0-transitions.
-
-    The kernel rows read u_(qn) off the state delta(initial, 0) for n = 0
-    too, so they need out(delta(s, 0)) = out(s).  A state here is a pair
-    (s, v): s the state reached, v the output of the state before the
-    current run of 0-digits.  Digit 0 moves s only, any other digit u sets
-    both to (u, out(u)), and the pair outputs v.  The digits of an index
-    end on a nonzero digit, so every index ends on a pair (s, out(s)) and
-    keeps its value.  There are at most d * (number of outputs) pairs;
-    ``close`` numbers them, and more than ZERO_STABLE_LIMIT of them raise
-    StateBudgetExceeded.
-    """
-    delta, out = automaton.transitions, automaton.outputs
-
-    def images(pair):
-        row = delta[pair[0]]
-        return [(row[0], pair[1])] + [(u, out[u]) for u in row[1:]]
-
-    start = (automaton.initial, out[automaton.initial])
-    pairs, transitions = close(start, images, ZERO_STABLE_LIMIT,
-                               "zero-stable automaton")
-    return DFAO(automaton.q, automaton.field, 0, transitions,
-                [v for _, v in pairs])
-
-
 def _kernel_rows(automaton):
     """Rows B_0..B_d, B_k the initial state's row of prod_{i=k}^{d} A(X^(q^i)).
 
-    That row is u_(d+1-k)(X^(q^k)) for the row vectors u_0 = e_initial and
-    u_(j+1) = u_j * A(X^(q^j)).  Entry t of u * A(X^e) is
-    sum_{delta(s, r) = t} X^(r*e) * u[s], one accumulate of the cells of u
-    that lead into t; so the rows take d+1 products of a row vector by a
-    matrix, not of two matrices.
+    G_s(X) = sum_r X^r * G_delta(s, r)(X^q) fails only at n = 0, by
+    c_s = out(s) - out(delta(s, 0)), so G = A(X) * G(X^q) + c.  When some
+    c_s != 0, the constant series 1 = 1(X^q) is one more coordinate: column
+    c of A, and 1 on its own diagonal.  d is the number of coordinates.
+    The row is u_(d+1-k)(X^(q^k)) for the row vectors u_0 = e_initial and
+    u_(j+1) = u_j * A(X^(q^j)).  Entry t of u * A(X^e) is the sum of
+    x * X^(r*e) * u[s] over its incoming entries (r, x, s): x = 1 for a
+    transition delta(s, r) = t, x = c_s into the constant coordinate.  It is
+    one accumulate of the cells of u that lead into t; so the rows take d+1
+    products of a row vector by a matrix, not of two matrices.
     """
     field, q, delta = automaton.field, automaton.q, automaton.transitions
-    d = automaton.n_states
-    one = field.one
-    incoming = [[] for _ in range(d)]  # t -> [(r, s) with delta(s, r) = t]
+    out, one = automaton.outputs, field.one
+    incoming = [[] for _ in delta]  # t -> [(r, x, s)]
     for s, row in enumerate(delta):
         for r, t in enumerate(row):
-            incoming[t].append((r, s))
+            incoming[t].append((r, one, s))
+    c = [field.sub(out[s], out[row[0]]) for s, row in enumerate(delta)]
+    if any(c):
+        incoming.append([(0, x, s) for s, x in enumerate(c) if x] +
+                        [(0, one, len(delta))])
+    d = len(incoming)
     u = [[one] if s == automaton.initial else [] for s in range(d)]
     vectors = []
     for j in range(d + 1):
         e = q ** j
-        u = [_shifted_sum(field, [(r * e, one, u[s])
-                                  for r, s in incoming[t] if u[s]])
-             for t in range(d)]
+        u = [_shifted_sum(field, [(r * e, x, u[s]) for r, x, s in cell if u[s]])
+             for cell in incoming]
         vectors.append(u)
     return [[UniPoly(field, cell).subst_power(q ** k) for cell in vectors[d - k]]
             for k in range(d + 1)]
@@ -174,54 +156,47 @@ def null_left_vector(rows):
     independent, that dependency is unique up to a factor in F_q(X).
 
     The elimination is fraction-free: each row is reduced once, against the
-    earlier rows' leftmost pivots in turn.  When it meets the pivot row p at
-    column c, with g = gcd(p[c], row[c]), it becomes (p[c]/g)*row -
-    (row[c]/g)*p, and its combination vector takes the same step; each
-    entry of the step is one UniPoly.dot of two products.  A row
-    that stays nonzero becomes a pivot once it and its combination are
-    divided by their common content, which keeps the degrees of all later
-    steps down; no fraction is formed.
+    earlier rows' leftmost pivots in turn.  Row i carries its combination as
+    trailing entries, so it starts as row + e_i.  When it meets the pivot
+    row p at column c, with g = gcd(p[c], row[c]), it becomes
+    (p[c]/g)*row - (row[c]/g)*p; each entry of the step is one UniPoly.dot
+    of two products.  A row that stays nonzero becomes a pivot once it is
+    divided by its content, which keeps the degrees of all later steps
+    down; no fraction is formed.
     """
-    pivots = {}  # column -> (reduced row, its combination)
+    pivots = {}  # column -> reduced row, with its combination
     for i, row in enumerate(rows):
-        work = list(row)
-        field = work[0].field
+        n, field = len(row), row[0].field
         zero = UniPoly.zero(field)
-        combo = [zero] * i + [UniPoly.one(field)]
-        col = _leading(work, 0)
+        work = list(row) + [zero] * i + [UniPoly.one(field)]
+        col = _leading(work, 0, n)
         while col is not None and col in pivots:
-            prow, pcombo = pivots[col]
-            g = prow[col].gcd(work[col])
-            a, b = prow[col] // g, -(work[col] // g)
+            p = pivots[col]
+            g = p[col].gcd(work[col])
+            a, b = p[col] // g, -(work[col] // g)
             work = [zero] * (col + 1) + [
-                UniPoly.dot(field, [(a, w), (b, p)])
-                for w, p in zip(work[col + 1:], prow[col + 1:])]
-            combo = [UniPoly.dot(field, [(a, c), (b, p)])
-                     for c, p in zip(combo, pcombo)] + \
-                [a * c for c in combo[len(pcombo):]]
-            col = _leading(work, col + 1)
+                UniPoly.dot(field, [(a, w), (b, v)])
+                for w, v in zip(work[col + 1:], p[col + 1:])] + \
+                [a * w for w in work[len(p):]]
+            col = _leading(work, col + 1, n)
         if col is None:
-            return combo
-        reduced = primitive_part(work + combo)
-        work, combo = reduced[:len(work)], reduced[len(work):]
-        pivots[col] = (work, combo)
+            return work[n:]
+        pivots[col] = primitive_part(work)
     return None
 
 
-def _leading(work, start):
-    """Index of the first nonzero entry of ``work`` from ``start`` on."""
-    return next((j for j in range(start, len(work)) if not work[j].is_zero()),
-                None)
+def _leading(work, start, end):
+    """Index of the first nonzero entry of work[start:end], or None."""
+    return next((j for j in range(start, end) if not work[j].is_zero()), None)
 
 
 def frobenius_relation(automaton, check_order=256):
     """Annihilating relation for the series generated by the automaton.
 
-    Minimizes, makes the outputs constant along 0-transitions
-    (_zero_stable, whose result depends only on the series, so pairing the
-    minimized automaton keeps the pairs few), minimizes again, builds the
-    stacked row matrix B of the result and returns the first dependency
-    among its rows in canonical form, once it verifies to order ``check_order`` on the series
+    Minimizes, builds the stacked row matrix B of the result (with the
+    constant coordinate of _kernel_rows when its outputs change along a
+    0-transition) and returns the first dependency among its rows in
+    canonical form, once it verifies to order ``check_order`` on the series
     of the automaton as given, so a wrong minimization fails the check too;
     always succeeds when the minimized automaton has d <= KERNEL_SIZE_CAP
     states.
@@ -234,7 +209,7 @@ def frobenius_relation(automaton, check_order=256):
     if automaton.q != field.order:
         raise BaseMismatch(
             f"digit base {automaton.q} differs from field cardinality {field.order}")
-    minimized = _zero_stable(automaton.minimize()).minimize()
+    minimized = automaton.minimize()
     d = minimized.n_states
     if d > KERNEL_SIZE_CAP:
         raise DegreeBlowup(f"kernel has {d} states, cap is {KERNEL_SIZE_CAP}")

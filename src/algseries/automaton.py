@@ -12,13 +12,14 @@ Every automaton this toolkit synthesizes has outputs constant along its
 0-transitions (outputs are constant terms of kernel elements, which the
 digit-0 section preserves), so padding an index with leading zeros cannot
 change the result and the kernel identity u_{qn+r} = (run from the r-image
-of the initial state)(n) holds for every n including 0.  annihilate takes
-any other automaton to such a one first (annihilator._zero_stable).
+of the initial state)(n) holds for every n including 0.  On any other
+automaton it fails at n = 0 only, and annihilate adds the constant series
+as one more coordinate of its kernel rows (annihilator._kernel_rows).
 
 ``close`` is the one keyed breadth-first closure of the package: it
 numbers the states of every automaton the package builds, the Cartier
-closures of cartier.rational_kernel and roots.cartier_closure, the
-zero-stable pairs of annihilate, and the blocks of DFAO.minimize.
+closures of cartier.rational_kernel and roots.cartier_closure, and the
+blocks of DFAO.minimize.
 
 Persistence is a JSON document, rendering is Graphviz DOT; both are
 deterministic byte-for-byte for a given automaton.

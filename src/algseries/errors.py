@@ -32,8 +32,7 @@ class InfiniteField(AlgSeriesError):
 
 class StateBudgetExceeded(AlgSeriesError):
     """automaton.close found more states than its budget: a Cartier closure
-    (rational_kernel, roots.cartier_closure) or the zero-stable pairs of
-    annihilate grew past their cap."""
+    (rational_kernel, roots.cartier_closure) grew past its cap."""
 
 
 class BaseMismatch(AlgSeriesError):

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -5,9 +7,10 @@ from hypothesis import strategies as st
 from algseries import (DFAO, GF, TruncSeries1, UniPoly, frobenius_relation,
                        null_left_vector, parse_poly, verify_relation)
 from algseries.annihilator import (FrobeniusRelation, _kernel_rows,
-                                   _zero_stable, canonical_relation)
+                                   canonical_relation)
+from algseries.automaton import from_json
 from algseries.errors import (BaseMismatch, DegreeBlowup, InsufficientPrecision,
-                              NoRelation, StateBudgetExceeded)
+                              NoRelation)
 
 from conftest import F2, F3, F4, F8, F9, thue_morse
 from ratfn import RationalFn
@@ -83,16 +86,32 @@ class TestKernelMatrix:
                 assert acc == G[0].spread(a.q ** k)
 
 
+def constant_terms(automaton):
+    """c_s = out(s) - out(delta(s, 0)), by which the kernel identity
+    G_s(X) = sum_r X^r G_delta(s, r)(X^q) fails at n = 0."""
+    field, out = automaton.field, automaton.outputs
+    return [field.sub(out[s], out[row[0]])
+            for s, row in enumerate(automaton.transitions)]
+
+
 def reference_kernel_rows(automaton):
     """B_0..B_d from dense products of the kernel matrices A(X^(q^k)), as
-    annihilate formed them before it built the rows by recurrence."""
+    annihilate formed them before it built the rows by recurrence; when
+    some c_s != 0 (constant_terms), of A' = [[A, c], [0, 1]], and d
+    counts the constant coordinate."""
     field, q, d = automaton.field, automaton.q, automaton.n_states
+    c = constant_terms(automaton)
     entries = []
     for i in range(d):
         row = [[field.zero] * q for _ in range(d)]
         for r in range(q):
             row[automaton.transitions[i][r]][r] = field.one
         entries.append([UniPoly(field, cell) for cell in row])
+    if any(c):
+        for i, x in enumerate(c):
+            entries[i].append(UniPoly(field, [x]))
+        entries.append([UniPoly.zero(field)] * d + [UniPoly.one(field)])
+        d += 1
 
     def subst(e):
         return [[p.subst_power(e) for p in row] for row in entries]
@@ -130,36 +149,54 @@ def digit_automata(draw):
     return DFAO(q, field, 0, transitions, outputs)
 
 
+@st.composite
+def zero_stable_automata(draw):
+    """digit_automata with outputs made constant along 0-transitions, as
+    every automaton the toolkit writes has them: each state takes the
+    output of the least state on the 0-cycle its 0-path ends in."""
+    automaton = draw(digit_automata())
+    delta = automaton.transitions
+    outputs = []
+    for s in range(automaton.n_states):
+        path, cur = [], s
+        while cur not in path:
+            path.append(cur)
+            cur = delta[cur][0]
+        outputs.append(automaton.outputs[min(path[path.index(cur):])])
+    return DFAO(automaton.q, automaton.field, 0, delta, outputs)
+
+
+def coordinates(automaton):
+    """States of the minimized automaton, one more when the kernel rows
+    need the constant coordinate."""
+    minimized = automaton.minimize()
+    return minimized.n_states + any(constant_terms(minimized))
+
+
 @given(digit_automata())
 def test_kernel_rows_match_matrix_products(automaton):
     assert rows_coeffs(_kernel_rows(automaton)) == \
         rows_coeffs(reference_kernel_rows(automaton))
 
 
+@given(zero_stable_automata())
+def test_zero_stable_rows_have_one_column_per_state(automaton):
+    # no constant coordinate: the rows, and so the relations, are those of
+    # the kernel matrix A alone
+    assert not any(constant_terms(automaton))
+    rows = _kernel_rows(automaton)
+    assert len(rows) == automaton.n_states + 1
+    assert all(len(row) == automaton.n_states for row in rows)
+    assert rows_coeffs(rows) == rows_coeffs(reference_kernel_rows(automaton))
+
+
 @settings(max_examples=60)
 @given(digit_automata())
 def test_relation_for_any_automaton(automaton):
-    # outputs may change along 0-transitions: the zero-stable automaton has
-    # the same series and a relation that holds on it
-    stable = _zero_stable(automaton)
-    assert stable.generate(100) == automaton.generate(100)
-    assert all(stable.outputs[row[0]] == stable.outputs[s]
-               for s, row in enumerate(stable.transitions))
-    assume(stable.minimize().n_states <= (6 if automaton.q == 2 else 3))
+    # outputs may change along 0-transitions
+    assume(coordinates(automaton) <= (6 if automaton.q == 2 else 3))
     rel = frobenius_relation(automaton)
     assert verify_relation(rel, automaton.generate(256 + rel.max_coeff_degree()))
-
-
-def test_zero_stable_limit():
-    # a 2100-cycle on both digits with outputs 1, 0, 0, ...: a run of
-    # 0-digits carries either output to every state, so there are 4200
-    # pairs, over ZERO_STABLE_LIMIT = 4096
-    n = 2100
-    automaton = DFAO(2, F2, 0, [((s + 1) % n,) * 2 for s in range(n)],
-                     [int(s % 3 == 0) for s in range(n)])
-    with pytest.raises(StateBudgetExceeded,
-                       match="^zero-stable automaton exceeds 4096 states$"):
-        _zero_stable(automaton)
 
 
 def combine(combo, rows, col):
@@ -284,8 +321,8 @@ def test_relation_matches_reference_elimination(automaton):
     # the rows from one row vector and the packed elimination against the
     # dense matrix products and the elimination over F_q(X)
     field, q = automaton.field, automaton.q
-    minimized = _zero_stable(automaton.minimize()).minimize()
-    assume(minimized.n_states <= (6 if q == 2 else 3 if q < 8 else 2))
+    minimized = automaton.minimize()
+    assume(coordinates(automaton) <= (6 if q == 2 else 3 if q < 8 else 2))
     assert minimized.initial == 0
     if automaton.generate(256).is_zero():
         want = FrobeniusRelation((UniPoly.one(field),), q)
@@ -353,16 +390,32 @@ class TestFrobeniusRelation:
 
     def test_long_zero_cycle_is_paired_after_minimizing(self):
         # 3000 states that all output 1 minimize to the one state of
-        # 1/(1+X); pairing them first would walk 9 million state pairs
+        # 1/(1+X) before the rows are built; 3000 are over KERNEL_SIZE_CAP
         n = 3000
         a = DFAO(2, F2, 0, [((s + 1) % n, (s + 1) % n) for s in range(n)],
                  [1] * n)
         ones = DFAO(2, F2, 0, [(0, 0)], [1])
         assert frobenius_relation(a) == frobenius_relation(ones)
 
-    def test_zero_stable_automata_minimize_alike(self):
-        for a in (tm_automaton(), FIVE_STATE, F3_CYCLE):
-            assert _zero_stable(a).minimize() == a.minimize()
+    @pytest.mark.parametrize("field, transitions, outputs", [
+        ('{"kind": "prime", "p": 5}',
+         [[2, 2, 0, 0, 0], [0, 1, 1, 0, 2], [1, 1, 1, 0, 0]], ["0", "1", "4"]),
+        ('{"kind": "extension", "p": 2, "k": 2, "modulus": "1+t+t^2"}',
+         [[2, 0, 1, 1], [0, 2, 1, 0], [1, 0, 1, 1]], [[0, 1], [1], [1, 1]])])
+    def test_constant_coordinate_within_the_cap(self, field, transitions,
+                                                outputs):
+        # 3 states whose outputs change along 0-transitions: 4 coordinates,
+        # where pairing each state with the output before its 0-run gave 9
+        # states, over KERNEL_SIZE_CAP
+        a = from_json(json.dumps({"q": len(transitions[0]), "initial": 0,
+                                  "field": json.loads(field),
+                                  "transitions": transitions,
+                                  "outputs": outputs}))
+        assert a.minimize().n_states == 3 and any(constant_terms(a))
+        rel = frobenius_relation(a)
+        assert rel.to_text().endswith(" = 0")
+        series = a.generate(1024 + rel.max_coeff_degree())
+        assert verify_relation(rel, series, check_order=1024)
 
     def test_five_state_automaton_relation(self):
         rel = frobenius_relation(FIVE_STATE)

@@ -393,10 +393,9 @@ class TestAnnihilate:
         assert out.splitlines()[0].endswith("= 0")
         assert "verified at order 256" in out
 
-    def test_zero_stable_limit_exit_2(self, capsys, tmp_path):
+    def test_aperiodic_cycle_over_kernel_cap_exit_2(self, capsys, tmp_path):
         # a 3000-cycle with aperiodic outputs stays 3000 states when
-        # minimized, and every state meets both outputs: 6000 state-output
-        # pairs, over the limit of 4096
+        # minimized, over KERNEL_SIZE_CAP = 8
         n = 3000
         rng = random.Random(1)
         automaton = DFAO(2, GF(2), 0, [((s + 1) % n,) * 2 for s in range(n)],
@@ -406,7 +405,7 @@ class TestAnnihilate:
         path.write_text(to_json(automaton))
         code, out, err = run(capsys, "annihilate", "--automaton", str(path))
         assert code == 2 and not out
-        assert err == "error: zero-stable automaton exceeds 4096 states\n"
+        assert err == "error: kernel has 3000 states, cap is 8\n"
 
     def test_wrong_minimization_exit_2(self, capsys, tm_file, monkeypatch):
         # the relation is checked on the series of the automaton as read,
