@@ -12,7 +12,7 @@ from .algebra import (GF, QQ, BiPoly, Field, TruncSeries1, TruncSeries2,
 from .annihilator import (FrobeniusRelation, frobenius_relation,
                           null_left_vector, verify_relation)
 from .automaton import DFAO, export_dot, from_json, to_json
-from .cartier import degree_bound, kernel_output, rational_kernel, sections
+from .cartier import degree_bound, kernel_output, rational_kernel
 from .diagrat import DiagonalRep, diagonal_coeffs, furstenberg_rep
 from .exprparse import parse_poly
 from .extract import (FixedPointProblem, fixed_point_coefficients,
@@ -28,7 +28,7 @@ __all__ = [
     "derivative_y", "eval_bipoly_at_series", "series_expand_ratio",
     "substitute_xy", "Field", "FrobeniusRelation", "frobenius_relation",
     "null_left_vector", "verify_relation", "DFAO", "export_dot", "from_json",
-    "to_json", "degree_bound", "sections", "kernel_output", "rational_kernel",
+    "to_json", "degree_bound", "kernel_output", "rational_kernel",
     "DiagonalRep", "diagonal_coeffs", "furstenberg_rep", "parse_poly",
     "FixedPointProblem", "fixed_point_coefficients", "fs_coefficients",
     "fs_partial_sum",

@@ -16,12 +16,12 @@ diagonal_coeffs has two routes.  Over F_q the diagonal is automatic
 (Christol 1979): the diagonal of Lambda_{r,r}(F) is Lambda_r of the
 diagonal of F, and Lambda_{r,s}(R/Q) = Lambda_{r,s}(R Q^(q-1))/Q, so
 closing num under the q diagonal sections of den gives a finite automaton
-(cartier.rational_kernel with diagonal=True) that generates c_0..c_N in
-O(N).  Its closure is tried under a work budget, a share of what the
-sweep would cost, and the sweep runs when the closure exceeds it.  Over Q,
-and on that fallback, series.anti_diagonals sweeps the box i, j <= N and
-reads the cells (n, n).  Both routes are exact, so they give the same
-coefficients.
+(cartier.rational_kernel with diagonal=True, which forms only the terms of
+those sections) that generates c_0..c_N in O(N).  The closure is tried
+under a work budget, a share of what the sweep would cost, and the sweep
+runs when the closure exceeds it.  Over Q, and on that fallback,
+series.anti_diagonals sweeps the box i, j <= N and reads the cells (n, n).
+Both routes are exact, so they give the same coefficients.
 """
 
 from dataclasses import dataclass
@@ -40,9 +40,9 @@ DIAGONAL_ORDER_LIMIT = 2048
 
 # Over F_q = F_{p^k} the closure may spend this share of the sweep's cost,
 # measured as k * sweep_cells(den, N): the sweep packs k t-digits per cell.
-# A term product of the closure (numerator_images) took 0.3-0.9 us and a
-# cell update of the sweep 5-25 ns (in process, Python 3.11), so a closure
-# that gives up costs about a tenth of the sweep that follows it.
+# A term product the closure charges (numerator_images) takes 0.1-0.2 us,
+# a cell update of the sweep 5-25 ns (in process, Python 3.11), so a closure
+# that gives up costs a few percent of the sweep that follows it.
 CLOSURE_SHARE = 1 / 512
 
 

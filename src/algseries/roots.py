@@ -19,7 +19,8 @@ ANTS XIII, 2018)
 
 with Lambda_{r,s} the bivariate digit section, so the denominator stays
 P_Y and a state is its numerator A, as in cartier.rational_kernel; both
-take this step, cartier.numerator_images.  With h = deg_X P and d = deg_Y P:
+take this step in cartier.numerator_images, which forms only the terms of
+A * P^(q-1) in the sections kept.  With h = deg_X P and d = deg_Y P:
 
   * the start numerator Y*P_Y - d*P stands for y and has Y-degree < d;
   * if deg_X A <= h and deg_Y A < d, then A * P^(q-1) has bidegree at most
@@ -260,7 +261,7 @@ def cartier_closure(P):
     """
     field = P.field
     q = digit_base(field)
-    start = BiPoly.y(field) * derivative_y(P) - P.scale(field.from_int(P.deg_y))
+    start = derivative_y(P).mul_monomial(0, 1) - P.scale(field.from_int(P.deg_y))
     images = numerator_images(P, range(q * q - q, q * q))
     states, transitions = close(start, images, CLOSURE_BUDGET,
                                 "Cartier closure")

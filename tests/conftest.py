@@ -49,6 +49,21 @@ def random_bipoly(field, rng, max_deg=3, max_terms=4, nonzero=False):
     return poly
 
 
+def reference_sections(A, symbols):
+    """Per-term reference for the digit sections Lambda_{r,s}(A), one per
+    symbol r + q*s: every term (i, j) of A with i = r mod q and j = s mod q
+    moves to (i // q, j // q)."""
+    q = A.field.order
+    out = []
+    for sym in symbols:
+        r, s = sym % q, sym // q
+        out.append(BiPoly(A.field, {
+            ((i - r) // q, (j - s) // q): c
+            for (i, j), c in A.terms.items()
+            if (i - r) % q == 0 and (j - s) % q == 0}))
+    return out
+
+
 def random_problem(field, rng, max_deg=4, max_terms=5):
     """Random P with P(0,0) = 0 and P'_Y(0,0) = 0 (every monomial 2a+b >= 2)."""
     terms = {}

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -82,6 +83,13 @@ with open(os.path.join(DATA, "annihilate_golden.json")) as _handle:
 # integer coefficients, and alternating signs (negative slots throughout)
 with open(os.path.join(DATA, "extract_golden.json")) as _handle:
     EXTRACT_GOLDEN = json.load(_handle)
+
+
+# kernel runs with their argv, stdout and the sha256 of their --json file:
+# digit pairs over F2, F3, F8 and F9, and --diagonal over F5, F8 and F9,
+# among them the 6345-state F5 diagonal closure
+with open(os.path.join(DATA, "kernel_golden.json")) as _handle:
+    KERNEL_GOLDEN = json.load(_handle)
 
 
 @pytest.fixture
@@ -351,6 +359,16 @@ class TestKernel:
         code, _, err = run(capsys, "kernel", "--field", "Q", "--num", "1",
                            "--den", "1+X+Y")
         assert code == 2 and "finite" in err
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_GOLDEN))
+    def test_golden_outputs(self, capsys, tmp_path, name):
+        # pins the state numbering of the --json file
+        want = KERNEL_GOLDEN[name]
+        path = tmp_path / "k.json"
+        code, out, err = run(capsys, *want["argv"], "--json", str(path))
+        assert (code, out, err) == (0, want["stdout"], "")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            want["json_sha256"]
 
     def test_byte_stable_outputs(self, capsys, tmp_path):
         paths = [str(tmp_path / f"k{i}.dot") for i in range(2)]
