@@ -16,7 +16,7 @@ from .cartier import degree_bound, kernel_output, rational_kernel
 from .diagrat import DiagonalRep, diagonal_coeffs, furstenberg_rep
 from .exprparse import parse_poly
 from .extract import (FixedPointProblem, fixed_point_coefficients,
-                      fs_coefficients, fs_partial_sum)
+                      fs_coefficients, fs_partial_sum, is_fixed_point)
 from .roots import (BranchRoot, RootsOutcome, attach_outputs, cartier_closure,
                     frobenius_from_poly, hensel_root, residue_roots,
                     roots_automata)
@@ -31,7 +31,7 @@ __all__ = [
     "to_json", "degree_bound", "kernel_output", "rational_kernel",
     "DiagonalRep", "diagonal_coeffs", "furstenberg_rep", "parse_poly",
     "FixedPointProblem", "fixed_point_coefficients", "fs_coefficients",
-    "fs_partial_sum",
+    "fs_partial_sum", "is_fixed_point",
     "BranchRoot", "RootsOutcome", "attach_outputs", "cartier_closure",
     "frobenius_from_poly", "hensel_root", "residue_roots", "roots_automata",
     "__version__",

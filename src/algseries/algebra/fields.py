@@ -125,7 +125,20 @@ class Field:
         raise NotImplementedError
 
 
-class PrimeField(Field):
+class FiniteField(Field):
+    """The raw operations that F_p and F_{p^k} share."""
+
+    def div(self, a, b):
+        return self.mul(a, self.inv(b))
+
+    def from_int(self, n):
+        return n % self.char
+
+    def elements(self):
+        return range(self.order)
+
+
+class PrimeField(FiniteField):
     """F_p with residue arithmetic."""
 
     kind = "prime"
@@ -156,15 +169,6 @@ class PrimeField(Field):
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.char - 2, self.char)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def from_int(self, n):
-        return n % self.char
-
-    def elements(self):
-        return range(self.order)
-
     def fmt(self, a):
         return str(a)
 
@@ -187,7 +191,7 @@ class PrimeField(Field):
         return hash(("prime", self.char))
 
 
-class ExtensionField(Field):
+class ExtensionField(FiniteField):
     """F_{p^k} = F_p[t]/(m(t)) with table-driven code arithmetic."""
 
     kind = "extension"
@@ -291,15 +295,6 @@ class ExtensionField(Field):
             raise ZeroDivisionError("inverse of zero")
         return self._inv[a]
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def from_int(self, n):
-        return n % self.char
-
-    def elements(self):
-        return range(self.order)
-
     def coeff_vector(self, a):
         """Coefficient tuple (c_0, ..., c_{k-1}) of the code ``a``."""
         return self._decode(a)
@@ -358,18 +353,15 @@ class RationalField(Field):
         return a * b
 
     def inv(self, a):
-        if not a:
-            raise ZeroDivisionError("inverse of zero")
-        r = Fraction(1, a) if isinstance(a, int) else 1 / a
-        # an integral inverse (of a unit such as -1) stays an int, so that
-        # scaling by it keeps int coefficients ints rather than Fractions
-        return r.numerator if r.denominator == 1 else r
+        return self.div(1, a)
 
     def div(self, a, b):
         if not b:
             raise ZeroDivisionError("division by zero")
         r = Fraction(a, b) if isinstance(b, int) else Fraction(a) / b
-        return r.numerator if r.denominator == 1 else r  # as in inv
+        # an integral quotient (such as the inverse of the unit -1) stays an
+        # int, so that scaling by it keeps int coefficients ints
+        return r.numerator if r.denominator == 1 else r
 
     def from_int(self, n):
         return n

@@ -15,10 +15,10 @@ polynomials as 2a + b >= 2 for every term X^a Y^b of P (the hypothesis
 pair).  So fs_coefficients is diagonal_coeffs on that pair, the route of
 the diagonal subcommand: over F_q the diagonal's kernel automaton when its
 closure fits its budget, else, and over Q, the anti-diagonal sweep.
-fixed_point_coefficients is the independent oracle (Newton lifting of
-Y - P(X, Y), certified by one exact substitution).  fs_partial_sum sums
-the formula up to a given m on the powers of P cut to the box of cells
-that can still reach f_n.
+is_fixed_point proves a series the fixed point by one exact substitution
+(extract --check); fixed_point_coefficients, the tests' independent Newton
+oracle, ends in it.  fs_partial_sum sums the formula up to a given m on the
+powers of P cut to the box of cells that can still reach f_n.
 """
 
 from math import lcm
@@ -71,37 +71,49 @@ def fs_coefficients(problem, order):
     return diagonal_coeffs(furstenberg_rep(poly - BiPoly.y(poly.field)), order)
 
 
-def fixed_point_coefficients(problem, order):
-    """Independent oracle: the root of Y - P(X, Y) lifted from 0 by Newton.
-
-    (Y - P)'_Y(0, 0) = 1, so the residue root 0 is simple and hensel_root
-    doubles the X-adic precision per step.  A last exact substitution must
-    give the lift back, P(X, f) = f mod X^(order+1), which certifies it as
-    the unique fixed point.  Both run on P without its terms X^a Y^b with
-    a + b > order: as f(0) = 0, X^a f^b = 0 mod X^(order+1).  Over Q, with
-    D the lcm of the denominators of those terms, both run on the ints of
-    P_D = sum c D^(2a+b-1) X^a Y^b (2a + b - 1 >= 1 by the hypotheses),
-    whose fixed point is g(X) = f(D^2 X)/D, so f_n = g_n / D^(2n-1).
+def _cut(problem, order):
+    """(P_D, D): P less its terms X^a Y^b with a + b > order, which leave
+    P(X, f) mod X^(order+1) alone when f(0) = 0, on the ints
+    P_D = sum c D^(2a+b-1) X^a Y^b (2a + b - 1 >= 1 by the hypotheses), D
+    the lcm of their denominators (1 over F_q, whose raw values are ints).
+    The fixed point of P_D is g(X) = f(D^2 X)/D: g_n = f_n D^(2n-1).
     """
-    field = problem.field
     terms = {(a, b): c for (a, b), c in problem.poly.terms.items()
              if a + b <= order}
-    rational = field.kind == "rationals"
-    D = lcm(*(c.denominator for c in terms.values())) if rational else 1
-    if D > 1:
-        terms = {(a, b): int(c * D ** (2 * a + b - 1))
-                 for (a, b), c in terms.items()}
-    poly = BiPoly(field, terms)
-    negated = {key: field.neg(c) for key, c in terms.items()}
-    negated[(0, 1)] = field.one  # P'_Y(0, 0) = 0: no Y term to add it to
-    f = hensel_root(BiPoly(field, negated), field.zero, order)
-    if eval_bipoly_at_series(poly, f) != f:
-        raise AlgSeriesError(
-            f"Newton lift is not a fixed point at order {order}")
-    if D == 1:
-        return f
-    return TruncSeries1(field, [field.div(g, D ** (2 * n - 1)) if n else g
-                                for n, g in enumerate(f.coeffs)])
+    D = lcm(*(c.denominator for c in terms.values()))
+    return BiPoly(problem.field, {(a, b): int(c * D ** (2 * a + b - 1))
+                                  for (a, b), c in terms.items()}), D
+
+
+def is_fixed_point(problem, series):
+    """True iff f = series, of order N, has f_0 = 0 and P(X, f) = f mod
+    X^(N+1).  That proves f = h mod X^(N+1) for the fixed point h, in any
+    characteristic: f - h = P(X, f) - P(X, h) = (f - h) K mod X^(N+1), where
+    K = sum c X^a (f^b - h^b)/(f - h) has val K >= 1 as f_0 = h_0 = 0 (terms
+    with b >= 2) and P'_Y(0,0) = 0 (b = 1 needs a >= 1); so val(f - h) > N.
+    It tests P_D on g_n = f_n D^(2n-1) (_cut), the same equation after
+    X -> D^2 X and a division by D, whose fixed point has int coefficients.
+    """
+    field = series.field
+    poly, D = _cut(problem, series.order)
+    g = series if D == 1 else TruncSeries1(field, [
+        field.div(c * D ** (2 * n), D) for n, c in enumerate(series.coeffs)])
+    return not series.coeffs[0] and eval_bipoly_at_series(poly, g) == g
+
+
+def fixed_point_coefficients(problem, order):
+    """Independent oracle: hensel_root lifts the root g of Y - P_D (_cut)
+    from the simple residue root 0 ((Y - P)'_Y(0, 0) = 1), doubling the
+    X-adic precision per step; is_fixed_point certifies f_n = g_n/D^(2n-1).
+    """
+    field = problem.field
+    poly, D = _cut(problem, order)
+    g = hensel_root(BiPoly.y(field) - poly, field.zero, order).coeffs
+    f = TruncSeries1(field, [field.div(c * D, D ** (2 * n))
+                             for n, c in enumerate(g)])
+    if not is_fixed_point(problem, f):
+        raise AlgSeriesError(f"Newton lift is not a fixed point at order {order}")
+    return f
 
 
 def fs_partial_sum(problem, n, m_max):

@@ -8,7 +8,8 @@ import time
 
 import pytest
 
-from algseries import DFAO, GF, diagrat, from_json, to_json
+from algseries import (DFAO, GF, TruncSeries1, cli, diagrat, extract,
+                       from_json, roots, to_json)
 from algseries.algebra import fields
 from algseries.cli import build_parser, main, parse_field_spec
 from algseries.diagrat import DIAGONAL_ORDER_LIMIT
@@ -254,6 +255,39 @@ class TestExtract:
                            "--poly", "X+2*Y^2", "-n", "12", "--check")
         assert code == 0
         assert "ok" in err
+
+    def test_check_runs_no_newton_lift(self, capsys, monkeypatch):
+        # --check proves the printed series; it extracts nothing again
+        def no_lift(*args):
+            raise AssertionError("hensel_root ran")
+
+        monkeypatch.setattr(extract, "hensel_root", no_lift)
+        monkeypatch.setattr(roots, "hensel_root", no_lift)
+        code, _, err = run(capsys, "extract", "--field", "Q", "--poly",
+                           "1/3*X - 2/5*X*Y + 3/7*Y^2", "-n", "40", "--check")
+        assert code == 0
+        assert err == ("check: ok (f_0 = 0 and P(X, f) = f mod X^41: "
+                       "f is the fixed point)\n")
+
+    @pytest.mark.parametrize("spec, poly", [
+        ("Q", "1/3*X - 2/5*X*Y + 3/7*Y^2"), ("F9", "X + t*Y^2 + X*Y^3")])
+    @pytest.mark.parametrize("n", [1, 16, 32])
+    def test_check_rejects_a_wrong_coefficient_exit_1(self, capsys, monkeypatch,
+                                                       spec, poly, n):
+        extract_right = cli.fs_coefficients
+
+        def one_wrong(problem, order):
+            coeffs = list(extract_right(problem, order).coeffs)
+            coeffs[n] = problem.field.add(coeffs[n], problem.field.one)
+            return TruncSeries1(problem.field, coeffs)
+
+        monkeypatch.setattr(cli, "fs_coefficients", one_wrong)
+        code, out, err = run(capsys, "extract", "--field", spec, "--poly",
+                             poly, "-n", "32", "--check")
+        assert code == 1
+        assert len(out.splitlines()) == 32  # the wrong series was printed
+        assert err == ("check: FAILED (f_0 = 0 and P(X, f) = f mod X^33 do "
+                       "not both hold)\n")
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "extract", "--field", "Q",

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from algseries import (GF, QQ, BiPoly, FixedPointProblem, parse_poly,
                        eval_bipoly_at_series, fixed_point_coefficients,
-                       fs_coefficients, fs_partial_sum, furstenberg_rep)
+                       fs_coefficients, fs_partial_sum, furstenberg_rep,
+                       is_fixed_point)
 from algseries.algebra import series
 from algseries.algebra.conv import conv
 from algseries.algebra.polys import derivative_y
@@ -458,3 +459,59 @@ class TestCarriedInverse:
         f = hensel_root(P, a0, order)
         assert f == doubling_hensel_root(P, a0, order)
         assert eval_bipoly_at_series(P, f).is_zero()
+
+
+# -- the certificate that extract --check runs --------------------------------
+
+@st.composite
+def certificate_cases(draw):
+    """(field, terms of P, N, c) over F_p (p = 2, 5, 31), F_{p^k} (4, 8, 9)
+    or Q, with 2 <= N <= 24.  P has a nonzero X term, so f_1 != 0, and c is
+    nonzero; over Q both have a denominator > 1, so D > 1 at every N."""
+    kind = draw(st.sampled_from(["Q", "F2", "F5", "F31", "F4", "F8", "F9"]))
+    if kind == "Q":
+        field, coeffs = QQ, rationals(9, 12)
+        nonzero = st.fractions(-9, 9, max_denominator=12).filter(
+            lambda c: c.denominator > 1)
+    else:
+        field = FINITE[kind]
+        coeffs, nonzero = (st.integers(0, field.order - 1),
+                           st.integers(1, field.order - 1))
+    terms = draw(st.dictionaries(MONOMIALS, coeffs, max_size=3))
+    terms[(1, 0)] = draw(nonzero)
+    return field, terms, draw(st.integers(2, 24)), draw(nonzero)
+
+
+class TestCertificate:
+    """is_fixed_point: f_0 = 0 and P(X, f) = f mod X^(N+1)."""
+
+    @given(certificate_cases())
+    def test_accepts_fs_coefficients_and_no_changed_coefficient(self, case):
+        field, terms, N, c = case
+        prob = FixedPointProblem(BiPoly(field, terms))
+        f = fs_coefficients(prob, N)
+        assert is_fixed_point(prob, f)
+        for n in range(1, N + 1):
+            changed = list(f.coeffs)
+            changed[n] = field.add(changed[n], c)
+            assert not is_fixed_point(prob, TruncSeries1(field, changed))
+
+    @given(certificate_cases())
+    def test_rejects_a_solution_with_nonzero_constant_term(self, case):
+        # Y = P(0, Y) = c*Y^2 has the simple root 1/c beside 0, so
+        # P(X, h) = h also has the solution h with h_0 = 1/c
+        field, terms, N, c = case
+        P = BiPoly(field, {(0, 2): c}) + BiPoly(field, terms).mul_monomial(1, 0)
+        h = hensel_root(BiPoly.y(field) - P, field.inv(c), N)
+        assert eval_bipoly_at_series(P, h) == h
+        assert not is_fixed_point(FixedPointProblem(P), h)
+
+    @given(certificate_cases(), st.data())
+    def test_keeps_the_terms_with_a_plus_b_equal_to_n(self, case, data):
+        # the one term X^a Y^b with a + b = N adds c*f_1^b to [X^N] P(X, f)
+        field, terms, N, c = case
+        a = data.draw(st.integers(0, N))
+        terms = {key: v for key, v in terms.items() if sum(key) != N}
+        terms[(a, N - a)] = c
+        prob = FixedPointProblem(BiPoly(field, terms))
+        assert is_fixed_point(prob, fs_coefficients(prob, N))
