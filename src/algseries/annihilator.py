@@ -199,7 +199,9 @@ def frobenius_relation(automaton, check_order=256):
     canonical form, once it verifies to order ``check_order`` on the series
     of the automaton as given, so a wrong minimization fails the check too;
     always succeeds when the minimized automaton has d <= KERNEL_SIZE_CAP
-    states.
+    states.  The series is zero, with the relation f = 0, exactly when
+    _generates_zero holds on the minimized automaton; no sampled prefix
+    decides it.
     """
     field = automaton.field
     if not field.is_finite:
@@ -214,19 +216,33 @@ def frobenius_relation(automaton, check_order=256):
     if d > KERNEL_SIZE_CAP:
         raise DegreeBlowup(f"kernel has {d} states, cap is {KERNEL_SIZE_CAP}")
     q = automaton.q
-    series = automaton.generate(check_order)
-    if series.is_zero():
-        return FrobeniusRelation((UniPoly.one(field),), q)
-    combo = null_left_vector(_kernel_rows(minimized))
-    if combo is None:
-        raise NoRelation("no dependency among kernel rows; internal error")
-    relation = canonical_relation(combo, q)
-    needed = relation.max_coeff_degree() + check_order
-    if needed > series.order:
-        series = automaton.generate(needed)
+    if _generates_zero(minimized):
+        relation = FrobeniusRelation((UniPoly.one(field),), q)
+    else:
+        combo = null_left_vector(_kernel_rows(minimized))
+        if combo is None:
+            raise NoRelation("no dependency among kernel rows; internal error")
+        relation = canonical_relation(combo, q)
+    series = automaton.generate(relation.max_coeff_degree() + check_order)
     if not verify_relation(relation, series, check_order=check_order):
         raise NoRelation("no dependency among kernel rows; internal error")
     return relation
+
+
+def _generates_zero(minimized):
+    """True iff every coefficient of the minimized automaton's series is 0.
+
+    Index 0 ends in the initial state.  An index with k + 1 digits ends in
+    delta(s, r), r != 0 its leading digit and s the state its k lower
+    digits reach, and every k-digit word, leading zeros included, is the
+    lower digits of such an index.  All states of a minimized automaton are
+    reachable, so the series is zero iff the initial state and every
+    nonzero-digit successor output 0.  A state entered only by digit 0 ends
+    no index, and its output does not count.
+    """
+    out = minimized.outputs
+    return not (out[minimized.initial] or
+                any(out[t] for row in minimized.transitions for t in row[1:]))
 
 
 def verify_relation(relation, series, check_order=None):

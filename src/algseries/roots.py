@@ -4,12 +4,14 @@ Pipeline: enumerate residue roots a0 of P(0, Y); derive a minimal Frobenius
 relation sum A_k(X) f^(q^k) = 0 by finding the first linear dependency
 among Y^(q^k) mod P over F_q(X); close the root under the Cartier
 operators on numerators over P_Y.  Per simple a0, the closure with the
-outputs A(0, a0)/P_Y(0, a0) is an automaton; its series g, generated to
-the order needed, is certified by P(X, g) = 0: a0 is simple, so the root
-with f(0) = a0 is unique to every order and g is that root.  Each closure
-state is then evaluated once on g to the certificate order M of the
-skeleton, every transition and every output is checked against those
-values, and the relation is checked on g.
+outputs A(0, a0)/P_Y(0, a0) is an automaton.  Its series g is certified
+by P(X, g) = 0 mod X^(M+1), M the certificate order of the skeleton: a0
+is simple, so the root f with f(0) = a0 is unique to every order and
+g = f mod X^(M+1).  Each closure state is then evaluated once on g to
+order M, and every transition and every output is checked against those
+values, which proves that the automaton generates f at every index; g,
+generated to the order needed, is then f to that order, and the relation
+is checked on it.
 
 The closure runs in L = F_q(X)[Y]/(P), where P_Y is a unit as P is
 squarefree.  For every A in F_q[X, Y] (Bostan, Caruso, Christol, Dumas,
@@ -371,10 +373,20 @@ def roots_automata(P, order):
     """One minimized DFAO per simple residue root of P.
 
     A branch's automaton is built once, the closure with the residue
-    outputs A(0, a0)/P_Y(0, a0) and the skeleton's labels.  Its series is
-    generated to the order ``need`` the checks below read, and must
-    satisfy P(X, series) = 0 mod X^(need+1), else AlgSeriesError: as a0 is
-    simple, that makes it the unique root with f(0) = a0 to that order.
+    outputs A(0, a0)/P_Y(0, a0) and the skeleton's labels.  Its series g
+    is generated to the order ``need`` that verify_relation and the
+    branch series read, and is certified to every order by this chain,
+    with M the skeleton's certificate order:
+
+      1. P(X, g) = 0 mod X^(M+1), else AlgSeriesError; as a0 is simple,
+         Hensel's lemma makes g = f mod X^(M+1) for the root f with
+         f(0) = a0;
+      2. so attach_outputs evaluates the true state values to order M;
+      3. its closure check then proves every transition, and its output
+         check every output (module docstring);
+      4. so the automaton generates f at every index, and g = f
+         mod X^(need+1) follows without substituting g into P to ``need``.
+
     The minimized DFAO must generate the same series through X^order;
     non-simple residue roots are recorded in ``skipped``.
     """
@@ -388,11 +400,10 @@ def roots_automata(P, order):
         raise HypothesisViolated("P has no simple residue root")
     relation = frobenius_from_poly(P)
     skeleton = cartier_closure(P)
+    M = skeleton.certificate_order
     # verify_relation checks the relation through X^order only if the series
-    # reaches order + max deg A_k; attach_outputs reads it to the
-    # certificate order
-    need = max(order + relation.max_coeff_degree(),
-               skeleton.certificate_order)
+    # reaches order + max deg A_k; attach_outputs reads it to M
+    need = max(order + relation.max_coeff_degree(), M)
     labels = skeleton.labels
     branches = []
     failures = []
@@ -400,16 +411,18 @@ def roots_automata(P, order):
         dfao = DFAO(skeleton.q, field, 0, skeleton.transitions,
                     residue_outputs(skeleton, a0), labels)
         series = dfao.generate(need)
-        # a0 is simple: no other series with g(0) = a0 annihilates P
-        # to this order
-        if not eval_bipoly_at_series(P, series).is_zero():
+        # a0 is simple: no other series with g(0) = a0 annihilates P mod
+        # X^(M+1); past M, attach_outputs proves the automaton exact
+        head = TruncSeries1(field, series.coeffs, M)
+        if not eval_bipoly_at_series(P, head).is_zero():
             raise AlgSeriesError(
                 f"the closure automaton's series does not annihilate P mod "
-                f"X^{need + 1}; internal error")
+                f"X^{M + 1}; internal error")
         branch = BranchRoot(a0=a0, series=series)
         minimized = attach_outputs(skeleton, branch, dfao).minimize()
-        # series is a root mod X^(need+1) and need >= order: an equal
-        # prefix makes the minimized automaton's series a root mod X^(order+1)
+        # the automaton generates f, so series = f mod X^(need+1) and
+        # need >= order: an equal prefix makes the minimized automaton's
+        # series the root mod X^(order+1)
         if minimized.generate(order).coeffs != series.coeffs[:order + 1]:
             failures.append(a0)
         branches.append((branch, minimized))

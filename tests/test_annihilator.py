@@ -197,6 +197,10 @@ def test_relation_for_any_automaton(automaton):
     assume(coordinates(automaton) <= (6 if automaton.q == 2 else 3))
     rel = frobenius_relation(automaton)
     assert verify_relation(rel, automaton.generate(256 + rel.max_coeff_degree()))
+    # f = 0 exactly for the zero series: an n-state automaton reaches each
+    # state it reaches within n - 1 digits, so the indices below q^n show it
+    zero = automaton.generate(automaton.q ** automaton.n_states).is_zero()
+    assert (rel.to_text() == "f = 0") == zero
 
 
 def combine(combo, rows, col):
@@ -358,6 +362,28 @@ class TestFrobeniusRelation:
         rel = frobenius_relation(zero)
         assert rel.coeffs == (UniPoly.one(F2),)
         assert rel.to_text() == "f = 0"
+
+    def test_zero_through_index_624_is_not_zero(self):
+        # c_n = 1 exactly when n >= 5^4: the series is zero to order 256,
+        # the default check order, but state 5, where every index of five
+        # or more digits ends, outputs 1
+        a = from_json(json.dumps({
+            "q": 5, "field": {"kind": "prime", "p": 5}, "initial": 0,
+            "transitions": [[s + 1] * 5 for s in range(5)] + [[5] * 5],
+            "outputs": ["0"] * 5 + ["1"]}))
+        assert a.generate(624).is_zero() and not a.generate(625).is_zero()
+        rel = frobenius_relation(a)
+        assert rel.to_text() != "f = 0"
+        series = a.generate(1024 + rel.max_coeff_degree())
+        assert verify_relation(rel, series, check_order=1024)
+
+    def test_state_entered_only_by_digit_0_ends_no_index(self):
+        # state 1 outputs 1 but is entered by digit 0 alone, so it is never
+        # the last state of an index: the series is zero, and minimizing
+        # keeps both states
+        a = DFAO(2, F2, 0, [(1, 0), (0, 0)], [0, 1])
+        assert a.minimize().n_states == 2 and a.generate(256).is_zero()
+        assert frobenius_relation(a).to_text() == "f = 0"
 
     def test_minimal_length_for_rational_series(self):
         # u_n = 1 for all n: f = 1/(1+X) over F_2 satisfies f + f^2 * (1+X) = 0

@@ -473,6 +473,62 @@ def test_wrong_closure_fails_substitution_check(corrupt):
             roots_automata(parse_poly(TM_POLY, F2), 32)
 
 
+@pytest.mark.parametrize("field, text, n, M", [
+    (F2, TM_POLY, 1536, 19), (F3, "Y^3 - Y + X", 1024, 17)])
+def test_substitution_reads_the_certificate_order(field, text, n, M):
+    # the series is substituted into P (and P_Y) to M only, not to the
+    # order n + max deg A_k it is generated to: the closure check proves
+    # the automaton past M
+    P = parse_poly(text, field)
+    assert cartier_closure(P).certificate_order == M
+    orders = []
+    evaluate = algseries.roots.eval_bipoly_at_series
+
+    def recording(poly, series):
+        orders.append(series.order)
+        return evaluate(poly, series)
+
+    with mock.patch.object(algseries.roots, "eval_bipoly_at_series",
+                           recording):
+        out = roots_automata(P, n)
+    assert not out.failures and out.branches[0][0].series.order >= n
+    assert orders and set(orders) == {M}
+
+
+F5_CUBIC = "3*Y + X^2 + 3*X^2*Y + X*Y^2 + X^3*Y^3"
+
+
+def test_closure_check_catches_a_transition_past_the_substitution():
+    # state 39 of the F5 cubic's closure is first reached at index 80, past
+    # M = 79: redirecting its digit 1 leaves the series right mod X^80, so
+    # the substitution into P passes and the closure check must reject it
+    P = parse_poly(F5_CUBIC, F5)
+    closure = algseries.roots.cartier_closure
+    skeleton = closure(P)
+    assert skeleton.certificate_order == 79
+    first = next(n for n in range(1000)
+                 if _final_state(skeleton.transitions, 5, n) == 39)
+    assert first == 80 and skeleton.transitions[39][1] == 184
+
+    def redirect(P):
+        skeleton = closure(P)
+        skeleton.transitions[39][1] = 0
+        return skeleton
+
+    with mock.patch.object(algseries.roots, "cartier_closure", redirect):
+        with pytest.raises(AlgSeriesError,
+                           match=r"closure check failed at state 39, digit 1"):
+            roots_automata(P, 256)
+
+
+def _final_state(transitions, q, n):
+    state = 0
+    while n:
+        n, r = divmod(n, q)
+        state = transitions[state][r]
+    return state
+
+
 def reference_frobenius_from_poly(P):
     """The relation as roots built it before its rows came from pseudo-
     remainders: Y^(q^k) mod P by products in F_q(X)[Y]/(P), each
